@@ -28,11 +28,11 @@ from .manifold import (
     kernel_matrix,
     lagrangian_matrix,
     lagrangian_profile,
-    sample_uniform,
     theta_max,
+    zonal_d,
 )
-from .measure import WeightedMeasure, action, volume_action
-from .spectral import fibonacci_sphere, legendre_all, real_sphere_harmonics
+from .measure import WeightedMeasure, action, probe_grid, volume_action
+from .spectral import legendre_all, real_sphere_harmonics
 
 _FLAG_TEST_SEED = 20240  # fixed stream for the deterministic flag test grid
 
@@ -59,14 +59,6 @@ class CertificateReport:
             "classification": self.classification.value,
             "moment_residuals": list(self.moment_residuals),
         }
-
-
-def _test_grid(model: ManifoldModel, n: int):
-    if model.kind == "circle":
-        return 2.0 * np.pi * np.arange(n) / n
-    if model.kind == "sphere":
-        return fibonacci_sphere(n)
-    return sample_uniform(model, n, seed=_FLAG_TEST_SEED)
 
 
 def _moment_residuals(model: ManifoldModel, m: WeightedMeasure) -> tuple[float, ...]:
@@ -108,7 +100,7 @@ def certify(
     S = float(w @ gmat @ w)
     ell_supp = gmat @ w
     supp = w > 0
-    grid = _test_grid(model, test_grid_size)
+    grid = probe_grid(model, test_grid_size, _FLAG_TEST_SEED)
     cross = kernel_cross(model, grid, m.points)
     ell_grid = np.maximum(0.0, cross) @ w
     d_grid = cross @ w
@@ -192,14 +184,14 @@ def kernel_eigenvalues_by_quadrature(model: ManifoldModel) -> tuple[float, float
     if model.kind == "circle":
         n = 4096
         t = 2.0 * np.pi * np.arange(n) / n
-        d = 2 * tau**2 * (1 + np.cos(t)) * (2 - tau**2 * (1 - np.cos(t)))
+        d = zonal_d(tau, np.cos(t))
         nu0 = float(np.mean(d))
         nu1 = float(np.mean(d * np.cos(t)))
         nu2 = float(np.mean(d * np.cos(2 * t)))
         return nu0, nu1, nu2
     if model.kind == "sphere":
         x, wq = np.polynomial.legendre.leggauss(64)
-        d = 2 * tau**2 * (1 + x) * (2 - tau**2 * (1 - x))
+        d = zonal_d(tau, x)
         p = legendre_all(2, x)
         vals = 0.5 * (p @ (wq * d))
         return float(vals[0]), float(vals[1]), float(vals[2])

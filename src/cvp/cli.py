@@ -42,13 +42,10 @@ def _model_from_args(args) -> ManifoldModel:
     return ManifoldModel(args.manifold, args.tau)
 
 
-def _schedule_from_args(model: ManifoldModel, args) -> AnnealSchedule:
-    overrides = {}
-    for name in ("t_start", "t_end", "cooling", "steps_per_temp", "restarts"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return AnnealSchedule.default(model, seed=args.seed, **overrides)
+def _schedule_overrides(args) -> dict:
+    """The schedule options given on the command line; the rest keep their defaults."""
+    names = ("t_start", "t_end", "cooling", "steps_per_temp", "restarts")
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _add_model_args(p, manifolds=("circle", "sphere", "flag")):
@@ -77,7 +74,7 @@ def _certificate_payload(model, meas, tol, grid_size) -> dict:
 
 def cmd_minimize(args) -> int:
     model = _model_from_args(args)
-    sched = _schedule_from_args(model, args)
+    sched = AnnealSchedule.default(model, seed=args.seed, **_schedule_overrides(args))
     meas = optimize.anneal(model, args.m, sched)
     merged = optimize.merge_clusters(model, meas, args.merge_radius).measure.pruned()
     measure_doc = measure_to_dict(model, merged)
@@ -129,10 +126,8 @@ def cmd_scan(args) -> int:
         args.m,
         f=args.f,
         seed=args.seed,
-        cooling=args.cooling if args.cooling is not None else 0.93,
-        steps_per_temp=args.steps_per_temp if args.steps_per_temp is not None else 80,
-        restarts=args.restarts if args.restarts is not None else 2,
         merge_radius=args.merge_radius,
+        **_schedule_overrides(args),
     )
     text = optimize.scan_csv_string(rows)
     _write_or_print(text, args.output)

@@ -8,11 +8,15 @@ Three model spaces are supported:
   (u, v) of complex f-vectors representing the rank-two Hermitian matrix
   (1+tau)|u><u| + (1-tau)|v><v|.
 
-On the circle and the sphere the kernel is
+On the circle and the sphere the kernel is zonal: it depends on a pair
+only through c = <x,y>,
 
-    D(x, y) = 2 tau^2 (1 + <x,y>) (2 - tau^2 (1 - <x,y>)),
+    D(x, y) = 2 tau^2 (1 + c) (2 - tau^2 (1 - c)),
 
-on the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated
+evaluated only by ``zonal_d``.  The circle is a great circle of the
+sphere: ``unit_vectors`` embeds its angles in R^2, so both spaces share
+every kernel routine and angles stay at the input/output boundary.  On
+the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated
 through the 2x2 reduction M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*
 with C the 2x2 matrix of inner products of the (u, v) pairs.  The
 Lagrangian is the positive part L = max(0, D); the sign of D defines the
@@ -22,6 +26,7 @@ causal relation of two points.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +67,14 @@ class ManifoldModel:
                 raise ValueError("flag manifold requires f >= 3")
             # tau = 1 is the degenerate boundary where the kernel operator
             # against the Haar measure is PSD; it stays constructible
-            if not self.tau >= 1:
-                raise ValueError("flag manifold requires tau >= 1")
+            if not 1 <= self.tau < math.inf:
+                raise ValueError("flag manifold requires finite tau >= 1")
             object.__setattr__(self, "f", int(self.f))
         else:
             if self.f is not None:
                 raise ValueError(f"f is only meaningful for the flag manifold")
-            if not self.tau >= 1:
-                raise ValueError("circle/sphere require tau >= 1")
+            if not 1 <= self.tau < math.inf:
+                raise ValueError("circle/sphere require finite tau >= 1")
 
     @classmethod
     def circle(cls, tau: float) -> "ManifoldModel":
@@ -126,8 +131,10 @@ def flag_point(u, v) -> np.ndarray:
 
 
 def validate_points(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
-    """Check an array of stacked points against the model's invariants."""
+    """Check an array of stacked points (finite coordinates) against the model's invariants."""
     points = np.asarray(points)
+    if points.dtype.kind not in "iufc" or not np.all(np.isfinite(points)):
+        raise ValueError(f"{model.kind} points must have finite numeric coordinates")
     if model.kind == "circle":
         if points.ndim != 1:
             raise ValueError("circle points must be a 1-d array of angles")
@@ -152,26 +159,71 @@ def validate_points(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
     return points
 
 
+# array rank of one point: an angle, a 3-vector, a (u, v) pair of f-vectors
+_POINT_NDIM = {"circle": 0, "sphere": 1, "flag": 2}
+
+
+def is_single_point(model: ManifoldModel, x) -> bool:
+    """True when x is one point of the model rather than a batch."""
+    return np.ndim(x) == _POINT_NDIM[model.kind]
+
+
 def _as_batch(model: ManifoldModel, x) -> np.ndarray:
     """Promote a single point to a batch of one."""
     x = np.asarray(x)
+    return x[None, ...] if is_single_point(model, x) else x
+
+
+def zonal_d(tau: float, c, out=None):
+    """The circle/sphere kernel D as a function of c = <x, y>.
+
+    D = 2 tau^2 (1 + c) (2 - tau^2 (1 - c)), evaluated in the order
+    (1 + c) (tau^2 c + 2 - tau^2) 2 tau^2.  ``out`` is an optional result
+    buffer of c's shape and may be c itself; the annealer passes its row
+    buffer so that the hot loop does not allocate the result.
+    """
+    t2 = tau**2
+    f = np.multiply(c, t2)
+    f += 2.0 - t2
+    out = np.add(c, 1.0, out=out)
+    out *= f
+    out *= 2.0 * t2
+    return out
+
+
+def unit_vectors(model: ManifoldModel, points) -> np.ndarray:
+    """Circle/sphere points as unit vectors, the argument form of ``zonal_d``.
+
+    Circle angles become (cos, sin) in R^2 along a new last axis; sphere
+    points pass through unchanged.
+    """
     if model.kind == "circle":
-        return x.reshape(1) if x.ndim == 0 else x
+        if isinstance(points, float):  # one angle: the annealer's hot path
+            return np.array((math.cos(points), math.sin(points)))
+        a = np.asarray(points, dtype=float)
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
     if model.kind == "sphere":
-        return x[None, :] if x.ndim == 1 else x
-    return x[None, ...] if x.ndim == 2 else x
+        return np.asarray(points, dtype=float)
+    raise ValueError("the flag kernel is not zonal")
 
 
-def _flag_kernel_parts(a, b, c, d, tau):
-    """D from the 2x2 reduction, written in swap-invariant grouped form.
+def _flag_products(xs, ys):
+    """Inner products <u_x,u_y>, <u_x,v_y>, <v_x,u_y>, <v_x,v_y> of two batches."""
+    ux, vx = xs[:, 0, :].conj(), xs[:, 1, :].conj()
+    uy, vy = ys[:, 0, :], ys[:, 1, :]
+    return ux @ uy.T, ux @ vy.T, vx @ uy.T, vx @ vy.T
+
+
+def _flag_traces(a, b, c, d, tau):
+    """(Tr(xy), Tr((xy)^2)) from the 2x2 reduction, in swap-invariant grouped form.
 
     a, b, c, d are the inner products <u_x,u_y>, <u_x,v_y>, <v_x,u_y>,
     <v_x,v_y>.  With M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*,
-    Tr(M) and Tr(M^2) reduce to the 16-term sum below in p = (1+tau)^2,
+    Tr(M) and Tr(M^2) reduce to the sums below in p = (1+tau)^2,
     q = (1-tau)^2 and the signed product r = (1+tau)(1-tau).  Under
     exchanging x and y the inner products map to (conj a, conj c, conj b,
     conj d), so every grouped term is symmetric up to commutative float
-    operations and D(x,y) == D(y,x) bit-for-bit.
+    operations and both traces are bit-for-bit symmetric.
     """
     p = (1.0 + tau) ** 2
     q = (1.0 - tau) ** 2
@@ -191,6 +243,12 @@ def _flag_kernel_parts(a, b, c, d, tau):
         + 2.0 * (q * r) * E * bc
         + 4.0 * (r * r) * R
     )
+    return tr, tr2
+
+
+def _flag_kernel_parts(a, b, c, d, tau):
+    """The flag kernel D = Tr((xy)^2) - Tr(xy)^2 / 2 from the inner products."""
+    tr, tr2 = _flag_traces(a, b, c, d, tau)
     return tr2 - 0.5 * tr * tr
 
 
@@ -198,22 +256,9 @@ def kernel_cross(model: ManifoldModel, xs, ys) -> np.ndarray:
     """Matrix D(x_i, y_j) for two batches of points."""
     xs = _as_batch(model, xs)
     ys = _as_batch(model, ys)
-    tau = model.tau
-    if model.kind == "circle":
-        ex = np.stack([np.cos(xs), np.sin(xs)], axis=1)
-        ey = np.stack([np.cos(ys), np.sin(ys)], axis=1)
-        cosang = ex @ ey.T
-    elif model.kind == "sphere":
-        cosang = xs @ ys.T
-    else:
-        ux, vx = xs[:, 0, :], xs[:, 1, :]
-        uy, vy = ys[:, 0, :], ys[:, 1, :]
-        a = ux.conj() @ uy.T
-        b = ux.conj() @ vy.T
-        c = vx.conj() @ uy.T
-        d = vx.conj() @ vy.T
-        return _flag_kernel_parts(a, b, c, d, tau)
-    return 2.0 * tau**2 * (1.0 + cosang) * (2.0 - tau**2 * (1.0 - cosang))
+    if model.kind == "flag":
+        return _flag_kernel_parts(*_flag_products(xs, ys), model.tau)
+    return zonal_d(model.tau, unit_vectors(model, xs) @ unit_vectors(model, ys).T)
 
 
 def kernel_matrix(model: ManifoldModel, points) -> np.ndarray:
@@ -247,28 +292,18 @@ def d_kernel(model: ManifoldModel, x, y) -> float:
     Symmetric in (x, y) with a fixed evaluation order, so swapping the
     arguments returns the identical float.
     """
-    tau = model.tau
     if model.kind == "circle":
         x, y = float(x), float(y)
-        c = np.cos(x) * np.cos(y) + np.sin(x) * np.sin(y)
-    elif model.kind == "sphere":
-        x = np.asarray(x)
-        y = np.asarray(y)
+    else:
+        x, y = np.asarray(x), np.asarray(y)
+    if model.kind == "sphere":
         if x.shape != (3,) or y.shape != (3,) or np.iscomplexobj(x) or np.iscomplexobj(y):
             raise ValueError("sphere points must be real 3-vectors")
-        c = float(x @ y)
-    else:
-        x = np.asarray(x)
-        y = np.asarray(y)
+    elif model.kind == "flag":
         if x.shape != (2, model.f) or y.shape != (2, model.f):
             raise ValueError(f"flag points must have shape (2, {model.f})")
         x, y = _flag_canonical_order(x, y)
-        a = np.vdot(x[0], y[0])
-        b = np.vdot(x[0], y[1])
-        cc = np.vdot(x[1], y[0])
-        d = np.vdot(x[1], y[1])
-        return float(_flag_kernel_parts(a, b, cc, d, tau))
-    return float(2.0 * tau**2 * (1.0 + c) * (2.0 - tau**2 * (1.0 - c)))
+    return float(kernel_cross(model, x, y)[0, 0])
 
 
 def lagrangian(model: ManifoldModel, x, y) -> float:
@@ -280,8 +315,7 @@ def d_profile(model: ManifoldModel, theta) -> np.ndarray:
     """D as a function of the angle between two circle/sphere points."""
     if model.kind == "flag":
         raise ValueError("the flag kernel is not a function of one angle")
-    c = np.cos(np.asarray(theta, dtype=float))
-    return 2.0 * model.tau**2 * (1.0 + c) * (2.0 - model.tau**2 * (1.0 - c))
+    return zonal_d(model.tau, np.cos(np.asarray(theta, dtype=float)))
 
 
 def lagrangian_profile(model: ManifoldModel, theta) -> np.ndarray:

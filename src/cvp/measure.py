@@ -29,13 +29,21 @@ import numpy as np
 from .manifold import (
     ManifoldModel,
     d_profile,
+    is_single_point,
     kernel_cross,
     lagrangian_cross,
     lagrangian_matrix,
+    sample_uniform,
     theta_max,
     validate_points,
+    zonal_d,
 )
-from .spectral import legendre_all, legendre_band_integrals, panel_gauss_legendre
+from .spectral import (
+    fibonacci_sphere,
+    legendre_all,
+    legendre_band_integrals,
+    panel_gauss_legendre,
+)
 
 _WEIGHT_TOL = 1e-12
 _DENSITY_TOL = 1e-8
@@ -53,6 +61,8 @@ class WeightedMeasure:
         object.__setattr__(self, "points", np.asarray(self.points))
         if w.ndim != 1 or len(w) != len(self.points):
             raise ValueError("weights must be 1-d and match the point count")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < -_WEIGHT_TOL):
             raise ValueError("weights must be non-negative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
@@ -81,28 +91,29 @@ def action(model: ManifoldModel, m: WeightedMeasure) -> float:
     return float(m.weights @ g @ m.weights)
 
 
+def _potential(cross, model: ManifoldModel, m: WeightedMeasure, x):
+    vals = cross(model, x, m.points) @ m.weights
+    return float(vals[0]) if is_single_point(model, x) else vals
+
+
 def lagrangian_potential(model: ManifoldModel, m: WeightedMeasure, x):
     """ell(x) = sum_i w_i L(x, x_i); vectorized over a batch of x."""
-    x = np.asarray(x)
-    single = (
-        (model.kind == "circle" and x.ndim == 0)
-        or (model.kind == "sphere" and x.ndim == 1)
-        or (model.kind == "flag" and x.ndim == 2)
-    )
-    vals = lagrangian_cross(model, x, m.points) @ m.weights
-    return float(vals[0]) if single else vals
+    return _potential(lagrangian_cross, model, m, x)
 
 
 def kernel_potential(model: ManifoldModel, m: WeightedMeasure, x):
     """d(x) = sum_i w_i D(x, x_i), without clamping."""
-    x = np.asarray(x)
-    single = (
-        (model.kind == "circle" and x.ndim == 0)
-        or (model.kind == "sphere" and x.ndim == 1)
-        or (model.kind == "flag" and x.ndim == 2)
-    )
-    vals = kernel_cross(model, x, m.points) @ m.weights
-    return float(vals[0]) if single else vals
+    return _potential(kernel_cross, model, m, x)
+
+
+def probe_grid(model: ManifoldModel, n: int, seed) -> np.ndarray:
+    """A deterministic n-point grid: equispaced angles on the circle, the
+    Fibonacci lattice on the sphere, seeded Haar draws on the flag."""
+    if model.kind == "circle":
+        return 2.0 * np.pi * np.arange(n) / n
+    if model.kind == "sphere":
+        return fibonacci_sphere(n)
+    return sample_uniform(model, n, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +254,7 @@ def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
     x, w = np.polynomial.legendre.leggauss(lmax // 2 + 4)
     c = 0.5 * (1.0 - ckink) * x + 0.5 * (1.0 + ckink)
     w = 0.5 * (1.0 - ckink) * w
-    dvals = 2 * model.tau**2 * (1 + c) * (2 - model.tau**2 * (1 - c))
+    dvals = zonal_d(model.tau, c)
     p = legendre_all(lmax, c)
     ell = np.arange(lmax + 1)
     return (2 * ell + 1) / 2.0 * (p @ (w * dvals))
@@ -332,21 +343,28 @@ def measure_to_dict(model: ManifoldModel, m: WeightedMeasure) -> dict:
 
 
 def measure_from_dict(d: dict) -> tuple[ManifoldModel, WeightedMeasure]:
-    kind = d["manifold"]
-    if kind == "flag":
-        model = ManifoldModel.flag(d["f"], d["tau"])
-        pts = []
-        for p in d["points"]:
-            u = np.array([complex(re, im) for re, im in p["u"]])
-            v = np.array([complex(re, im) for re, im in p["v"]])
-            pts.append(np.stack([u, v]))
-        points = np.array(pts)
-    else:
-        model = ManifoldModel(kind, float(d["tau"]))
-        raw = np.asarray(d["points"], dtype=float)
-        points = raw[:, 0] if kind == "circle" else raw
-    points = validate_points(model, points)
-    return model, WeightedMeasure(points, np.asarray(d["weights"], dtype=float))
+    """Parse a measure document; a malformed one raises ValueError."""
+    kind = d.get("manifold") if isinstance(d, dict) else None
+    keys = {"manifold", "tau", "points", "weights"} | ({"f"} if kind == "flag" else set())
+    if not isinstance(d, dict) or set(d) != keys:
+        raise ValueError(f"a measure document is a JSON object with the keys {sorted(keys)}")
+    try:
+        if kind == "flag":
+            model = ManifoldModel.flag(d["f"], d["tau"])
+            points = np.array(
+                [[[complex(re, im) for re, im in p[key]] for key in "uv"] for p in d["points"]]
+            )
+        else:
+            model = ManifoldModel(kind, float(d["tau"]))
+            points = np.asarray(d["points"], dtype=float)
+            width = 1 if kind == "circle" else 3
+            if points.ndim != 2 or points.shape[1] != width:
+                raise ValueError(f"{kind} points must be lists of {width} coordinates")
+            points = points[:, 0] if kind == "circle" else points
+        weights = np.asarray(d["weights"], dtype=float)
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed {kind} measure: {exc!r}") from exc
+    return model, WeightedMeasure(validate_points(model, points), weights)
 
 
 def save_measure(path, model: ManifoldModel, m: WeightedMeasure) -> None:

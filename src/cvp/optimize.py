@@ -17,6 +17,11 @@ repairs Euler-Lagrange violations directly; every k-th accepted move
 triggers an exact weight re-solve.  Cooling ends in a zero-temperature
 quench with geometrically shrinking move scale.
 
+The circle and the sphere share one move engine, which caches the points
+as unit vectors (circle angles embedded in R^2): a kernel row is one
+matrix-vector product and one ``zonal_d``, and only the move proposal
+differs by kind.  The flag manifold has its own engine.
+
 A tau-continuation scan runs ascending and descending passes, warm-starts
 each tau from its neighbour, keeps the best of warm and cold runs, and
 reduces degenerate supports (a support reduction is accepted only when it
@@ -34,13 +39,18 @@ import numpy as np
 
 from .manifold import (
     ManifoldModel,
+    _flag_kernel_parts,
+    _flag_products,
+    _flag_traces,
     flag_point,
     lagrangian_cross,
     lagrangian_matrix,
     sample_uniform,
     theta_max,
+    unit_vectors,
+    zonal_d,
 )
-from .measure import WeightedMeasure, action
+from .measure import WeightedMeasure, action, probe_grid
 from .spectral import fibonacci_sphere
 
 _RESOLVE_EVERY = 50      # accepted moves between exact weight sub-solves
@@ -322,12 +332,9 @@ def _position_scale(model: ManifoldModel) -> float:
     return theta_max(model)
 
 
-def _probe_grid(model: ManifoldModel) -> np.ndarray:
-    if model.kind == "circle":
-        return 2.0 * np.pi * np.arange(192) / 192.0
-    if model.kind == "sphere":
-        return fibonacci_sphere(256)
-    return sample_uniform(model, 96, seed=7)
+# probe grid for the relocate move: size per kind, seed of the flag draw
+_PROBE_SIZE = {"circle": 192, "sphere": 256, "flag": 96}
+_PROBE_SEED = 7
 
 
 class _BlockedRng:
@@ -359,104 +366,61 @@ class _BlockedRng:
         return v
 
 
-class _CircleEngine:
-    """Cached-embedding kernel rows for the annealing hot loop.
+class _ZonalEngine:
+    """Kernel rows for the annealing hot loop on the circle and the sphere.
 
+    ``pts`` keeps the points in their input/output form (angles on the
+    circle); ``emb`` caches them as unit vectors (on the sphere it is ``pts``
+    itself), so a row is one matmul and one ``zonal_d``.  Only the move
+    proposal depends on the kind.
     ``l_row`` returns an internal buffer that is invalidated by the next
     call; the annealer copies it into the Gram matrix on acceptance.
     """
 
     def __init__(self, model, pts):
-        self.t2 = model.tau**2
+        self.model = model
         self.pts = np.array(pts, dtype=float, copy=True)
-        self.cos = np.cos(self.pts)
-        self.sin = np.sin(self.pts)
-        probe = _probe_grid(model)
-        self.probe = probe
-        self.probe_emb = np.stack([np.cos(probe), np.sin(probe)], axis=1)
-        self._b1 = np.empty(len(self.pts))
-        self._b2 = np.empty(len(self.pts))
+        self.emb = unit_vectors(model, self.pts)
+        self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
+        self.probe_emb = unit_vectors(model, self.probe)
+        self._row = np.empty(len(self.pts))
 
     def l_row(self, x):
-        # L = 2 t2 (1 + c) (2 - t2 + t2 c), evaluated without allocations
-        t2 = self.t2
-        b1, b2 = self._b1, self._b2
-        np.multiply(self.cos, math.cos(x), out=b1)
-        np.multiply(self.sin, math.sin(x), out=b2)
-        b1 += b2
-        np.multiply(b1, t2, out=b2)
-        b2 += 2.0 - t2
-        b1 += 1.0
-        b1 *= b2
-        b1 *= 2.0 * t2
-        return np.maximum(0.0, b1, out=b1)
+        row = np.matmul(self.emb, unit_vectors(self.model, x), out=self._row)
+        zonal_d(self.model.tau, row, out=row)
+        return np.maximum(0.0, row, out=row)
 
     def set_point(self, i, x):
         self.pts[i] = x
-        self.cos[i] = math.cos(x)
-        self.sin[i] = math.sin(x)
+        self.emb[i] = unit_vectors(self.model, x)
 
     def jitter_at(self, x, scale, rand):
-        return (x + scale * rand.normals(1)[0]) % (2.0 * np.pi)
-
-    def ell_on_probe(self, w):
-        c = self.probe_emb @ np.stack([self.cos, self.sin])
-        d = (2.0 * self.t2) * (1.0 + c) * (2.0 - self.t2 * (1.0 - c))
-        np.maximum(0.0, d, out=d)
-        return d @ w
-
-
-class _SphereEngine:
-    def __init__(self, model, pts):
-        self.t2 = model.tau**2
-        self.pts = np.array(pts, dtype=float, copy=True)
-        self.probe = _probe_grid(model)
-        self._b1 = np.empty(len(self.pts))
-        self._b2 = np.empty(len(self.pts))
-
-    def l_row(self, x):
-        t2 = self.t2
-        b1, b2 = self._b1, self._b2
-        np.matmul(self.pts, x, out=b1)
-        np.multiply(b1, t2, out=b2)
-        b2 += 2.0 - t2
-        b1 += 1.0
-        b1 *= b2
-        b1 *= 2.0 * t2
-        return np.maximum(0.0, b1, out=b1)
-
-    def set_point(self, i, x):
-        self.pts[i] = x
-
-    def jitter_at(self, x, scale, rand):
+        if self.model.kind == "circle":
+            return (x + scale * rand.normals(1)[0]) % (2.0 * np.pi)
         v = x + scale * rand.normals(3)
         return v / math.sqrt(v @ v)
 
     def ell_on_probe(self, w):
-        c = self.probe @ self.pts.T
-        d = (2.0 * self.t2) * (1.0 + c) * (2.0 - self.t2 * (1.0 - c))
+        d = zonal_d(self.model.tau, self.probe_emb @ self.emb.T)
         np.maximum(0.0, d, out=d)
         return d @ w
 
 
 class _FlagEngine:
     def __init__(self, model, pts):
-        self.tau = model.tau
-        self.f = model.f
+        self.model = model
         self.pts = np.array(pts, copy=True)
         self.uc = self.pts[:, 0, :].conj().copy()
         self.vc = self.pts[:, 1, :].conj().copy()
-        self.probe = _probe_grid(model)
+        self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
 
     def l_row(self, x):
-        from .manifold import _flag_kernel_parts
-
         u, v = x[0], x[1]
         a = self.uc @ u  # <u_i, u>
         b = self.uc @ v  # <u_i, v>
         c = self.vc @ u  # <v_i, u>
         d = self.vc @ v  # <v_i, v>
-        vals = _flag_kernel_parts(a, b, c, d, self.tau)
+        vals = _flag_kernel_parts(a, b, c, d, self.model.tau)
         return np.maximum(0.0, vals, out=vals)
 
     def set_point(self, i, x):
@@ -465,7 +429,7 @@ class _FlagEngine:
         self.vc[i] = x[1].conj()
 
     def jitter_at(self, x, scale, rand):
-        f = self.f
+        f = self.model.f
         n = rand.normals(4 * f)
         u = x[0] + scale * (n[:f] + 1j * n[f : 2 * f])
         v = x[1] + scale * (n[2 * f : 3 * f] + 1j * n[3 * f :])
@@ -475,29 +439,13 @@ class _FlagEngine:
         return np.stack([u, v])
 
     def ell_on_probe(self, w):
-        from .manifold import lagrangian_cross
-
-        return lagrangian_cross(
-            ManifoldModel("flag", self.tau, self.f), self.probe, self.pts
-        ) @ w
+        return lagrangian_cross(self.model, self.probe, self.pts) @ w
 
 
 def _make_engine(model: ManifoldModel, pts):
-    if model.kind == "circle":
-        return _CircleEngine(model, pts)
-    if model.kind == "sphere":
-        return _SphereEngine(model, pts)
-    return _FlagEngine(model, pts)
-
-
-def _icosahedron_vertices() -> np.ndarray:
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    base = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            base += [(0.0, s1, s2 * phi), (s1, s2 * phi, 0.0), (s2 * phi, 0.0, s1)]
-    pts = np.array(base)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    if model.kind == "flag":
+        return _FlagEngine(model, pts)
+    return _ZonalEngine(model, pts)
 
 
 def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
@@ -508,7 +456,9 @@ def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
         if m == 6:
             return np.vstack([np.eye(3), -np.eye(3)])
         if m == 12:
-            return _icosahedron_vertices()
+            from .exact import icosahedron  # deferred: exact imports this module
+
+            return icosahedron().points
         return fibonacci_sphere(m)
     return sample_uniform(model, m, seed=11)
 
@@ -529,6 +479,19 @@ def _pad_measure(model: ManifoldModel, meas: WeightedMeasure, m: int, seed):
 
 # ---------------------------------------------------------------------------
 # the annealer
+
+
+def _move_point(eng, G, g, w, i, x_new, row):
+    """Accept a position move: row and column i of G become ``row`` (which is
+    consumed) and the potential g = G w is updated in place."""
+    old_row = G[i].copy()
+    eng.set_point(i, x_new)
+    G[i, :] = row
+    G[:, i] = row
+    row -= old_row
+    row *= w[i]
+    g += row
+    g[i] = float(G[i] @ w)
 
 
 def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
@@ -611,14 +574,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                 row[i] = diag_l0
                 dS = 2.0 * w[i] * (float(row @ w) - g[i])
                 if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
-                    old_row = G[i].copy()
-                    eng.set_point(i, x_new)
-                    G[i, :] = row
-                    G[:, i] = row
-                    row -= old_row
-                    row *= w[i]
-                    g += row
-                    g[i] = float(G[i] @ w)
+                    _move_point(eng, G, g, w, i, x_new, row)
                     S += dS
                     since_resolve += 1
                     since_resync += 1
@@ -645,8 +601,8 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
     qscale = 1e-2 * pos_scale
     while qscale > 1e-10 * pos_scale:
         for _ in range(120):
-            u = rand.uniform()
-            if u < 0.9:
+            relocate = rand.uniform() >= 0.9
+            if not relocate:
                 i = int(rand.uniform() * m)
                 x_new = eng.jitter_at(eng.pts[i], qscale, rand)
             else:
@@ -656,16 +612,12 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                 )
             row = eng.l_row(x_new)
             row[i] = diag_l0
-            dS = 2.0 * w[i] * (float(row @ w) - g[i])
-            if dS < 0.0:
-                old_row = G[i].copy()
-                eng.set_point(i, x_new)
-                G[i, :] = row
-                G[:, i] = row
-                row -= old_row
-                row *= w[i]
-                g += row
-                g[i] = float(G[i] @ w)
+            ell_new = float(row @ w)
+            dS = 2.0 * w[i] * (ell_new - g[i])
+            # relocating a massless point leaves S unchanged; taking it down
+            # the potential ell lets the next weight re-solve give it mass
+            if dS < 0.0 or (relocate and w[i] == 0.0 and ell_new < g[i]):
+                _move_point(eng, G, g, w, i, x_new, row)
                 S += dS
         sol = _simplex_qp(G, w > 1e-14)
         S_new = float(sol.weights @ (G @ sol.weights))
@@ -725,34 +677,13 @@ def anneal(
 # cluster merging
 
 
-def _flag_trace_matrix(model: ManifoldModel, pts) -> np.ndarray:
-    """Tr(x_i x_j) from the 2x2 reduction."""
-    tau = model.tau
-    u, v = pts[:, 0, :], pts[:, 1, :]
-    a = u.conj() @ u.T
-    b = u.conj() @ v.T
-    c = v.conj() @ u.T
-    d = v.conj() @ v.T
-    p = (1.0 + tau) ** 2
-    q = (1.0 - tau) ** 2
-    r = (1.0 + tau) * (1.0 - tau)
-    return (
-        p * (a.real**2 + a.imag**2)
-        + q * (d.real**2 + d.imag**2)
-        + r * (b.real**2 + b.imag**2 + c.real**2 + c.imag**2)
-    )
-
-
 def _distance_matrix(model: ManifoldModel, pts) -> np.ndarray:
-    if model.kind == "circle":
-        d = np.abs(pts[:, None] - pts[None, :])
-        return np.minimum(d, 2.0 * np.pi - d)
-    if model.kind == "sphere":
-        c = np.clip(pts @ pts.T, -1.0, 1.0)
-        return np.arccos(c)
+    if model.kind != "flag":
+        e = unit_vectors(model, pts)
+        return np.arccos(np.clip(e @ e.T, -1.0, 1.0))
     # flag: chordal Frobenius distance scaled to match small geodesic angles
     tau = model.tau
-    tr = _flag_trace_matrix(model, pts)
+    tr, _ = _flag_traces(*_flag_products(pts, pts), tau)
     chord_sq = np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - tr))
     return np.sqrt(chord_sq) / (np.sqrt(2.0) * tau)
 
@@ -786,15 +717,14 @@ def _cluster_components(dist: np.ndarray, radius: float) -> list[list[int]]:
 
 
 def _cluster_centroid(model: ManifoldModel, pts, w):
-    if model.kind == "circle":
-        vec = np.array([np.sum(w * np.cos(pts)), np.sum(w * np.sin(pts))])
-        if np.linalg.norm(vec) < 1e-14:
-            return pts[0]
-        return float(np.arctan2(vec[1], vec[0]) % (2.0 * np.pi))
-    if model.kind == "sphere":
-        vec = w @ pts
+    if model.kind != "flag":
+        vec = w @ unit_vectors(model, pts)
         norm = np.linalg.norm(vec)
-        return pts[0] if norm < 1e-14 else vec / norm
+        if norm < 1e-14:
+            return pts[0]
+        if model.kind == "circle":
+            return float(np.arctan2(vec[1], vec[0]) % (2.0 * np.pi))
+        return vec / norm
     # phase-align the pairs to the heaviest member before averaging
     ref = pts[np.argmax(w)]
     usum = np.zeros(model.f, dtype=complex)
@@ -919,7 +849,6 @@ def tau_scan(
     model_kind: str,
     tau_grid,
     m: int,
-    sched: AnnealSchedule | None = None,
     f: int | None = None,
     seed: int = 0,
     cooling: float = 0.93,
@@ -935,18 +864,9 @@ def tau_scan(
     is kept, so warm-started actions are never above cold-start ones; ties
     in action prefer the smaller support.  The kept measure is
     support-reduced, merged and certified into its row.
-
-    A ``sched`` template supplies cooling/steps/restarts/seed; its
-    temperatures are rescaled to each tau's kernel scale (the schedule's
-    absolute temperatures only make sense at one coupling).
     """
     from .analysis import certify  # deferred to avoid a module cycle
 
-    if sched is not None:
-        cooling = sched.cooling
-        steps_per_temp = sched.steps_per_temp
-        restarts = sched.restarts
-        seed = sched.seed
     tau_grid = [float(t) for t in tau_grid]
     if sorted(tau_grid) != tau_grid:
         raise ValueError("tau_grid must be ascending")
@@ -957,13 +877,8 @@ def tau_scan(
         return ManifoldModel(model_kind, tau, f)
 
     def make_sched(model, nrestarts):
-        return AnnealSchedule(
-            t_start=model.kernel_scale,
-            t_end=1e-6 * model.kernel_scale,
-            cooling=cooling,
-            steps_per_temp=steps_per_temp,
-            restarts=nrestarts,
-            seed=seed,
+        return AnnealSchedule.default(
+            model, seed, cooling=cooling, steps_per_temp=steps_per_temp, restarts=nrestarts
         )
 
     best: dict[float, WeightedMeasure] = {}

@@ -95,6 +95,38 @@ class TestCertify:
         doc = json.loads(out)
         assert set(doc) >= {"action", "el_residual", "gram_min_eig", "classification"}
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"manifold": "circle", "tau": 1.3, "points": [0.0, 1.0], "weights": [0.5, 0.5]},
+            {"manifold": "circle", "tau": 1.3, "points": [[0.0], [1.0]]},
+            [{"manifold": "circle", "tau": 1.3, "points": [[0.0]], "weights": [1.0]}],
+            {"manifold": "circle", "tau": 1.3, "points": [[0.0], [1.0]],
+             "weights": [float("nan"), 0.5]},
+            {"manifold": "sphere", "tau": 1.2,
+             "points": [[1.0, 0.0, 0.0], [0.0, float("nan"), 1.0]], "weights": [0.5, 0.5]},
+            {"manifold": "circle", "tau": 1.3, "points": [[0.0], [float("inf")]],
+             "weights": [0.5, 0.5]},
+            {"manifold": "circle", "tau": 1.3, "f": 3, "points": [[0.0], [1.0]],
+             "weights": [0.5, 0.5]},
+            {"manifold": "flag", "tau": 2.0, "f": 3, "weights": [1.0],
+             "points": [{"u": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                         "v": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]}]},
+            {"manifold": "sphere", "tau": float("inf"), "points": [[1.0, 0.0, 0.0]],
+             "weights": [1.0]},
+        ],
+        ids=["flat_circle_points", "missing_weights", "top_level_list", "nan_weight",
+             "nan_sphere_coordinate", "infinite_angle", "f_on_circle", "nan_flag_coordinate",
+             "infinite_tau"],
+    )
+    def test_bad_measure_exit_2(self, capsys, tmp_path, doc):
+        mfile = tmp_path / "bad.json"
+        mfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "--measure", str(mfile))
+        assert code == 2
+        assert "error:" in err
+        assert "action" not in out
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "certify", "--measure", "/nonexistent/m.json")
         assert code == 3

@@ -20,7 +20,8 @@ from cvp import (
     write_scan_csv,
 )
 from cvp.exact import circle_chain_minimizer
-from cvp.optimize import ScanRow
+from cvp.manifold import lagrangian_cross
+from cvp.optimize import ScanRow, _make_engine
 
 
 def light(model, seed=0, **kw):
@@ -128,6 +129,28 @@ class TestMergeClusters:
     def test_negative_radius(self, circle13):
         with pytest.raises(ValueError):
             merge_clusters(circle13, circle_uniform(3), -1.0)
+
+
+class TestEngines:
+    @pytest.mark.parametrize(
+        "model",
+        [ManifoldModel.circle(3.0), ManifoldModel.sphere(1.2), ManifoldModel.flag(3, 2.0)],
+        ids=["circle", "sphere", "flag"],
+    )
+    def test_rows_match_lagrangian_cross(self, model):
+        pts = sample_uniform(model, 9, seed=4)
+        x, y = sample_uniform(model, 2, seed=5)
+        w = np.random.default_rng(6).random(9)
+        w /= w.sum()
+        tol = 1e-12 * model.kernel_scale
+        eng = _make_engine(model, pts)
+        assert np.max(np.abs(eng.l_row(x) - lagrangian_cross(model, x, pts)[0])) <= tol
+        ell = lagrangian_cross(model, eng.probe, pts) @ w
+        assert np.max(np.abs(eng.ell_on_probe(w) - ell)) <= tol
+        eng.set_point(2, x)
+        pts[2] = x
+        assert np.array_equal(eng.pts, pts)
+        assert np.max(np.abs(eng.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
 
 
 class TestAnneal:
