@@ -1,20 +1,21 @@
 """Search for minimizing measures.
 
 The optimizer anneals support-point positions with Metropolis moves while
-keeping the weights near-optimal through periodic exact sub-solves of the
-simplex-constrained quadratic program
+keeping the weights near-optimal through periodic weight sub-solves of the
+simplex-constrained (standard) quadratic program
 
     minimize  w^T G w   over  w >= 0, sum w = 1,      G_ij = L(x_i, x_j),
 
-solved by a primal active-set iteration on the bordered KKT system with a
-regularized-Newton descent polish (the Gram of the clamped kernel is
-indefinite away from minimizers).  Proposal moves: geodesic jitter of one
+solved by a strict-descent active-set iteration on the bordered KKT system
+of each face.  The Gram of the clamped kernel is indefinite away from
+minimizers, so a sub-solve returns a KKT point, not a certified global
+minimum of the program.  Proposal moves: geodesic jitter of one
 point with scale tied to the temperature, weight transfer between two
 points (occasionally consolidating a point into its strongest-coupled
 neighbour, which forms clusters), and relocation of the lightest point to
 the lowest value of the potential ell on a coarse probe grid, which
 repairs Euler-Lagrange violations directly; every k-th accepted move
-triggers an exact weight re-solve.  Cooling ends in a zero-temperature
+triggers a weight re-solve.  Cooling ends in a zero-temperature
 quench with geometrically shrinking move scale.
 
 The circle and the sphere share one move engine, which caches the points
@@ -53,7 +54,7 @@ from .manifold import (
 from .measure import WeightedMeasure, action, probe_grid
 from .spectral import fibonacci_sphere
 
-_RESOLVE_EVERY = 50      # accepted moves between exact weight sub-solves
+_RESOLVE_EVERY = 50      # accepted moves between weight sub-solves
 _RESYNC_EVERY = 4096     # accepted moves between full recomputations
 _TIE_TOL = 1e-12
 
@@ -100,7 +101,7 @@ class AnnealSchedule:
 
 
 # ---------------------------------------------------------------------------
-# exact weight sub-problem
+# weight sub-problem
 
 
 @dataclass(frozen=True)
@@ -111,206 +112,104 @@ class WeightSolve:
     iterations: int
 
 
-def _equality_kkt(G, idx):
-    """Stationary point of w^T G w restricted to sum(w[idx]) = 1."""
-    k = len(idx)
-    K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = G[np.ix_(idx, idx)]
-    K[:k, k] = -1.0
-    K[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(K, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:k]
+def _qp_max_iter(n: int) -> int:
+    """Iteration cap of ``_simplex_qp`` on an n-point Gram."""
+    return 6 * n + 80
 
 
 def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
-    """Primal active-set solve of min w^T G w on the probability simplex.
+    """Active-set solve of min w^T G w on the probability simplex.
 
-    From a feasible point, steps toward the equality-constrained KKT
-    solution of the current free set, stopping at the first weight that
-    would turn negative (which joins the active set); at a stationary
-    feasible point the most profitable active index is released.
-    ``warm_free`` seeds the free set (e.g. the previous support).  Returns
-    the best feasible iterate with its KKT residual.
+    G may be indefinite, so the result is a KKT point, not a certified
+    global minimum; ``kkt_residual`` says how far it is from one.  No step
+    raises w^T G w.  Each iteration solves the bordered KKT system of the
+    current face once and moves from w toward its solution w_F*, or away
+    from it when the curvature along w_F* - w is negative, up to the face
+    boundary; a singular face system (e.g. coincident points) moves
+    downhill along a null vector, on which w^T G w is linear.  At a
+    face-stationary point the most violated inactive index is released by
+    the line-optimal step toward its vertex, until no violation exceeds
+    1e-11 of max |G|.  ``warm_free`` seeds the starting face.
     """
     n = len(G)
-    scale = float(np.max(np.abs(G))) or 1.0
+    scale = float(abs(G).max()) or 1.0
+    # every face's bordered KKT matrix is a submatrix of K; the border flag
+    # free[n] stays set and face = free[:n] marks the current face
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = G
+    K[:n, n] = -1.0
+    K[n, :n] = 1.0
+    unit = np.eye(n + 1)[n]
+    free = np.ones(n + 1, dtype=bool)
     if warm_free is not None and warm_free.shape == (n,) and warm_free.any():
-        free = warm_free.copy()
-    else:
-        free = np.ones(n, dtype=bool)
+        free[:n] = warm_free
+    face = free[:n]
     w = np.zeros(n)
-    w[free] = 1.0 / free.sum()
-    released = np.zeros(n, dtype=int)
-    best: WeightSolve | None = None
-
-    def record(it) -> WeightSolve:
-        nonlocal best
-        g = G @ w
-        lam = float(w @ g)
-        supp = w > 1e-14
-        res_eq = float(np.max(np.abs(g[supp] - lam))) if supp.any() else 0.0
-        res_in = float(max(0.0, np.max(lam - g[~supp], initial=0.0)))
-        cand = WeightSolve(w.copy(), lam, max(res_eq, res_in), it)
-        if best is None or cand.action < best.action - 1e-15 * scale or (
-            abs(cand.action - best.action) <= 1e-15 * scale
-            and cand.kkt_residual < best.kkt_residual
-        ):
-            best = cand
-        return cand
-
-    for it in range(6 * n + 80):
-        idx = np.flatnonzero(free)
-        wf = _equality_kkt(G, idx)
-        d = wf - w[idx]
-        if float(np.max(np.abs(d))) <= 1e-13:
-            cand = record(it + 1)
-            active = np.flatnonzero(~free)
-            if len(active) == 0:
-                break
+    w[face] = 1.0 / face.sum()
+    stationary = False
+    for it in range(1, _qp_max_iter(n) + 1):
+        if stationary:
+            # release the most violated inactive index by the line-optimal
+            # step toward its vertex
             g = G @ w
-            viol = cand.action - g[active]
-            jpos = int(np.argmax(viol))
-            j = int(active[jpos])
-            if viol[jpos] <= 1e-11 * scale or released[j] >= 5:
+            S = float(w @ g)
+            viol = np.where(face, -math.inf, S - g)
+            j = int(viol.argmax())
+            if viol[j] <= 1e-11 * scale:
                 break
-            released[j] += 1
-            free[j] = True
-            peek = _equality_kkt(G, np.flatnonzero(free))
-            if peek[int(np.searchsorted(np.flatnonzero(free), j))] <= 1e-14:
-                # the face stationary point sits behind the released bound
-                # (indefinite Gram); take the line-optimal step toward the
-                # violating vertex instead, which strictly descends
-                s_now = cand.action
-                denom = s_now - 2.0 * g[j] + G[j, j]
-                if denom > 0:
-                    eps = min(1.0, (s_now - g[j]) / denom)
-                else:
-                    eps = 1.0
-                w *= 1.0 - eps
-                w[j] += eps
-                free = w > 1e-15
-                free[j] = True
+            denom = S - 2.0 * g[j] + G[j, j]
+            eps = min(1.0, viol[j] / denom) if denom > 0.0 else 1.0
+            w *= 1.0 - eps
+            w[j] += eps
+            if eps == 1.0:
+                face[:] = False
+            face[j] = True
+            stationary = False
             continue
-        # longest feasible step toward the stationary point
-        alpha = 1.0
-        block = -1
-        shrink = d < -1e-18
-        if shrink.any():
-            ratios = w[idx][shrink] / -d[shrink]
-            kmin = int(np.argmin(ratios))
-            if ratios[kmin] < 1.0:
-                alpha = float(ratios[kmin])
-                block = int(idx[np.flatnonzero(shrink)[kmin]])
-        w[idx] = w[idx] + alpha * d
-        np.maximum(w, 0.0, out=w)
-        if block >= 0:
-            w[block] = 0.0
-            free[block] = False
-    record(6 * n + 81)
-    if best.kkt_residual > 1e-10 * scale:
-        # indefinite Gram: the face-stationary steps above may chase
-        # saddles; finish with a strict-descent polish
-        w_p, its = _descent_polish(G, best.weights, scale)
-        w = w_p
-        record(best.iterations + its)
-    # exact simplex feasibility on the returned iterate
-    w_out = np.maximum(best.weights, 0.0)
-    w_out /= w_out.sum()
-    g = G @ w_out
-    lam = float(w_out @ g)
-    supp = w_out > 1e-14
-    res_eq = float(np.max(np.abs(g[supp] - lam))) if supp.any() else 0.0
-    res_in = float(max(0.0, np.max(lam - g[~supp], initial=0.0)))
-    return WeightSolve(w_out, lam, max(res_eq, res_in), best.iterations)
-
-
-def _descent_polish(G: np.ndarray, w0: np.ndarray, scale: float, max_iter: int = 2000):
-    """Gradient-projection descent to a first-order KKT point.
-
-    Within the current face, descends along the projected negative
-    gradient with an exact line search on the quadratic (strict descent
-    for any symmetric G); at face-stationary points either a profitable
-    vertex direction is taken or the iteration stops at KKT.  Exact face
-    equality solves snap the iterate to machine-precision stationarity
-    once the face stabilizes.
-    """
-    n = len(G)
-    w = np.maximum(np.asarray(w0, dtype=float), 0.0)
+        sel = np.flatnonzero(free)
+        idx = sel[:-1]
+        k = len(idx)
+        KF = K.take(sel, 0).take(sel, 1)
+        wf = w[idx]
+        try:
+            w_star = np.linalg.solve(KF, unit[n - k :])[:k]
+            p = w_star - wf
+            a = float(KF[:k, :k].dot(p).dot(p))
+        except np.linalg.LinAlgError:
+            a = math.nan
+        # along p = d the objective changes by a (t^2 - 2t), so for a >= 0
+        # the step toward w_F* descends; along -d it changes by a (t^2 + 2t)
+        if a >= 0.0:
+            t = 1.0
+        else:
+            t, w_star = math.inf, None
+            if a < 0.0:
+                p = -p
+            else:
+                # singular face system: along the weight part of a null
+                # vector z the objective is linear with slope 2 z[k]
+                z = np.linalg.svd(KF)[2][-1]
+                p = -z[:k] if z[k] > 0.0 else z[:k]
+        ratios = np.divide(wf, -p, out=np.full(k, math.inf), where=p < 0.0)
+        kmin = ratios.argmin()
+        if ratios[kmin] < t:
+            wf += ratios[kmin] * p
+            np.maximum(wf, 0.0, out=wf)
+            wf[kmin] = 0.0
+            w[idx] = wf
+            face[idx[kmin]] = False
+        else:
+            np.maximum(w_star, 0.0, out=w_star)
+            w[idx] = w_star
+            stationary = True
+    # exact simplex feasibility on the returned iterate (w >= 0 throughout)
     w /= w.sum()
     g = G @ w
-    S = float(w @ g)
-    it = 0
-    for it in range(1, max_iter + 1):
-        supp = w > 1e-14
-        idx = np.flatnonzero(supp)
-        wf = _equality_kkt(G, idx)
-        if wf.min() >= -1e-12:
-            # snap: the face's exact stationary point is feasible
-            w_try = np.zeros(n)
-            w_try[idx] = np.maximum(wf, 0.0)
-            w_try /= w_try.sum()
-            S_try = float(w_try @ G @ w_try)
-            if S_try <= S + 1e-15 * scale:
-                w, S = w_try, S_try
-                g = G @ w
-                supp = w > 1e-14
-                idx = np.flatnonzero(supp)
-                wf = w[idx]
-        lam = S
-        res_eq = float(np.max(np.abs(g[idx] - lam)))
-        j = int(np.argmin(g))
-        viol_in = lam - g[j]
-        if max(res_eq, viol_in) <= 1e-11 * scale:
-            break
-        if res_eq > 1e-12 * scale:
-            # in-face regularized Newton step: shifting the face Hessian
-            # PSD makes the constrained direction a guaranteed descent
-            k = len(idx)
-            gf = G[np.ix_(idx, idx)]
-            eigmin = float(np.linalg.eigvalsh(gf)[0])
-            mu = max(0.0, -eigmin) + 1e-12 * scale
-            K = np.zeros((k + 1, k + 1))
-            K[:k, :k] = gf + mu * np.eye(k)
-            K[:k, k] = -1.0
-            K[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[:k] = -g[idx]
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            d = np.zeros(n)
-            d[idx] = sol[:k]
-            dg = float(d @ g)
-            dGd = float(d @ (G @ d))
-            gam_max = np.inf
-            neg = (d < -1e-18) & supp
-            if neg.any():
-                gam_max = float(np.min(w[neg] / -d[neg]))
-            gam = -dg / dGd if dGd > 0 else gam_max
-            gam = min(gam, gam_max)
-            if not np.isfinite(gam) or gam <= 0 or dg >= 0:
-                break
-            w = w + gam * d
-        else:
-            # face stationary: move toward the most profitable vertex
-            num_t = S - g[j]
-            den_t = G[j, j] - 2.0 * g[j] + S
-            gam = min(1.0, num_t / den_t) if den_t > 0 else 1.0
-            w *= 1.0 - gam
-            w[j] += gam
-        np.maximum(w, 0.0, out=w)
-        w /= w.sum()
-        g = G @ w
-        S = float(w @ g)
-    return w, it
+    lam = float(w @ g)
+    supp = w > 1e-14
+    res_eq = float(np.max(np.abs(g[supp] - lam)))
+    res_in = float(np.max(lam - g[~supp], initial=0.0))
+    return WeightSolve(w, lam, max(res_eq, res_in), it)
 
 
 def optimal_weights_info(model: ManifoldModel, points) -> WeightSolve:
@@ -318,7 +217,8 @@ def optimal_weights_info(model: ManifoldModel, points) -> WeightSolve:
 
 
 def optimal_weights(model: ManifoldModel, points) -> np.ndarray:
-    """Weights minimizing the action for fixed support points."""
+    """Weights at a KKT point of the action for fixed support points; the
+    Gram may be indefinite, so they need not minimize the action."""
     return optimal_weights_info(model, points).weights
 
 
@@ -509,11 +409,10 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
         nonlocal w, g, S, warm_free
         sol = _simplex_qp(G, warm_free)
         warm_free = sol.weights > 1e-14
-        S_new = float(sol.weights @ (G @ sol.weights))
-        if S_new <= S:
+        if sol.action <= S:
             w = sol.weights
             g = G @ w
-            S = S_new
+            S = sol.action
         if S < best[0]:
             best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
 
@@ -620,11 +519,10 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                 _move_point(eng, G, g, w, i, x_new, row)
                 S += dS
         sol = _simplex_qp(G, w > 1e-14)
-        S_new = float(sol.weights @ (G @ sol.weights))
-        if S_new <= S:
+        if sol.action <= S:
             w = sol.weights
             g = G @ w
-            S = S_new
+            S = sol.action
         qscale *= 0.5
     S = float(w @ lagrangian_matrix(model, eng.pts) @ w)
     if S < best[0]:
@@ -802,7 +700,7 @@ class ScanRow:
 def _reduce_support(model, meas, rel_tol=1e-6, seed=0):
     """Greedy support minimization at (numerically) constant action.
 
-    Tries dropping single points with an exact weight re-solve; when that
+    Tries dropping single points with a weight re-solve; when that
     stalls, re-anneals the reduced configuration briefly.  Reductions are
     kept only while the action rises by at most rel_tol (relative).
     """
@@ -819,16 +717,12 @@ def _reduce_support(model, meas, rel_tol=1e-6, seed=0):
     )
     while current.support_size > 1:
         pts = current.points
-        best_keep, best_S = None, np.inf
-        for i in range(len(pts)):
-            keep = np.arange(len(pts)) != i
-            sol = _simplex_qp(lagrangian_matrix(model, pts[keep]))
-            if sol.action < best_S:
-                best_keep, best_S = keep, sol.action
-        if best_S <= S + tol:
-            sol = _simplex_qp(lagrangian_matrix(model, pts[best_keep]))
-            current = WeightedMeasure(pts[best_keep], sol.weights).pruned()
-            S = min(S, best_S)
+        drops = [np.arange(len(pts)) != i for i in range(len(pts))]
+        sols = [_simplex_qp(lagrangian_matrix(model, pts[keep])) for keep in drops]
+        i = min(range(len(sols)), key=lambda j: sols[j].action)  # first of ties
+        if sols[i].action <= S + tol:
+            current = WeightedMeasure(pts[drops[i]], sols[i].weights).pruned()
+            S = min(S, sols[i].action)
             continue
         # QP alone cannot drop a point; let a short anneal rearrange positions
         lightest = int(np.argmin(current.weights))
@@ -851,9 +745,9 @@ def tau_scan(
     m: int,
     f: int | None = None,
     seed: int = 0,
-    cooling: float = 0.93,
-    steps_per_temp: int = 80,
-    restarts: int = 2,
+    cooling: float | None = None,
+    steps_per_temp: int | None = None,
+    restarts: int | None = None,
     merge_radius: float = 1e-3,
     certify_tol: float = 1e-2,
     test_grid_size: int = 1024,
@@ -863,7 +757,9 @@ def tau_scan(
     At every tau the best of {cold run, warm run from the neighbouring tau}
     is kept, so warm-started actions are never above cold-start ones; ties
     in action prefer the smaller support.  The kept measure is
-    support-reduced, merged and certified into its row.
+    support-reduced, merged and certified into its row.  The anneals run
+    ``AnnealSchedule.light`` with the schedule options given; warm runs use
+    one restart.
     """
     from .analysis import certify  # deferred to avoid a module cycle
 
@@ -876,10 +772,11 @@ def tau_scan(
     def make_model(tau):
         return ManifoldModel(model_kind, tau, f)
 
-    def make_sched(model, nrestarts):
-        return AnnealSchedule.default(
-            model, seed, cooling=cooling, steps_per_temp=steps_per_temp, restarts=nrestarts
-        )
+    given = {"cooling": cooling, "steps_per_temp": steps_per_temp, "restarts": restarts}
+    given = {name: value for name, value in given.items() if value is not None}
+
+    def make_sched(model, **warm):
+        return AnnealSchedule.light(model, seed, **{**given, **warm})
 
     best: dict[float, WeightedMeasure] = {}
 
@@ -894,9 +791,9 @@ def tau_scan(
             if tau in best:
                 cands.append(best[tau])
             else:
-                cands.append(anneal(model, m, make_sched(model, restarts)))
+                cands.append(anneal(model, m, make_sched(model)))
             if prev is not None:
-                cands.append(anneal(model, m, make_sched(model, 1), init=prev))
+                cands.append(anneal(model, m, make_sched(model, restarts=1), init=prev))
             chosen = min(cands, key=lambda c: key(model, c))
             best[tau] = chosen
             prev = chosen

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,41 @@ def brute_potentials(model, meas, x):
     ell = sum(w * max(0.0, d) for w, d in zip(meas.weights, dees))
     dee = sum(w * d for w, d in zip(meas.weights, dees))
     return ell, dee
+
+
+def stqp_enumerate(G):
+    """Independent oracle: (value, weights) of the global minimum of
+    w^T G w over the probability simplex, by enumerating the faces, n <= 12.
+
+    A local minimum in the relative interior of a face solves that face's
+    bordered KKT system with non-negative weights; a face whose system is
+    singular attains its minimum on a smaller face.  Each candidate is
+    evaluated directly, so the returned value is attained.
+    """
+    G = np.asarray(G, dtype=float)
+    n = len(G)
+    if not 1 <= n <= 12:
+        raise ValueError("face enumeration needs 1 <= n <= 12")
+    best_val, best_w = math.inf, None
+    for k in range(1, n + 1):
+        rhs = np.append(np.zeros(k), 1.0)
+        for face in itertools.combinations(range(n), k):
+            face = list(face)
+            kkt = np.block([[G[np.ix_(face, face)], -np.ones((k, 1))],
+                            [np.ones((1, k)), np.zeros((1, 1))]])
+            try:
+                wf = np.linalg.solve(kkt, rhs)[:k]
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(wf)) or wf.min() < -1e-12:
+                continue
+            w = np.zeros(n)
+            w[face] = np.maximum(wf, 0.0)
+            w /= w.sum()
+            val = float(w @ G @ w)
+            if val < best_val:
+                best_val, best_w = val, w
+    return best_val, best_w
 
 
 @pytest.fixture(scope="session")

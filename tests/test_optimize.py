@@ -20,8 +20,10 @@ from cvp import (
     write_scan_csv,
 )
 from cvp.exact import circle_chain_minimizer
-from cvp.manifold import lagrangian_cross
-from cvp.optimize import ScanRow, _make_engine
+from cvp.manifold import lagrangian_cross, lagrangian_matrix
+from cvp.optimize import ScanRow, _make_engine, _qp_max_iter, _simplex_qp
+
+from conftest import stqp_enumerate
 
 
 def light(model, seed=0, **kw):
@@ -82,6 +84,54 @@ class TestOptimalWeights:
         w = optimal_weights(model, pts)
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def assert_kkt_point(G, sol, scale):
+    """What every weight solve guarantees, checked against face enumeration."""
+    best, _ = stqp_enumerate(G)
+    assert np.all(sol.weights >= 0.0)
+    assert abs(sol.weights.sum() - 1.0) <= 1e-15
+    assert sol.kkt_residual <= 1e-10 * scale
+    assert sol.action >= best - 1e-12 * scale
+    assert sol.iterations < _qp_max_iter(len(G))
+
+
+class TestSimplexQP:
+    @pytest.mark.parametrize(
+        "kind,tau,f",
+        [("circle", 1.3, None), ("circle", 2.6, None), ("sphere", 1.2, None),
+         ("sphere", 2.0, None), ("flag", 2.0, 3)],
+    )
+    def test_seeded_grams(self, kind, tau, f):
+        model = ManifoldModel(kind, tau, f)
+        for seed in range(9):
+            pts = sample_uniform(model, 8 + seed % 3, seed=(31, seed))
+            G = lagrangian_matrix(model, pts)
+            assert_kkt_point(G, _simplex_qp(G), model.kernel_scale)
+
+    def test_given_warm_free(self):
+        model = ManifoldModel.sphere(2.0)
+        rng = np.random.default_rng(5)
+        for seed in range(6):
+            G = lagrangian_matrix(model, sample_uniform(model, 10, seed=(37, seed)))
+            _, w_best = stqp_enumerate(G)
+            for warm in (w_best > 0.0, rng.random(10) < 0.5, np.arange(10) == seed):
+                assert_kkt_point(G, _simplex_qp(G, warm), model.kernel_scale)
+
+    @pytest.mark.parametrize("case", ["coincident", "single", "spacelike"])
+    def test_degenerate_grams(self, case):
+        if case == "coincident":
+            model = ManifoldModel.sphere(1.5)
+            pts = sample_uniform(model, 4, seed=3)
+            pts = np.vstack([pts, pts[:2], pts[:1]])
+        elif case == "single":
+            model = ManifoldModel.circle(1.3)
+            pts = np.array([0.7])
+        else:
+            model = ManifoldModel.sphere(2.5)  # theta_max < pi/2
+            pts = octahedron().points
+        G = lagrangian_matrix(model, pts)
+        assert_kkt_point(G, _simplex_qp(G), model.kernel_scale)
 
 
 class TestMergeClusters:
