@@ -24,6 +24,8 @@ import numpy as np
 
 from .manifold import (
     ManifoldModel,
+    _flag_kernel_parts,
+    _haar_flag_pairs,
     kernel_cross,
     kernel_matrix,
     lagrangian_matrix,
@@ -286,6 +288,37 @@ class HeatKernelBound:
         }
 
 
+def _calibrated_heat_bound(
+    model, t1, t2, h1, h2, lvals, floor=-math.inf
+) -> HeatKernelBound | None:
+    """K = lambda (h_t1 - delta h_t2) calibrated so that K(0) = L(0) and
+    K(theta_max) = 0, with S_K = lambda (1 - delta).
+
+    ``h1`` and ``h2`` hold (h(0), h(theta_max), h on the check grid) of the
+    two heat kernels and ``lvals`` holds L on that grid.  ``dominated`` is
+    K <= L on the grid (tolerance 1e-9) with 0 < delta < 1 and
+    0 < lambda < inf; a singular calibration gives lambda = inf.  Returns
+    None, without the grid test, when S_K <= ``floor``.
+    """
+    (h10, h1m, prof1), (h20, h2m, prof2) = h1, h2
+    delta = h1m / h2m
+    denom = h10 - delta * h20
+    lam = model.kernel_scale / denom if denom != 0 else math.inf
+    s_k = lam * (1.0 - delta)
+    if s_k <= floor:
+        return None
+    kvals = lam * (prof1 - delta * prof2)
+    dominated = bool(
+        np.all(kvals <= lvals + 1e-9) and 0.0 < delta < 1.0 and 0.0 < lam < math.inf
+    )
+    return HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
+
+
+def _heat_values(t, tm, theta):
+    """(h_t(0), h_t(theta_max), h_t on the check grid theta)."""
+    return heat_kernel(t, 0.0), heat_kernel(t, tm), heat_kernel(t, theta)
+
+
 def heat_kernel_bound(
     model: ManifoldModel, t1: float, t2: float, check_grid: int = 10000
 ) -> HeatKernelBound:
@@ -303,19 +336,11 @@ def heat_kernel_bound(
     if not 0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
     tm = theta_max(model)
-    h1m, h2m = heat_kernel(t1, tm), heat_kernel(t2, tm)
-    h10, h20 = heat_kernel(t1, 0.0), heat_kernel(t2, 0.0)
-    delta = h1m / h2m
-    denom = h10 - delta * h20
-    lam = model.kernel_scale / denom if denom != 0 else math.inf
-    s_k = lam * (1.0 - delta)
     theta = np.linspace(0.0, np.pi, check_grid)
-    kvals = lam * (heat_kernel(t1, theta) - delta * heat_kernel(t2, theta))
-    lvals = lagrangian_profile(model, theta)
-    dominated = bool(
-        np.all(kvals <= lvals + 1e-9) and 0.0 < delta < 1.0 and 0.0 < lam < math.inf
+    return _calibrated_heat_bound(
+        model, t1, t2, _heat_values(t1, tm, theta), _heat_values(t2, tm, theta),
+        lagrangian_profile(model, theta),
     )
-    return HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
 
 
 def optimize_heat_params(
@@ -335,29 +360,14 @@ def optimize_heat_params(
     tm = theta_max(model)
     theta = np.linspace(0.0, np.pi, check_grid)
     lvals = lagrangian_profile(model, theta)
-    prof = {t: heat_kernel(t, theta) for t in t_grid}
-    at_tm = {t: heat_kernel(t, tm) for t in t_grid}
-    at_0 = {t: heat_kernel(t, 0.0) for t in t_grid}
-    scale = model.kernel_scale
+    heat = {t: _heat_values(t, tm, theta) for t in t_grid}
     best: HeatKernelBound | None = None
     for i, t1 in enumerate(t_grid):
         for t2 in t_grid[i + 1:]:
-            delta = at_tm[t1] / at_tm[t2]
-            denom = at_0[t1] - delta * at_0[t2]
-            if denom == 0:
-                continue
-            lam = scale / denom
-            s_k = lam * (1.0 - delta)
-            if best is not None and s_k <= best.s_k:
-                continue
-            kvals = lam * (prof[t1] - delta * prof[t2])
-            dominated = bool(
-                np.all(kvals <= lvals + 1e-9)
-                and 0.0 < delta < 1.0
-                and 0.0 < lam < math.inf
-            )
-            if dominated:
-                best = HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
+            floor = -math.inf if best is None else best.s_k
+            hb = _calibrated_heat_bound(model, t1, t2, heat[t1], heat[t2], lvals, floor)
+            if hb is not None and hb.dominated:
+                best = hb
     return best
 
 
@@ -429,21 +439,9 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
     if n < 2:
         raise ValueError("n must be >= 2")
-    from .manifold import _flag_kernel_parts
-
     rng = np.random.Generator(np.random.Philox(key=seed))
-    f = model.f
-
-    def draw(k):
-        u = rng.standard_normal((k, f)) + 1j * rng.standard_normal((k, f))
-        v = rng.standard_normal((k, f)) + 1j * rng.standard_normal((k, f))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v -= np.einsum("ij,ij->i", u.conj(), v)[:, None] * u
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return u, v
-
-    ux, vx = draw(n)
-    uy, vy = draw(n)
+    ux, vx = _haar_flag_pairs(rng, n, model.f)
+    uy, vy = _haar_flag_pairs(rng, n, model.f)
     a = np.einsum("ij,ij->i", ux.conj(), uy)
     b = np.einsum("ij,ij->i", ux.conj(), vy)
     c = np.einsum("ij,ij->i", vx.conj(), uy)

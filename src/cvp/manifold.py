@@ -335,6 +335,17 @@ def causal_relation(model: ManifoldModel, x, y, tol: float = LIGHTLIKE_RTOL) -> 
     return Causality.TIMELIKE if d > 0 else Causality.SPACELIKE
 
 
+def _haar_flag_pairs(rng, n: int, f: int):
+    """(u, v), each (n, f): two complex Gaussian vectors per pair, drawn in
+    the order Re u, Im u, Re v, Im v, orthonormalized by Gram-Schmidt."""
+    u = rng.standard_normal((n, f)) + 1j * rng.standard_normal((n, f))
+    v = rng.standard_normal((n, f)) + 1j * rng.standard_normal((n, f))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v -= np.einsum("ij,ij->i", u.conj(), v)[:, None] * u
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return u, v
+
+
 def sample_uniform(model: ManifoldModel, n: int, seed) -> np.ndarray:
     """n i.i.d. points from the uniform (Haar) measure, deterministic per seed.
 
@@ -350,10 +361,4 @@ def sample_uniform(model: ManifoldModel, n: int, seed) -> np.ndarray:
     if model.kind == "sphere":
         g = rng.standard_normal((n, 3))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
-    f = model.f
-    u = rng.standard_normal((n, f)) + 1j * rng.standard_normal((n, f))
-    v = rng.standard_normal((n, f)) + 1j * rng.standard_normal((n, f))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v -= np.einsum("ij,ij->i", u.conj(), v)[:, None] * u
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return np.stack([u, v], axis=1)
+    return np.stack(_haar_flag_pairs(rng, n, model.f), axis=1)

@@ -19,9 +19,16 @@ from cvp import (
     theta_max,
     write_scan_csv,
 )
-from cvp.exact import circle_chain_minimizer
+from cvp import optimize
+from cvp.exact import circle_chain_measure, circle_chain_minimizer, circle_m0
 from cvp.manifold import lagrangian_cross, lagrangian_matrix
-from cvp.optimize import ScanRow, _make_engine, _qp_max_iter, _simplex_qp
+from cvp.optimize import (
+    ScanRow,
+    _make_engine,
+    _qp_max_iter,
+    _reduce_support,
+    _simplex_qp,
+)
 
 from conftest import stqp_enumerate
 
@@ -244,6 +251,43 @@ class TestAnneal:
     def test_m_validation(self, circle13):
         with pytest.raises(ValueError):
             anneal(circle13, 0)
+
+
+class TestReduceSupport:
+    @pytest.fixture(scope="class")
+    def chain(self):
+        model = ManifoldModel.circle(3.0)
+        return model, circle_chain_measure(model, circle_m0(3.0))
+
+    def test_chain_kept_without_annealing(self, chain, monkeypatch):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("support reduction must not anneal")
+
+        monkeypatch.setattr(optimize, "anneal", no_anneal)
+        model, meas = chain
+        out = _reduce_support(model, meas)
+        assert out.support_size == 10
+        assert action(model, out) == action(model, meas)
+
+    def test_coincident_copy_dropped(self, chain):
+        model, meas = chain
+        pts = np.insert(meas.points, 3, meas.points[3])
+        w = np.insert(meas.weights, 3, 0.5 * meas.weights[3])
+        w[4] *= 0.5
+        out = _reduce_support(model, WeightedMeasure(pts, w))
+        S = action(model, meas)
+        assert out.support_size == 10
+        assert abs(action(model, out) - S) <= 1e-6 * S
+
+    @pytest.mark.parametrize("kind,tau,m", [("circle", 1.3, 7), ("sphere", 1.2, 8)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_action_bound_and_support(self, kind, tau, m, seed):
+        model = ManifoldModel(kind, tau)
+        meas = anneal(model, m, light(model, seed=seed, steps_per_temp=15, restarts=1))
+        S0 = action(model, meas)
+        out = _reduce_support(model, meas)
+        assert action(model, out) <= S0 * (1.0 + 1e-6)
+        assert out.support_size <= meas.support_size
 
 
 @pytest.fixture(scope="module")
