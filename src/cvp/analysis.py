@@ -242,6 +242,9 @@ def flag_gt_threshold(f: int) -> float:
 # heat-kernel lower bound
 
 
+_HEAT_SERIES_TOL = 1e-12
+
+
 def _heat_lmax(t: float, series_tol: float) -> int:
     l = 0
     while (2 * l + 1) * math.exp(-t * l * (l + 1)) >= series_tol:
@@ -251,7 +254,13 @@ def _heat_lmax(t: float, series_tol: float) -> int:
     return l
 
 
-def heat_kernel(t: float, theta, series_tol: float = 1e-12):
+def _heat_coeffs(t: float, lmax: int) -> np.ndarray:
+    """Legendre coefficients (2l+1) exp(-t l (l+1)) of h_t, l = 0 .. lmax."""
+    ell = np.arange(lmax + 1)
+    return (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
+
+
+def heat_kernel(t: float, theta, series_tol: float = _HEAT_SERIES_TOL):
     """h_t(theta) = sum_l (2l+1) exp(-t l (l+1)) P_l(cos theta).
 
     Normalized so the double integral against the uniform measure is 1;
@@ -262,9 +271,7 @@ def heat_kernel(t: float, theta, series_tol: float = 1e-12):
         raise ValueError("t must be > 0")
     lmax = _heat_lmax(t, series_tol)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    ell = np.arange(lmax + 1)
-    coeff = (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
-    vals = coeff @ legendre_all(lmax, np.cos(theta_arr))
+    vals = _heat_coeffs(t, lmax) @ legendre_all(lmax, np.cos(theta_arr))
     return float(vals[0]) if np.ndim(theta) == 0 else vals
 
 
@@ -314,9 +321,19 @@ def _calibrated_heat_bound(
     return HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
 
 
-def _heat_values(t, tm, theta):
-    """(h_t(0), h_t(theta_max), h_t on the check grid theta)."""
-    return heat_kernel(t, 0.0), heat_kernel(t, tm), heat_kernel(t, theta)
+def _heat_values(times, tm, theta) -> dict:
+    """{t: (h_t(0), h_t(theta_max), h_t on the check grid theta)}.
+
+    One Legendre table on the grid, up to the largest truncation degree
+    of the times, serves every profile: the recurrence does not depend on
+    where it stops, so each profile equals ``heat_kernel(t, theta)``.
+    """
+    lmax = {t: _heat_lmax(t, _HEAT_SERIES_TOL) for t in times}
+    table = legendre_all(max(lmax.values()), np.cos(theta))
+    return {
+        t: (heat_kernel(t, 0.0), heat_kernel(t, tm), _heat_coeffs(t, l) @ table[: l + 1])
+        for t, l in lmax.items()
+    }
 
 
 def heat_kernel_bound(
@@ -335,11 +352,10 @@ def heat_kernel_bound(
         raise ValueError("the heat-kernel bound is formulated on the sphere")
     if not 0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    tm = theta_max(model)
     theta = np.linspace(0.0, np.pi, check_grid)
+    heat = _heat_values((t1, t2), theta_max(model), theta)
     return _calibrated_heat_bound(
-        model, t1, t2, _heat_values(t1, tm, theta), _heat_values(t2, tm, theta),
-        lagrangian_profile(model, theta),
+        model, t1, t2, heat[t1], heat[t2], lagrangian_profile(model, theta)
     )
 
 
@@ -348,19 +364,18 @@ def optimize_heat_params(
 ) -> HeatKernelBound | None:
     """Grid search over dominated (t1, t2) pairs maximizing S_K.
 
-    The heat-kernel profiles are evaluated once per grid time and shared
-    across pairs.  Returns None when no pair on the grid is dominated
-    (no bound).
+    Repeated times are dropped.  The heat-kernel profiles come from one
+    Legendre table and are shared across pairs.  Returns None when no pair
+    on the grid is dominated (no bound).
     """
     if model.kind != "sphere":
         raise ValueError("the heat-kernel bound is formulated on the sphere")
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = sorted({float(t) for t in t_grid})
     if not t_grid:
         return None
-    tm = theta_max(model)
     theta = np.linspace(0.0, np.pi, check_grid)
     lvals = lagrangian_profile(model, theta)
-    heat = {t: _heat_values(t, tm, theta) for t in t_grid}
+    heat = _heat_values(t_grid, theta_max(model), theta)
     best: HeatKernelBound | None = None
     for i, t1 in enumerate(t_grid):
         for t2 in t_grid[i + 1:]:
@@ -429,24 +444,23 @@ class MonteCarloEstimate:
 
 
 def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
-    """Sample mean of D over n i.i.d. Haar pairs.
+    """Sample mean of D(x, y) over n i.i.d. Haar pairs of flag points.
 
-    The counter-based Philox stream keyed by the seed keeps parallel
-    evaluation reproducible; the standard error comes from the sample
-    variance.
+    D is unitarily invariant, D(Ux, Uy) = D(x, y), so for independent Haar
+    x and y, D(x, y) has the law of D(x0, y) at the fixed point
+    x0 = (e1, e2).  Each sample therefore draws one Haar point y = (u, v),
+    whose inner products with x0 are its coordinates
+    <e1, u> = u_1, <e1, v> = v_1, <e2, u> = u_2, <e2, v> = v_2.  The
+    Philox stream keyed by the seed makes the estimate deterministic per
+    seed; the standard error comes from the sample variance.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    ux, vx = _haar_flag_pairs(rng, n, model.f)
-    uy, vy = _haar_flag_pairs(rng, n, model.f)
-    a = np.einsum("ij,ij->i", ux.conj(), uy)
-    b = np.einsum("ij,ij->i", ux.conj(), vy)
-    c = np.einsum("ij,ij->i", vx.conj(), uy)
-    d = np.einsum("ij,ij->i", vx.conj(), vy)
-    vals = _flag_kernel_parts(a, b, c, d, model.tau)
+    u, v = _haar_flag_pairs(rng, n, model.f)
+    vals = _flag_kernel_parts(u[:, 0], v[:, 0], u[:, 1], v[:, 1], model.tau)
     return MonteCarloEstimate(
         float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from cvp import (
     theta_max,
     volume_action,
 )
+from cvp.analysis import _heat_values
 from cvp.exact import circle_chain_minimizer, circle_chain_points
+from cvp.manifold import _haar_flag_pairs, kernel_cross
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -230,6 +233,32 @@ class TestHeatKernelBound:
     def test_empty_grid(self):
         assert optimize_heat_params(ManifoldModel.sphere(2.0), []) is None
 
+    def test_repeated_times_skipped(self):
+        # 14 equal times, as `cvp bounds --t-min 2 --t-max 2` builds them:
+        # no t1 < t2 pair exists, and no singular calibration may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimize_heat_params(
+                ManifoldModel.sphere(1.5), np.geomspace(2.0, 2.0, 14)
+            ) is None
+
+    def test_shared_legendre_table_matches_heat_kernel(self):
+        grid = np.geomspace(0.01, 2.0, 14)
+        theta = np.linspace(0.0, np.pi, 10000)
+        tm = theta_max(ManifoldModel.sphere(2.0))
+        heat = _heat_values(grid.tolist(), tm, theta)
+        for t in grid:
+            h0, hm, prof = heat[t]
+            assert np.array_equal(prof, heat_kernel(t, theta))
+            assert (h0, hm) == (heat_kernel(t, 0.0), heat_kernel(t, tm))
+
+    @pytest.mark.parametrize("tau", [1.5, 2.0, 2.5])
+    def test_single_pair_matches_search(self, tau):
+        model = ManifoldModel.sphere(tau)
+        best = optimize_heat_params(model, np.geomspace(0.01, 2.0, 14))
+        assert best is not None
+        assert heat_kernel_bound(model, best.t1, best.t2) == best
+
     def test_weak_coupling_bound_vs_nu0(self):
         model = ManifoldModel.sphere(1.1)
         best = optimize_heat_params(model, np.geomspace(0.02, 2.0, 8), check_grid=1000)
@@ -301,6 +330,20 @@ class TestMonteCarlo:
             nu0_monte_carlo(flag32, 1, seed=0)
         with pytest.raises(ValueError):
             nu0_monte_carlo(ManifoldModel.sphere(1.5), 100, seed=0)
+
+    @pytest.mark.parametrize("f", [3, 4])
+    def test_matches_kernel_cross_reference(self, f):
+        # the same Philox stream, evaluated by the batch kernel at x0 = (e1, e2)
+        model = ManifoldModel.flag(f, 1.3)
+        n, seed = 2000, 5
+        u, v = _haar_flag_pairs(np.random.Generator(np.random.Philox(key=seed)), n, f)
+        x0 = np.eye(f, dtype=complex)[:2]
+        vals = kernel_cross(model, x0, np.stack([u, v], axis=1))[0]
+        mc = nu0_monte_carlo(model, n, seed)
+        assert mc.estimate == pytest.approx(float(np.mean(vals)), rel=1e-12)
+        assert mc.std_error == pytest.approx(
+            float(np.std(vals, ddof=1) / math.sqrt(n)), rel=1e-12
+        )
 
     def test_deterministic(self, flag32):
         a = nu0_monte_carlo(flag32, 1000, seed=7)
