@@ -324,16 +324,24 @@ def _calibrated_heat_bound(
 def _heat_values(times, tm, theta) -> dict:
     """{t: (h_t(0), h_t(theta_max), h_t on the check grid theta)}.
 
-    One Legendre table on the grid, up to the largest truncation degree
-    of the times, serves every profile: the recurrence does not depend on
-    where it stops, so each profile equals ``heat_kernel(t, theta)``.
+    One Legendre table on the grid and one on the two endpoints, up to the
+    largest truncation degree of the times, serve every time: the
+    recurrence does not depend on where it stops.  Each endpoint column is
+    multiplied as a contiguous (l + 1, 1) array, as in ``heat_kernel``, so
+    every value equals ``heat_kernel(t, .)`` bit for bit.
     """
     lmax = {t: _heat_lmax(t, _HEAT_SERIES_TOL) for t in times}
-    table = legendre_all(max(lmax.values()), np.cos(theta))
-    return {
-        t: (heat_kernel(t, 0.0), heat_kernel(t, tm), _heat_coeffs(t, l) @ table[: l + 1])
-        for t, l in lmax.items()
-    }
+    top = max(lmax.values())
+    table = legendre_all(top, np.cos(theta))
+    ends = legendre_all(top, np.cos([0.0, tm]))
+    out = {}
+    for t, l in lmax.items():
+        c = _heat_coeffs(t, l)
+        h0, hm = (
+            float((c @ np.ascontiguousarray(ends[: l + 1, j : j + 1]))[0]) for j in (0, 1)
+        )
+        out[t] = (h0, hm, c @ table[: l + 1])
+    return out
 
 
 def heat_kernel_bound(
@@ -437,6 +445,9 @@ def load_packing(path) -> np.ndarray:
 # flag-manifold Monte Carlo
 
 
+_MC_BLOCK = 8192  # Haar samples per block of the flag Monte Carlo
+
+
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     estimate: float
@@ -453,14 +464,24 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     <e1, u> = u_1, <e1, v> = v_1, <e2, u> = u_2, <e2, v> = v_2.  The
     Philox stream keyed by the seed makes the estimate deterministic per
     seed; the standard error comes from the sample variance.
+
+    The samples are drawn in blocks of ``_MC_BLOCK`` = 8192 (the last one
+    shorter), each one ``_haar_flag_pairs`` call on the same generator, in
+    order, and written into one array of n values; the working set is one
+    block plus 8 bytes per sample.  For n <= 8192 that is one call, the
+    same stream as drawing all samples at once.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u, v = _haar_flag_pairs(rng, n, model.f)
-    vals = _flag_kernel_parts(u[:, 0], v[:, 0], u[:, 1], v[:, 1], model.tau)
+    vals = np.empty(n)
+    for lo in range(0, n, _MC_BLOCK):
+        u, v = _haar_flag_pairs(rng, min(_MC_BLOCK, n - lo), model.f)
+        vals[lo : lo + len(u)] = _flag_kernel_parts(
+            u[:, 0], v[:, 0], u[:, 1], v[:, 1], model.tau
+        )
     return MonteCarloEstimate(
         float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from cvp import (
     theta_max,
     volume_action,
 )
-from cvp.analysis import _heat_values
+from cvp.analysis import _MC_BLOCK, _heat_values
 from cvp.exact import circle_chain_minimizer, circle_chain_points
 from cvp.manifold import _haar_flag_pairs, kernel_cross
 
@@ -252,6 +253,17 @@ class TestHeatKernelBound:
             assert np.array_equal(prof, heat_kernel(t, theta))
             assert (h0, hm) == (heat_kernel(t, 0.0), heat_kernel(t, tm))
 
+    @pytest.mark.parametrize("tau", [1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5])
+    def test_endpoints_match_scalar_heat_kernel(self, tau):
+        # the two-point endpoint table gives the scalar path's values exactly
+        grid = np.geomspace(0.01, 2.0, 14)
+        tm = theta_max(ManifoldModel.sphere(tau))
+        heat = _heat_values(grid.tolist(), tm, np.linspace(0.0, np.pi, 100))
+        for t in grid:
+            h0, hm, _ = heat[t]
+            assert h0 == heat_kernel(t, 0.0)
+            assert hm == heat_kernel(t, tm)
+
     @pytest.mark.parametrize("tau", [1.5, 2.0, 2.5])
     def test_single_pair_matches_search(self, tau):
         model = ManifoldModel.sphere(tau)
@@ -344,6 +356,33 @@ class TestMonteCarlo:
         assert mc.std_error == pytest.approx(
             float(np.std(vals, ddof=1) / math.sqrt(n)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("f", [3, 4])
+    def test_blocks_match_kernel_cross_reference(self, f):
+        # several blocks, the last one short, drawn in order from one stream
+        model = ManifoldModel.flag(f, 1.3)
+        n, seed = 2 * _MC_BLOCK + 17, 5
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        x0 = np.eye(f, dtype=complex)[:2]
+        vals = np.concatenate([
+            kernel_cross(model, x0, np.stack(_haar_flag_pairs(rng, b, f), axis=1))[0]
+            for b in (_MC_BLOCK, _MC_BLOCK, 17)
+        ])
+        mc = nu0_monte_carlo(model, n, seed)
+        assert mc.estimate == pytest.approx(float(np.mean(vals)), rel=1e-12)
+        assert mc.std_error == pytest.approx(
+            float(np.std(vals, ddof=1) / math.sqrt(n)), rel=1e-12
+        )
+
+    def test_working_set(self):
+        # blocked draws: one block plus 8 bytes per sample, not ~200
+        tracemalloc.start()
+        try:
+            nu0_monte_carlo(ManifoldModel.flag(4, 1.2), 400_000, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_deterministic(self, flag32):
         a = nu0_monte_carlo(flag32, 1000, seed=7)
