@@ -480,7 +480,7 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     for lo in range(0, n, _MC_BLOCK):
         u, v = _haar_flag_pairs(rng, min(_MC_BLOCK, n - lo), model.f)
         vals[lo : lo + len(u)] = _flag_kernel_parts(
-            u[:, 0], v[:, 0], u[:, 1], v[:, 1], model.tau
+            np.stack((u[:, 0], v[:, 1], v[:, 0], u[:, 1])), model.tau
         )
     return MonteCarloEstimate(
         float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))

@@ -208,31 +208,31 @@ def unit_vectors(model: ManifoldModel, points) -> np.ndarray:
 
 
 def _flag_products(xs, ys):
-    """Inner products <u_x,u_y>, <u_x,v_y>, <v_x,u_y>, <v_x,v_y> of two batches."""
+    """Inner products of two batches, stacked (4, n, m) in the order
+    <u_x,u_y>, <v_x,v_y>, <u_x,v_y>, <v_x,u_y>."""
     ux, vx = xs[:, 0, :].conj(), xs[:, 1, :].conj()
     uy, vy = ys[:, 0, :], ys[:, 1, :]
-    return ux @ uy.T, ux @ vy.T, vx @ uy.T, vx @ vy.T
+    return np.array([ux @ uy.T, vx @ vy.T, ux @ vy.T, vx @ uy.T])
 
 
-def _flag_traces(a, b, c, d, tau):
+def _flag_traces(X, tau):
     """(Tr(xy), Tr((xy)^2)) from the 2x2 reduction, in swap-invariant grouped form.
 
-    a, b, c, d are the inner products <u_x,u_y>, <u_x,v_y>, <v_x,u_y>,
-    <v_x,v_y>.  With M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*,
-    Tr(M) and Tr(M^2) reduce to the sums below in p = (1+tau)^2,
-    q = (1-tau)^2 and the signed product r = (1+tau)(1-tau).  Under
-    exchanging x and y the inner products map to (conj a, conj c, conj b,
-    conj d), so every grouped term is symmetric up to commutative float
-    operations and both traces are bit-for-bit symmetric.
+    X stacks the inner products a = <u_x,u_y>, d = <v_x,v_y>, b = <u_x,v_y>,
+    c = <v_x,u_y> along its first axis, in that order, so that the four
+    squared moduli take one pass.  With
+    M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*, Tr(M) and Tr(M^2)
+    reduce to the sums below in p = (1+tau)^2, q = (1-tau)^2 and the signed
+    product r = (1+tau)(1-tau).  Under exchanging x and y the inner
+    products map to (conj a, conj d, conj c, conj b), so every grouped term
+    is symmetric up to commutative float operations and both traces are
+    bit-for-bit symmetric.
     """
     p = (1.0 + tau) ** 2
     q = (1.0 - tau) ** 2
     r = (1.0 + tau) * (1.0 - tau)
-    A = a.real**2 + a.imag**2
-    B = b.real**2 + b.imag**2
-    C = c.real**2 + c.imag**2
-    E = d.real**2 + d.imag**2
-    R = (a * np.conj(b) * np.conj(c) * d).real
+    A, E, B, C = X.real**2 + X.imag**2
+    R = (X[0] * np.conj(X[2]) * np.conj(X[3]) * X[1]).real
     bc = B + C
     tr = p * A + q * E + r * bc
     tr2 = (
@@ -246,9 +246,9 @@ def _flag_traces(a, b, c, d, tau):
     return tr, tr2
 
 
-def _flag_kernel_parts(a, b, c, d, tau):
-    """The flag kernel D = Tr((xy)^2) - Tr(xy)^2 / 2 from the inner products."""
-    tr, tr2 = _flag_traces(a, b, c, d, tau)
+def _flag_kernel_parts(X, tau):
+    """The flag kernel D = Tr((xy)^2) - Tr(xy)^2 / 2 from the stacked inner products."""
+    tr, tr2 = _flag_traces(X, tau)
     return tr2 - 0.5 * tr * tr
 
 
@@ -257,7 +257,7 @@ def kernel_cross(model: ManifoldModel, xs, ys) -> np.ndarray:
     xs = _as_batch(model, xs)
     ys = _as_batch(model, ys)
     if model.kind == "flag":
-        return _flag_kernel_parts(*_flag_products(xs, ys), model.tau)
+        return _flag_kernel_parts(_flag_products(xs, ys), model.tau)
     return zonal_d(model.tau, unit_vectors(model, xs) @ unit_vectors(model, ys).T)
 
 

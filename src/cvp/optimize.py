@@ -254,12 +254,11 @@ class _BlockedRng:
         self._in = 0
 
     def uniform(self) -> float:
-        if self._iu >= self._u.shape[0]:
+        if self._iu >= 16384:
             self._u = self.rng.random(16384)
             self._iu = 0
-        v = self._u[self._iu]
         self._iu += 1
-        return v
+        return self._u.item(self._iu - 1)
 
     def normals(self, k: int):
         if self._in + k > self._n.shape[0]:
@@ -288,15 +287,19 @@ class _ZonalEngine:
         self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
         self.probe_emb = unit_vectors(model, self.probe)
         self._row = np.empty(len(self.pts))
+        self._last = (None, None)
 
     def l_row(self, x):
-        row = np.matmul(self.emb, unit_vectors(self.model, x), out=self._row)
+        e = unit_vectors(self.model, x)
+        self._last = (x, e)
+        row = np.matmul(self.emb, e, out=self._row)
         zonal_d(self.model.tau, row, out=row)
         return np.maximum(0.0, row, out=row)
 
     def set_point(self, i, x):
         self.pts[i] = x
-        self.emb[i] = unit_vectors(self.model, x)
+        last, e = self._last
+        self.emb[i] = e if last is x else unit_vectors(self.model, x)
 
     def jitter_at(self, x, scale, rand):
         if self.model.kind == "circle":
@@ -319,12 +322,9 @@ class _FlagEngine:
         self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
 
     def l_row(self, x):
-        u, v = x[0], x[1]
-        a = self.uc @ u  # <u_i, u>
-        b = self.uc @ v  # <u_i, v>
-        c = self.vc @ u  # <v_i, u>
-        d = self.vc @ v  # <v_i, v>
-        vals = _flag_kernel_parts(a, b, c, d, self.model.tau)
+        u, v, uc, vc = x[0], x[1], self.uc, self.vc
+        # <u_i, u>, <v_i, v>, <u_i, v>, <v_i, u>
+        vals = _flag_kernel_parts(np.array([uc @ u, vc @ v, uc @ v, vc @ u]), self.model.tau)
         return np.maximum(0.0, vals, out=vals)
 
     def set_point(self, i, x):
@@ -333,14 +333,18 @@ class _FlagEngine:
         self.vc[i] = x[1].conj()
 
     def jitter_at(self, x, scale, rand):
+        # x + scale * (n_re + i n_im) on real and imaginary parts (normals
+        # come as Re u, Im u, Re v, Im v); norms as np.linalg.norm takes them
         f = self.model.f
-        n = rand.normals(4 * f)
-        u = x[0] + scale * (n[:f] + 1j * n[f : 2 * f])
-        v = x[1] + scale * (n[2 * f : 3 * f] + 1j * n[3 * f :])
-        u = u / np.linalg.norm(u)
-        v = v - np.vdot(u, v) * u
-        v = v / np.linalg.norm(v)
-        return np.stack([u, v])
+        out = np.empty((2, f), dtype=complex)
+        parts = out.view(float).reshape(2, f, 2).transpose(0, 2, 1)
+        np.multiply(rand.normals(4 * f).reshape(2, 2, f), scale, out=parts)
+        parts += x.view(float).reshape(2, f, 2).transpose(0, 2, 1)
+        u, v = out
+        u /= math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
+        v -= np.vdot(u, v) * u
+        v /= math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+        return out
 
     def ell_on_probe(self, w):
         return lagrangian_cross(self.model, self.probe, self.pts) @ w
@@ -385,17 +389,17 @@ def _pad_measure(model: ManifoldModel, meas: WeightedMeasure, m: int, seed):
 # the annealer
 
 
-def _move_point(eng, G, g, w, i, x_new, row):
-    """Accept a position move: row and column i of G become ``row`` (which is
-    consumed) and the potential g = G w is updated in place."""
-    old_row = G[i].copy()
+def _move_point(eng, G, g, w, i, x_new, row, ell):
+    """Accept a position move: row and column i of G become ``row`` and the
+    potential g = G w is updated in place; ``ell`` is ``row @ w``, the
+    moved point's new potential."""
+    change = row - G[i]
     eng.set_point(i, x_new)
     G[i, :] = row
     G[:, i] = row
-    row -= old_row
-    row *= w[i]
-    g += row
-    g[i] = float(G[i] @ w)
+    change *= w[i]
+    g += change
+    g[i] = ell
 
 
 def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
@@ -408,7 +412,6 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
     S = float(w @ g)
     best = [S, eng.pts.copy(), w.copy()]
     warm_free = None
-
     def resolve():
         nonlocal w, g, S, warm_free
         sol = _simplex_qp(G, warm_free)
@@ -433,12 +436,13 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
         # sqrt decay keeps collective rearrangements possible at low T
         jit_scale = pos_scale * math.sqrt(T / sched.t_start)
         for _ in range(sched.steps_per_temp):
+            # scalars are read as Python floats: same doubles, cheaper arithmetic
             u = rand.uniform()
             if u < 0.32:
                 # weight transfer; occasionally consolidate a point into its
                 # most strongly coupled neighbour (cluster formation)
                 i = int(rand.uniform() * m)
-                wi = w[i]
+                wi = w.item(i)
                 if wi <= 0.0:
                     continue
                 if u < 0.28:
@@ -447,13 +451,15 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                         continue
                     delta = rand.uniform() * wi
                 else:
-                    row = G[i]
-                    j = int(np.argmax(row - np.where(np.arange(m) == i, np.inf, 0.0)))
+                    row, gii = G[i], G[i, i]
+                    row[i] = -math.inf  # argmax over j != i, then restored
+                    j = int(row.argmax())
+                    row[i] = gii
                     if row[j] <= 0.0:
                         continue
                     delta = wi
-                dS = 2.0 * delta * (g[j] - g[i]) + delta * delta * (
-                    G[i, i] - 2.0 * G[i, j] + G[j, j]
+                dS = 2.0 * delta * (g.item(j) - g.item(i)) + delta * delta * (
+                    G.item(i, i) - 2.0 * G.item(i, j) + G.item(j, j)
                 )
                 if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
                     w[i] = wi - delta
@@ -465,9 +471,8 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
             else:
                 if u >= 0.95:
                     # relocate the lightest point onto the ell-minimum probe
-                    i = int(np.argmin(w))
-                    ell_probe = eng.ell_on_probe(w)
-                    k = int(np.argmin(ell_probe))
+                    i = int(w.argmin())
+                    k = int(eng.ell_on_probe(w).argmin())
                     x_new = eng.jitter_at(eng.probe[k], 0.02 * pos_scale, rand)
                 else:
                     # geodesic jitter at the temperature-tied scale
@@ -475,9 +480,10 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     x_new = eng.jitter_at(eng.pts[i], jit_scale, rand)
                 row = eng.l_row(x_new)
                 row[i] = diag_l0
-                dS = 2.0 * w[i] * (float(row @ w) - g[i])
+                ell = float(row @ w)
+                dS = 2.0 * w.item(i) * (ell - g.item(i))
                 if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
-                    _move_point(eng, G, g, w, i, x_new, row)
+                    _move_point(eng, G, g, w, i, x_new, row, ell)
                     S += dS
                     since_resolve += 1
                     since_resync += 1
@@ -508,10 +514,12 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
             if not relocate:
                 i = int(rand.uniform() * m)
                 x_new = eng.jitter_at(eng.pts[i], qscale, rand)
+                if w[i] == 0.0:
+                    continue  # dS = 0 is not a strict descent
             else:
-                i = int(np.argmin(w))
+                i = int(w.argmin())
                 x_new = eng.jitter_at(
-                    eng.probe[int(np.argmin(eng.ell_on_probe(w)))], qscale, rand
+                    eng.probe[int(eng.ell_on_probe(w).argmin())], qscale, rand
                 )
             row = eng.l_row(x_new)
             row[i] = diag_l0
@@ -520,7 +528,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
             # relocating a massless point leaves S unchanged; taking it down
             # the potential ell lets the next weight re-solve give it mass
             if dS < 0.0 or (relocate and w[i] == 0.0 and ell_new < g[i]):
-                _move_point(eng, G, g, w, i, x_new, row)
+                _move_point(eng, G, g, w, i, x_new, row, ell_new)
                 S += dS
         sol = _simplex_qp(G, w > 1e-14)
         if sol.action <= S:
@@ -585,7 +593,7 @@ def _distance_matrix(model: ManifoldModel, pts) -> np.ndarray:
         return np.arccos(np.clip(e @ e.T, -1.0, 1.0))
     # flag: chordal Frobenius distance scaled to match small geodesic angles
     tau = model.tau
-    tr, _ = _flag_traces(*_flag_products(pts, pts), tau)
+    tr, _ = _flag_traces(_flag_products(pts, pts), tau)
     chord_sq = np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - tr))
     return np.sqrt(chord_sq) / (np.sqrt(2.0) * tau)
 

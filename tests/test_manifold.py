@@ -11,7 +11,14 @@ from cvp import (
     sample_uniform,
     theta_max,
 )
-from cvp.manifold import kernel_cross, kernel_matrix, validate_points
+from cvp.manifold import (
+    _flag_products,
+    _flag_traces,
+    _haar_flag_pairs,
+    kernel_cross,
+    kernel_matrix,
+    validate_points,
+)
 
 from conftest import dense_flag_kernel
 
@@ -207,6 +214,67 @@ class TestKernelProperties:
         pts = sample_uniform(sphere12, 20, seed=13)
         g = kernel_matrix(sphere12, pts)
         assert np.array_equal(g, g.T)
+
+
+def reference_flag_traces(a, b, c, d, tau):
+    """The unstacked trace formula, one array operation per term; the
+    stacked ``_flag_traces`` must reproduce it bit for bit."""
+    p = (1.0 + tau) ** 2
+    q = (1.0 - tau) ** 2
+    r = (1.0 + tau) * (1.0 - tau)
+    A = a.real**2 + a.imag**2
+    B = b.real**2 + b.imag**2
+    C = c.real**2 + c.imag**2
+    E = d.real**2 + d.imag**2
+    R = (a * np.conj(b) * np.conj(c) * d).real
+    bc = B + C
+    tr = p * A + q * E + r * bc
+    tr2 = (
+        p * p * A * A
+        + q * q * E * E
+        + (r * r) * (B * B + C * C)
+        + 2.0 * (p * r) * A * bc
+        + 2.0 * (q * r) * E * bc
+        + 4.0 * (r * r) * R
+    )
+    return tr, tr2
+
+
+class TestStackedFlagTraces:
+    @staticmethod
+    def assert_traces_equal(X, a, b, c, d, tau):
+        for new, ref in zip(_flag_traces(X, tau), reference_flag_traces(a, b, c, d, tau)):
+            assert new.shape == ref.shape
+            assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    @pytest.mark.parametrize("tau", [1.0, 1.7, 3.2])
+    def test_batches(self, f, tau):
+        model = ManifoldModel.flag(f, tau)
+        xs = sample_uniform(model, 96, seed=f)
+        ys = sample_uniform(model, 16, seed=f + 1)
+        ux, vx = xs[:, 0].conj(), xs[:, 1].conj()
+        a, b, c, d = ux @ ys[:, 0].T, ux @ ys[:, 1].T, vx @ ys[:, 0].T, vx @ ys[:, 1].T
+        X = _flag_products(xs, ys)
+        for k, z in enumerate((a, d, b, c)):
+            assert np.array_equal(X[k], z)
+        self.assert_traces_equal(X, a, b, c, d, tau)
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_rows(self, f):
+        # the annealer's shape: one point against the support, 1-d
+        model = ManifoldModel.flag(f, 2.0)
+        uc, vc = (z.conj() for z in np.moveaxis(sample_uniform(model, 16, seed=3), 1, 0))
+        for u, v in sample_uniform(model, 50, seed=4):
+            a, b, c, d = uc @ u, uc @ v, vc @ u, vc @ v
+            self.assert_traces_equal(np.stack((a, d, b, c)), a, b, c, d, 2.0)
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_monte_carlo_columns(self, f):
+        # nu0_monte_carlo's shape: coordinates of Haar pairs, strided columns
+        u, v = _haar_flag_pairs(np.random.Generator(np.random.Philox(key=2)), 5000, f)
+        a, b, c, d = u[:, 0], v[:, 0], u[:, 1], v[:, 1]
+        self.assert_traces_equal(np.stack((a, d, b, c)), a, b, c, d, 1.5)
 
 
 class TestFlagPoint:

@@ -209,6 +209,34 @@ class TestEngines:
         assert np.array_equal(eng.pts, pts)
         assert np.max(np.abs(eng.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
 
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_flag_rows_are_exact(self, f):
+        # the engine's row runs the one flag formula on the same products
+        model = ManifoldModel.flag(f, 2.0)
+        pts = sample_uniform(model, 16, seed=3)
+        eng = _make_engine(model, pts)
+        for y in sample_uniform(model, 40, seed=4):
+            assert np.array_equal(eng.l_row(y), lagrangian_cross(model, pts, y)[:, 0])
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_flag_jitter_is_exact(self, f):
+        # the proposal equals the complex-arithmetic form with np.linalg.norm
+        model = ManifoldModel.flag(f, 2.0)
+        eng = _make_engine(model, sample_uniform(model, 4, seed=3))
+        mine = optimize._BlockedRng(np.random.default_rng(1))
+        ref = optimize._BlockedRng(np.random.default_rng(1))
+        x = eng.pts[0]
+        for k in range(600):
+            scale = 10.0 ** -(k % 11)
+            n = ref.normals(4 * f)
+            u = x[0] + scale * (n[:f] + 1j * n[f : 2 * f])
+            v = x[1] + scale * (n[2 * f : 3 * f] + 1j * n[3 * f :])
+            u = u / np.linalg.norm(u)
+            v = v - np.vdot(u, v) * u
+            v = v / np.linalg.norm(v)
+            x = eng.jitter_at(x, scale, mine)
+            assert np.array_equal(x, np.stack([u, v]))
+
 
 class TestAnneal:
     def test_never_above_initial(self, circle13):
