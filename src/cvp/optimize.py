@@ -18,6 +18,12 @@ repairs Euler-Lagrange violations directly; every k-th accepted move
 triggers a weight re-solve.  Cooling ends in a zero-temperature
 quench with geometrically shrinking move scale.
 
+A move of a massless point leaves the action unchanged and is always
+accepted; during cooling it only marks the point stale.  Its row of the
+Gram matrix G and its entry of g = G w are rebuilt before weight can move
+into it and before every weight re-solve; with weight 0 it meanwhile
+changes neither the action nor any weighted point's potential.
+
 The circle and the sphere share one move engine, which caches the points
 as unit vectors (circle angles embedded in R^2): a kernel row is one
 matrix-vector product and one ``zonal_d``, and only the move proposal
@@ -412,8 +418,20 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
     S = float(w @ g)
     best = [S, eng.pts.copy(), w.copy()]
     warm_free = None
+    stale = set()  # massless points whose rows of G and entries of g are out of date
+
+    def refresh(idx):
+        for k in idx:
+            row = eng.l_row(eng.pts[k])
+            row[k] = diag_l0
+            G[k, :] = row
+            G[:, k] = row
+            g[k] = float(row @ w)
+        stale.difference_update(idx)
+
     def resolve():
         nonlocal w, g, S, warm_free
+        refresh(sorted(stale))
         sol = _simplex_qp(G, warm_free)
         warm_free = sol.weights > 1e-14
         if sol.action <= S:
@@ -451,13 +469,17 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                         continue
                     delta = rand.uniform() * wi
                 else:
-                    row, gii = G[i], G[i, i]
+                    # G[i] is out of date in the columns of stale points
+                    row = eng.l_row(eng.pts[i]) if stale else G[i]
+                    gii = row[i]
                     row[i] = -math.inf  # argmax over j != i, then restored
                     j = int(row.argmax())
                     row[i] = gii
                     if row[j] <= 0.0:
                         continue
                     delta = wi
+                if j in stale:
+                    refresh((j,))
                 dS = 2.0 * delta * (g.item(j) - g.item(i)) + delta * delta * (
                     G.item(i, i) - 2.0 * G.item(i, j) + G.item(j, j)
                 )
@@ -478,15 +500,23 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     # geodesic jitter at the temperature-tied scale
                     i = int(rand.uniform() * m)
                     x_new = eng.jitter_at(eng.pts[i], jit_scale, rand)
-                row = eng.l_row(x_new)
-                row[i] = diag_l0
-                ell = float(row @ w)
-                dS = 2.0 * w.item(i) * (ell - g.item(i))
-                if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
-                    _move_point(eng, G, g, w, i, x_new, row, ell)
-                    S += dS
+                wi = w.item(i)
+                if wi == 0.0:
+                    # dS = 0: accepted, and refresh builds the row when needed
+                    eng.set_point(i, x_new)
+                    stale.add(i)
                     since_resolve += 1
                     since_resync += 1
+                else:
+                    row = eng.l_row(x_new)
+                    row[i] = diag_l0
+                    ell = float(row @ w)
+                    dS = 2.0 * wi * (ell - g.item(i))
+                    if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
+                        _move_point(eng, G, g, w, i, x_new, row, ell)
+                        S += dS
+                        since_resolve += 1
+                        since_resync += 1
             if since_resolve >= _RESOLVE_EVERY:
                 since_resolve = 0
                 resolve()
@@ -497,6 +527,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                 G = lagrangian_matrix(model, eng.pts)
                 g = G @ w
                 S = float(w @ g)
+                stale.clear()
         T *= sched.cooling
     resolve()
 

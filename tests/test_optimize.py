@@ -238,6 +238,39 @@ class TestEngines:
             assert np.array_equal(x, np.stack([u, v]))
 
 
+class TestLazyRows:
+    @pytest.mark.parametrize(
+        "model, m",
+        [
+            (ManifoldModel.circle(3.0), 14),
+            (ManifoldModel.sphere(1.2), 12),
+            (ManifoldModel.flag(3, 2.0), 16),
+            (ManifoldModel.circle(1.7), 10),
+        ],
+        ids=["circle-3.0", "sphere-1.2", "flag-3-2.0", "circle-1.7"],
+    )
+    def test_every_weight_solve_sees_the_exact_gram(self, model, m, monkeypatch):
+        # massless points defer their Gram rows; each weight solve must still
+        # see the Lagrangian matrix of the engine's current points
+        engines, worst = [], [0.0]
+        make_engine, simplex_qp = optimize._make_engine, optimize._simplex_qp
+
+        def capture(model_, pts):
+            engines.append(make_engine(model_, pts))
+            return engines[-1]
+
+        def checked(G, warm_free=None):
+            exact = lagrangian_matrix(model, engines[-1].pts)
+            worst[0] = max(worst[0], float(np.max(np.abs(G - exact))))
+            return simplex_qp(G, warm_free)
+
+        monkeypatch.setattr(optimize, "_make_engine", capture)
+        monkeypatch.setattr(optimize, "_simplex_qp", checked)
+        anneal(model, m, light(model))
+        assert engines
+        assert worst[0] <= 1e-12 * model.kernel_scale
+
+
 class TestAnneal:
     def test_never_above_initial(self, circle13):
         # X_6 at tau=1.3 is already a minimizer; the annealer must match it
