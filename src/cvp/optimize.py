@@ -22,7 +22,9 @@ A move of a massless point leaves the action unchanged and is always
 accepted; during cooling it only marks the point stale.  Its row of the
 Gram matrix G and its entry of g = G w are rebuilt before weight can move
 into it and before every weight re-solve; with weight 0 it meanwhile
-changes neither the action nor any weighted point's potential.
+changes neither the action nor any weighted point's potential, nor the
+potential on the relocate move's probe grid, whose minimum is kept until
+the weights or a weighted point move.
 
 The circle and the sphere share one move engine, which caches the points
 as unit vectors (circle angles embedded in R^2): a kernel row is one
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -122,6 +125,18 @@ class WeightSolve:
     iterations: int
 
 
+try:
+    # the LAPACK gufunc behind np.linalg.solve, whose checks cost more than
+    # the solve on small systems; a singular system gives NaNs
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:  # pragma: no cover - numpy without the private module
+    def _solve1(a, b, signature=None):
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return np.full(len(b), math.nan)
+
+
 def _qp_max_iter(n: int) -> int:
     """Iteration cap of ``_simplex_qp`` on an n-point Gram."""
     return 6 * n + 80
@@ -149,7 +164,8 @@ def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
     K[:n, :n] = G
     K[:n, n] = -1.0
     K[n, :n] = 1.0
-    unit = np.eye(n + 1)[n]
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
     free = np.ones(n + 1, dtype=bool)
     if warm_free is not None and warm_free.shape == (n,) and warm_free.any():
         free[:n] = warm_free
@@ -165,10 +181,11 @@ def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
             S = float(w @ g)
             viol = np.where(face, -math.inf, S - g)
             j = int(viol.argmax())
-            if viol[j] <= 1e-11 * scale:
+            vj = viol.item(j)
+            if vj <= 1e-11 * scale:
                 break
-            denom = S - 2.0 * g[j] + G[j, j]
-            eps = min(1.0, viol[j] / denom) if denom > 0.0 else 1.0
+            denom = S - 2.0 * g.item(j) + G.item(j, j)
+            eps = min(1.0, vj / denom) if denom > 0.0 else 1.0
             w *= 1.0 - eps
             w[j] += eps
             if eps == 1.0:
@@ -176,17 +193,15 @@ def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
             face[j] = True
             stationary = False
             continue
-        sel = np.flatnonzero(free)
+        sel = free.nonzero()[0]
         idx = sel[:-1]
         k = len(idx)
         KF = K.take(sel, 0).take(sel, 1)
         wf = w[idx]
-        try:
-            w_star = np.linalg.solve(KF, unit[n - k :])[:k]
-            p = w_star - wf
-            a = float(KF[:k, :k].dot(p).dot(p))
-        except np.linalg.LinAlgError:
-            a = math.nan
+        with np.errstate(all="ignore"):  # a singular face system gives NaNs
+            w_star = _solve1(KF, unit[n - k :], signature="dd->d")[:k]
+        p = w_star - wf
+        a = float(KF[:k, :k].dot(p).dot(p))
         # along p = d the objective changes by a (t^2 - 2t), so for a >= 0
         # the step toward w_F* descends; along -d it changes by a (t^2 + 2t)
         if a >= 0.0:
@@ -196,14 +211,20 @@ def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
             if a < 0.0:
                 p = -p
             else:
-                # singular face system: along the weight part of a null
+                # singular face system (a is NaN): along the weight part of a null
                 # vector z the objective is linear with slope 2 z[k]
                 z = np.linalg.svd(KF)[2][-1]
                 p = -z[:k] if z[k] > 0.0 else z[:k]
-        ratios = np.divide(wf, -p, out=np.full(k, math.inf), where=p < 0.0)
-        kmin = ratios.argmin()
-        if ratios[kmin] < t:
-            wf += ratios[kmin] * p
+        # ratio test on at most a few dozen Python floats: the first index of
+        # the smallest step wf / -p over p < 0 (inf when there is none)
+        kmin, rmin = 0, math.inf
+        for q, (pq, wq) in enumerate(zip(p.tolist(), wf.tolist())):
+            if pq < 0.0:
+                r = wq / -pq
+                if r < rmin:
+                    kmin, rmin = q, r
+        if rmin < t:
+            wf += rmin * p
             np.maximum(wf, 0.0, out=wf)
             wf[kmin] = 0.0
             w[idx] = wf
@@ -247,24 +268,37 @@ _PROBE_SIZE = {"circle": 192, "sphere": 256, "flag": 96}
 _PROBE_SEED = 7
 
 
-class _BlockedRng:
-    """Pre-drawn uniform/normal blocks; one Generator call per ~16k draws."""
+def _uniform_slices(rng, block):
+    """A block of 16384 uniforms as Python floats, 1024 at a time; the next
+    block is drawn only when the last float of this one has been taken."""
+    while True:
+        for s in range(0, 16384, 1024):
+            yield block[s : s + 1024].tolist()
+        block = rng.random(16384)
 
-    __slots__ = ("rng", "_u", "_iu", "_n", "_in")
+
+class _BlockedRng:
+    """Pre-drawn uniform/normal blocks; one Generator call per ~16k draws.
+
+    ``uniform()`` returns the next uniform as a Python float.
+    """
+
+    __slots__ = ("rng", "uniform", "_n", "_in")
 
     def __init__(self, rng):
         self.rng = rng
-        self._u = rng.random(16384)
-        self._iu = 0
+        first = rng.random(16384)
+        self.uniform = itertools.chain.from_iterable(_uniform_slices(rng, first)).__next__
         self._n = rng.standard_normal(16384)
         self._in = 0
 
-    def uniform(self) -> float:
-        if self._iu >= 16384:
-            self._u = self.rng.random(16384)
-            self._iu = 0
-        self._iu += 1
-        return self._u.item(self._iu - 1)
+    def normal(self) -> float:
+        """``normals(1)[0]`` as a Python float."""
+        if self._in + 1 > self._n.shape[0]:
+            self._n = self.rng.standard_normal(16384)
+            self._in = 0
+        self._in += 1
+        return self._n.item(self._in - 1)
 
     def normals(self, k: int):
         if self._in + k > self._n.shape[0]:
@@ -273,6 +307,10 @@ class _BlockedRng:
         v = self._n[self._in : self._in + k]
         self._in += k
         return v
+
+
+def _circle_unit(a):
+    return np.array((math.cos(a), math.sin(a)))
 
 
 class _ZonalEngine:
@@ -294,9 +332,11 @@ class _ZonalEngine:
         self.probe_emb = unit_vectors(model, self.probe)
         self._row = np.empty(len(self.pts))
         self._last = (None, None)
+        # one point's unit vector, as ``unit_vectors`` builds it
+        self._unit = _circle_unit if model.kind == "circle" else np.asarray
 
     def l_row(self, x):
-        e = unit_vectors(self.model, x)
+        e = self._unit(x)
         self._last = (x, e)
         row = np.matmul(self.emb, e, out=self._row)
         zonal_d(self.model.tau, row, out=row)
@@ -305,11 +345,12 @@ class _ZonalEngine:
     def set_point(self, i, x):
         self.pts[i] = x
         last, e = self._last
-        self.emb[i] = e if last is x else unit_vectors(self.model, x)
+        self.emb[i] = e if last is x else self._unit(x)
 
     def jitter_at(self, x, scale, rand):
         if self.model.kind == "circle":
-            return (x + scale * rand.normals(1)[0]) % (2.0 * np.pi)
+            # Python floats: the same doubles and remainder as np.float64
+            return (float(x) + scale * rand.normal()) % (2.0 * math.pi)
         v = x + scale * rand.normals(3)
         return v / math.sqrt(v @ v)
 
@@ -403,7 +444,7 @@ def _move_point(eng, G, g, w, i, x_new, row, ell):
     eng.set_point(i, x_new)
     G[i, :] = row
     G[:, i] = row
-    change *= w[i]
+    change *= w.item(i)
     g += change
     g[i] = ell
 
@@ -419,6 +460,14 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
     best = [S, eng.pts.copy(), w.copy()]
     warm_free = None
     stale = set()  # massless points whose rows of G and entries of g are out of date
+    probe_k = None  # argmin of ell on the probe grid, None once w or a weighted point moves
+
+    def probe_argmin():
+        # a massless point adds exact zeros to ell, so its moves keep probe_k
+        nonlocal probe_k
+        if probe_k is None:
+            probe_k = int(eng.ell_on_probe(w).argmin())
+        return probe_k
 
     def refresh(idx):
         for k in idx:
@@ -430,7 +479,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
         stale.difference_update(idx)
 
     def resolve():
-        nonlocal w, g, S, warm_free
+        nonlocal w, g, S, warm_free, probe_k
         refresh(sorted(stale))
         sol = _simplex_qp(G, warm_free)
         warm_free = sol.weights > 1e-14
@@ -438,6 +487,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
             w = sol.weights
             g = G @ w
             S = sol.action
+            probe_k = None
         if S < best[0]:
             best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
 
@@ -488,14 +538,14 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     w[j] += delta
                     g += delta * (G[j] - G[i])
                     S += dS
+                    probe_k = None
                     since_resolve += 1
                     since_resync += 1
             else:
                 if u >= 0.95:
                     # relocate the lightest point onto the ell-minimum probe
                     i = int(w.argmin())
-                    k = int(eng.ell_on_probe(w).argmin())
-                    x_new = eng.jitter_at(eng.probe[k], 0.02 * pos_scale, rand)
+                    x_new = eng.jitter_at(eng.probe[probe_argmin()], 0.02 * pos_scale, rand)
                 else:
                     # geodesic jitter at the temperature-tied scale
                     i = int(rand.uniform() * m)
@@ -515,6 +565,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
                         _move_point(eng, G, g, w, i, x_new, row, ell)
                         S += dS
+                        probe_k = None
                         since_resolve += 1
                         since_resync += 1
             if since_resolve >= _RESOLVE_EVERY:
@@ -538,6 +589,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
     G = lagrangian_matrix(model, eng.pts)
     g = G @ w
     S = float(w @ g)
+    probe_k = None
     qscale = 1e-2 * pos_scale
     while qscale > 1e-10 * pos_scale:
         for _ in range(120):
@@ -545,27 +597,29 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
             if not relocate:
                 i = int(rand.uniform() * m)
                 x_new = eng.jitter_at(eng.pts[i], qscale, rand)
-                if w[i] == 0.0:
+                if w.item(i) == 0.0:
                     continue  # dS = 0 is not a strict descent
             else:
                 i = int(w.argmin())
-                x_new = eng.jitter_at(
-                    eng.probe[int(eng.ell_on_probe(w).argmin())], qscale, rand
-                )
+                x_new = eng.jitter_at(eng.probe[probe_argmin()], qscale, rand)
             row = eng.l_row(x_new)
             row[i] = diag_l0
             ell_new = float(row @ w)
-            dS = 2.0 * w[i] * (ell_new - g[i])
+            wi, gi = w.item(i), g.item(i)
+            dS = 2.0 * wi * (ell_new - gi)
             # relocating a massless point leaves S unchanged; taking it down
             # the potential ell lets the next weight re-solve give it mass
-            if dS < 0.0 or (relocate and w[i] == 0.0 and ell_new < g[i]):
+            if dS < 0.0 or (relocate and wi == 0.0 and ell_new < gi):
                 _move_point(eng, G, g, w, i, x_new, row, ell_new)
                 S += dS
+                if wi != 0.0:
+                    probe_k = None
         sol = _simplex_qp(G, w > 1e-14)
         if sol.action <= S:
             w = sol.weights
             g = G @ w
             S = sol.action
+            probe_k = None
         qscale *= 0.5
     S = float(w @ lagrangian_matrix(model, eng.pts) @ w)
     if S < best[0]:

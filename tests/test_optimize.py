@@ -238,6 +238,24 @@ class TestEngines:
             assert np.array_equal(x, np.stack([u, v]))
 
 
+class TestBlockedRng:
+    def test_draws_follow_the_generator_blocks(self):
+        # uniforms and normals come from 16384-draw blocks in the order the
+        # generator would give them, and a block is drawn only when needed
+        rand = optimize._BlockedRng(np.random.default_rng(5))
+        ref = np.random.default_rng(5)
+        u0, n0 = ref.random(16384), ref.standard_normal(16384)
+        assert [rand.uniform() for _ in range(16384)] == u0.tolist()
+        assert np.array_equal(rand.normals(3), n0[:3])
+        assert rand.normal() == n0[3]
+        u1 = ref.random(16384)
+        assert rand.uniform() == u1[0]
+        rand.normals(16380)
+        n1 = ref.standard_normal(16384)
+        assert rand.normal() == n1[0]
+        assert [rand.uniform() for _ in range(16383)] == u1[1:].tolist()
+
+
 class TestLazyRows:
     @pytest.mark.parametrize(
         "model, m",
