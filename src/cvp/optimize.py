@@ -50,6 +50,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# the LAPACK gufunc behind np.linalg.solve, whose checks cost more than the
+# solve on small systems; a singular system gives NaNs
+from numpy.linalg._umath_linalg import solve1 as _solve1
+
 from .manifold import (
     ManifoldModel,
     _flag_kernel_parts,
@@ -123,18 +127,6 @@ class WeightSolve:
     action: float
     kkt_residual: float
     iterations: int
-
-
-try:
-    # the LAPACK gufunc behind np.linalg.solve, whose checks cost more than
-    # the solve on small systems; a singular system gives NaNs
-    from numpy.linalg._umath_linalg import solve1 as _solve1
-except ImportError:  # pragma: no cover - numpy without the private module
-    def _solve1(a, b, signature=None):
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            return np.full(len(b), math.nan)
 
 
 def _qp_max_iter(n: int) -> int:
@@ -292,14 +284,6 @@ class _BlockedRng:
         self._n = rng.standard_normal(16384)
         self._in = 0
 
-    def normal(self) -> float:
-        """``normals(1)[0]`` as a Python float."""
-        if self._in + 1 > self._n.shape[0]:
-            self._n = self.rng.standard_normal(16384)
-            self._in = 0
-        self._in += 1
-        return self._n.item(self._in - 1)
-
     def normals(self, k: int):
         if self._in + k > self._n.shape[0]:
             self._n = self.rng.standard_normal(max(16384, k))
@@ -350,7 +334,7 @@ class _ZonalEngine:
     def jitter_at(self, x, scale, rand):
         if self.model.kind == "circle":
             # Python floats: the same doubles and remainder as np.float64
-            return (float(x) + scale * rand.normal()) % (2.0 * math.pi)
+            return (float(x) + scale * rand.normals(1).item(0)) % (2.0 * math.pi)
         v = x + scale * rand.normals(3)
         return v / math.sqrt(v @ v)
 
