@@ -21,6 +21,13 @@ through the 2x2 reduction M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*
 with C the 2x2 matrix of inner products of the (u, v) pairs.  The
 Lagrangian is the positive part L = max(0, D); the sign of D defines the
 causal relation of two points.
+
+Both kernels are bilinear forms in lifted point features: the zonal D is
+a quadratic alpha c^2 + beta c + gamma in c, so in x (x) x, x and 1, and on
+the flag D(x, y) = Re <X (x) X, T(Y)> with X = (1+tau) uu* + (1-tau) vv*
+and T(Y)_abcd = Y_bc Y_da - Y_ba Y_dc / 2.  The annealer's engine
+(``optimize._Engine``) evaluates its rows that way; ``kernel_cross`` stays
+the reference evaluation.
 """
 
 from __future__ import annotations
@@ -198,8 +205,6 @@ def unit_vectors(model: ManifoldModel, points) -> np.ndarray:
     points pass through unchanged.
     """
     if model.kind == "circle":
-        if isinstance(points, float):  # one angle: the annealer's hot path
-            return np.array((math.cos(points), math.sin(points)))
         a = np.asarray(points, dtype=float)
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
     if model.kind == "sphere":

@@ -26,10 +26,10 @@ changes neither the action nor any weighted point's potential, nor the
 potential on the relocate move's probe grid, whose minimum is kept until
 the weights or a weighted point move.
 
-The circle and the sphere share one move engine, which caches the points
-as unit vectors (circle angles embedded in R^2): a kernel row is one
-matrix-vector product and one ``zonal_d``, and only the move proposal
-differs by kind.  The flag manifold has its own engine.
+One move engine serves all three kinds.  D is a bilinear form in lifted
+point features, so the engine keeps one feature row per support point and
+a kernel row is one matrix-vector product and a clamp; only the feature
+maps and the move proposal differ by kind.
 
 A tau-continuation scan runs ascending and descending passes, warm-starts
 each tau from its neighbour and keeps the best of warm and cold runs, so
@@ -56,11 +56,9 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .manifold import (
     ManifoldModel,
-    _flag_kernel_parts,
     _flag_products,
     _flag_traces,
     flag_point,
-    lagrangian_cross,
     lagrangian_matrix,
     sample_uniform,
     theta_max,
@@ -125,8 +123,18 @@ class AnnealSchedule:
 class WeightSolve:
     weights: np.ndarray
     action: float
-    kkt_residual: float
     iterations: int
+    potential: np.ndarray  # g = G w at the returned weights
+
+    @property
+    def kkt_residual(self) -> float:
+        """Largest violation of the KKT conditions g_i = S on the support
+        (w_i > 1e-14) and g_i >= S off it."""
+        w, g, lam = self.weights, self.potential, self.action
+        supp = w > 1e-14
+        res_eq = float(np.max(np.abs(g[supp] - lam)))
+        res_in = float(np.max(lam - g[~supp], initial=0.0))
+        return max(res_eq, res_in)
 
 
 def _qp_max_iter(n: int) -> int:
@@ -228,11 +236,7 @@ def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
     # exact simplex feasibility on the returned iterate (w >= 0 throughout)
     w /= w.sum()
     g = G @ w
-    lam = float(w @ g)
-    supp = w > 1e-14
-    res_eq = float(np.max(np.abs(g[supp] - lam)))
-    res_in = float(np.max(lam - g[~supp], initial=0.0))
-    return WeightSolve(w, lam, max(res_eq, res_in), it)
+    return WeightSolve(w, float(w @ g), it, g)
 
 
 def optimal_weights_info(model: ManifoldModel, points) -> WeightSolve:
@@ -293,77 +297,90 @@ class _BlockedRng:
         return v
 
 
-def _circle_unit(a):
-    return np.array((math.cos(a), math.sin(a)))
+def _zonal_features(e, a, a2, b, c):
+    """(a e_k^2, a2 e_k e_l for k < l, b e_k, c) from a unit 3-vector e of
+    Python floats: with (a, a2, b, c) = (1, 1, 1, 1) the stored features,
+    with (alpha, 2 alpha, beta, gamma) the query of D = alpha c^2 + beta c + gamma."""
+    x, y, z = e
+    return [a * x * x, a * y * y, a * z * z, a2 * x * y, a2 * x * z, a2 * y * z,
+            b * x, b * y, b * z, c]
 
 
-class _ZonalEngine:
-    """Kernel rows for the annealing hot loop on the circle and the sphere.
+def _flag_outer(x, s):
+    """X (x) X as an (f^2, f^2) matrix, X = (1+tau) u u* + (1-tau) v v*,
+    s = ((1+tau), (1-tau)) as a column."""
+    X = (x.T @ (s * x.conj())).ravel()
+    return np.multiply.outer(X, X)
 
+
+def _flag_store(O):
+    """conj T(Y) as real pairs, T(Y)_abcd = Y_bc Y_da - Y_ba Y_dc / 2, from
+    O = Y (x) Y; Re <X (x) X, T(Y)> = Tr((XY)^2) - Tr(XY)^2 / 2 = D(x, y)."""
+    f = math.isqrt(len(O))
+    O = O.reshape(f, f, f, f)  # O[a, b, c, d] = Y_ab Y_cd
+    T = O.transpose(3, 0, 1, 2) - 0.5 * O.transpose(1, 0, 3, 2)
+    return np.conj(T).ravel().view(float)
+
+
+class _Engine:
+    """Kernel rows for the annealing hot loop, one matmul each.
+
+    D is a bilinear form in lifted point features, D(x, y) = q(x) . F(y).
+    ``F`` holds the stored features of every point, so a kernel row is
+    max(0, F q(x)), and the potential on the relocate move's probe grid is
+    max(0, Q F^T) w with the probe queries Q built once per engine.  On the
+    circle and the sphere D is quadratic in c = <x, y>, with coefficients
+    read off ``zonal_d`` at c = -1, 0, 1; on the flag the features are
+    X (x) X and T(Y) (``_flag_store``).  Only the feature maps and
+    ``jitter_at`` depend on the kind; ``kernel_cross`` stays the reference
+    evaluation, from which the rows differ at rounding level.
     ``pts`` keeps the points in their input/output form (angles on the
-    circle); ``emb`` caches them as unit vectors (on the sphere it is ``pts``
-    itself), so a row is one matmul and one ``zonal_d``.  Only the move
-    proposal depends on the kind.
-    ``l_row`` returns an internal buffer that is invalidated by the next
-    call; the annealer copies it into the Gram matrix on acceptance.
+    circle).  ``l_row`` returns an internal buffer that is invalidated by
+    the next call; the annealer copies it into the Gram matrix on acceptance.
     """
 
     def __init__(self, model, pts):
         self.model = model
-        self.pts = np.array(pts, dtype=float, copy=True)
-        self.emb = unit_vectors(model, self.pts)
+        if model.kind == "flag":
+            s = np.array([[1.0 + model.tau], [1.0 - model.tau]])
+            self.pts = np.array(pts, copy=True)
+            self._lift = lambda x: _flag_outer(x, s)
+            self._query = lambda O: O.ravel().view(float)
+            self._store = _flag_store
+        else:
+            self.pts = np.array(pts, dtype=float, copy=True)
+            dm, d0, dp = zonal_d(model.tau, np.array([-1.0, 0.0, 1.0])).tolist()
+            a, b, c = 0.5 * (dp + dm) - d0, 0.5 * (dp - dm), d0
+            if model.kind == "circle":  # a great circle of the sphere
+                self._lift = lambda t: (math.cos(t), math.sin(t), 0.0)
+            else:
+                self._lift = np.ndarray.tolist
+            self._query = lambda e: np.array(_zonal_features(e, a, 2.0 * a, b, c))
+            self._store = lambda e: _zonal_features(e, 1.0, 1.0, 1.0, 1.0)
+        self.F = np.array([self._store(self._lift(x)) for x in self.pts])
         self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
-        self.probe_emb = unit_vectors(model, self.probe)
+        self._q_probe = np.array([self._query(self._lift(x)) for x in self.probe])
         self._row = np.empty(len(self.pts))
         self._last = (None, None)
-        # one point's unit vector, as ``unit_vectors`` builds it
-        self._unit = _circle_unit if model.kind == "circle" else np.asarray
 
     def l_row(self, x):
-        e = self._unit(x)
-        self._last = (x, e)
-        row = np.matmul(self.emb, e, out=self._row)
-        zonal_d(self.model.tau, row, out=row)
+        p = self._lift(x)
+        self._last = (x, p)
+        row = self.F.dot(self._query(p), out=self._row)
         return np.maximum(0.0, row, out=row)
 
     def set_point(self, i, x):
         self.pts[i] = x
-        last, e = self._last
-        self.emb[i] = e if last is x else self._unit(x)
+        last, p = self._last
+        self.F[i] = self._store(p if last is x else self._lift(x))
 
     def jitter_at(self, x, scale, rand):
         if self.model.kind == "circle":
             # Python floats: the same doubles and remainder as np.float64
             return (float(x) + scale * rand.normals(1).item(0)) % (2.0 * math.pi)
-        v = x + scale * rand.normals(3)
-        return v / math.sqrt(v @ v)
-
-    def ell_on_probe(self, w):
-        d = zonal_d(self.model.tau, self.probe_emb @ self.emb.T)
-        np.maximum(0.0, d, out=d)
-        return d @ w
-
-
-class _FlagEngine:
-    def __init__(self, model, pts):
-        self.model = model
-        self.pts = np.array(pts, copy=True)
-        self.uc = self.pts[:, 0, :].conj().copy()
-        self.vc = self.pts[:, 1, :].conj().copy()
-        self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
-
-    def l_row(self, x):
-        u, v, uc, vc = x[0], x[1], self.uc, self.vc
-        # <u_i, u>, <v_i, v>, <u_i, v>, <v_i, u>
-        vals = _flag_kernel_parts(np.array([uc @ u, vc @ v, uc @ v, vc @ u]), self.model.tau)
-        return np.maximum(0.0, vals, out=vals)
-
-    def set_point(self, i, x):
-        self.pts[i] = x
-        self.uc[i] = x[0].conj()
-        self.vc[i] = x[1].conj()
-
-    def jitter_at(self, x, scale, rand):
+        if self.model.kind == "sphere":
+            v = x + scale * rand.normals(3)
+            return v / math.sqrt(v @ v)
         # x + scale * (n_re + i n_im) on real and imaginary parts (normals
         # come as Re u, Im u, Re v, Im v); norms as np.linalg.norm takes them
         f = self.model.f
@@ -378,13 +395,13 @@ class _FlagEngine:
         return out
 
     def ell_on_probe(self, w):
-        return lagrangian_cross(self.model, self.probe, self.pts) @ w
+        d = self._q_probe @ self.F.T
+        np.maximum(0.0, d, out=d)
+        return d @ w
 
 
 def _make_engine(model: ManifoldModel, pts):
-    if model.kind == "flag":
-        return _FlagEngine(model, pts)
-    return _ZonalEngine(model, pts)
+    return _Engine(model, pts)
 
 
 def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
@@ -468,9 +485,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
         sol = _simplex_qp(G, warm_free)
         warm_free = sol.weights > 1e-14
         if sol.action <= S:
-            w = sol.weights
-            g = G @ w
-            S = sol.action
+            w, g, S = sol.weights, sol.potential, sol.action
             probe_k = None
         if S < best[0]:
             best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
@@ -600,9 +615,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     probe_k = None
         sol = _simplex_qp(G, w > 1e-14)
         if sol.action <= S:
-            w = sol.weights
-            g = G @ w
-            S = sol.action
+            w, g, S = sol.weights, sol.potential, sol.action
             probe_k = None
         qscale *= 0.5
     S = float(w @ lagrangian_matrix(model, eng.pts) @ w)

@@ -21,7 +21,7 @@ from cvp import (
 )
 from cvp import optimize
 from cvp.exact import circle_chain_measure, circle_chain_minimizer, circle_m0
-from cvp.manifold import lagrangian_cross, lagrangian_matrix
+from cvp.manifold import flag_point, lagrangian_cross, lagrangian_matrix
 from cvp.optimize import (
     ScanRow,
     _make_engine,
@@ -30,7 +30,7 @@ from cvp.optimize import (
     _simplex_qp,
 )
 
-from conftest import stqp_enumerate
+from conftest import pair_kernel, stqp_enumerate
 
 
 def light(model, seed=0, **kw):
@@ -140,6 +140,29 @@ class TestSimplexQP:
         G = lagrangian_matrix(model, pts)
         assert_kkt_point(G, _simplex_qp(G), model.kernel_scale)
 
+    def test_kkt_residual_is_the_eager_formula(self):
+        # the residual is computed when read, from the returned weights and
+        # potential; it equals what the solver used to compute on return
+        model = ManifoldModel.sphere(1.5)
+        grams = [lagrangian_matrix(ManifoldModel(kind, tau, f), sample_uniform(
+                     ManifoldModel(kind, tau, f), 9, seed=(41, k)))
+                 for k, (kind, tau, f) in enumerate(
+                     [("circle", 2.6, None), ("sphere", 2.0, None), ("flag", 2.0, 3)])]
+        pts = sample_uniform(model, 4, seed=3)
+        grams.append(lagrangian_matrix(model, np.vstack([pts, pts[:2]])))
+        for G in grams:
+            for warm in (None, np.arange(len(G)) % 2 == 0):
+                sol = _simplex_qp(G, warm)
+                w = sol.weights
+                g = G @ w
+                lam = float(w @ g)
+                supp = w > 1e-14
+                res_eq = float(np.max(np.abs(g[supp] - lam)))
+                res_in = float(np.max(lam - g[~supp], initial=0.0))
+                assert np.array_equal(sol.potential, g)
+                assert sol.action == lam
+                assert sol.kkt_residual == max(res_eq, res_in)
+
 
 class TestMergeClusters:
     def test_doublets_merge_to_six(self):
@@ -188,6 +211,78 @@ class TestMergeClusters:
             merge_clusters(circle13, circle_uniform(3), -1.0)
 
 
+LIFT_MODELS = [ManifoldModel(kind, tau) for kind in ("circle", "sphere")
+               for tau in (1.0, 1.4, 3.0)] + [
+    ManifoldModel.flag(f, tau) for f in (3, 4, 5) for tau in (1.0, 2.0, 3.2)]
+
+
+def oracle_points(model):
+    """(support, queries): random points, a coincident copy and a lightlike
+    partner of the first point in both; the partner sits at
+    c = 1 - 2/tau^2 on the circle and the sphere, and on the flag is found by
+    bisection toward a spacelike point (at tau = 1, where no pair is
+    spacelike, it is the swapped pair (v, u))."""
+    pts = sample_uniform(model, 9, seed=(43, 1))
+    x = pts[0]
+    if model.kind == "circle":
+        partner = (x + theta_max(model)) % (2.0 * np.pi)
+    elif model.kind == "sphere":
+        c = 1.0 - 2.0 / model.tau**2
+        n = np.cross(x, [0.0, 0.0, 1.0])
+        partner = c * x + np.sqrt(1.0 - c * c) * n / np.linalg.norm(n)
+        partner /= np.linalg.norm(partner)
+    else:
+        spacelike = [y for y in sample_uniform(model, 64, seed=(43, 2))
+                     if pair_kernel(model, x, y) < 0.0]
+        if spacelike:
+            y = spacelike[0]
+
+            def along(t):
+                return flag_point((1 - t) * x[0] + t * y[0], (1 - t) * x[1] + t * y[1])
+
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if pair_kernel(model, x, along(mid)) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            partner = along(lo)
+        else:
+            partner = flag_point(x[1], x[0])
+    assert abs(pair_kernel(model, x, partner)) <= 1e-12 * model.kernel_scale
+    pts = np.concatenate([pts, [x, partner]])
+    queries = np.concatenate([pts[[0, 3, 9, 10]], sample_uniform(model, 4, seed=(43, 3))])
+    return pts, queries
+
+
+def assert_rows_match_oracles(model, pts, queries):
+    """The engine's kernel rows and probe potential against
+    ``lagrangian_cross`` and conftest's ``pair_kernel``, before and after
+    ``set_point`` (cached from the last row and not)."""
+    tol = 1e-12 * model.kernel_scale
+    w = np.random.default_rng(8).random(len(pts))
+    w /= w.sum()
+    eng = _make_engine(model, pts)
+    for k, new in ((None, None), (4, queries[-1]), (5, queries[0])):
+        if k is not None:
+            if k == 4:
+                eng.l_row(new)  # set_point reuses this row's features
+            eng.set_point(k, new)
+            pts[k] = new
+        for x in queries:
+            oracle = [max(0.0, pair_kernel(model, x, y)) for y in pts]
+            row = eng.l_row(x)
+            assert np.max(np.abs(row - lagrangian_cross(model, x, pts)[0])) <= tol
+            assert np.max(np.abs(row - oracle)) <= tol
+        ell = eng.ell_on_probe(w)
+        assert np.max(np.abs(ell - lagrangian_cross(model, eng.probe, pts) @ w)) <= tol
+        for j in range(0, len(eng.probe), 16):
+            oracle = sum(wi * max(0.0, pair_kernel(model, eng.probe[j], y))
+                         for wi, y in zip(w, pts))
+            assert abs(ell[j] - oracle) <= tol
+
+
 class TestEngines:
     @pytest.mark.parametrize(
         "model",
@@ -209,14 +304,32 @@ class TestEngines:
         assert np.array_equal(eng.pts, pts)
         assert np.max(np.abs(eng.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
 
-    @pytest.mark.parametrize("f", [3, 4, 5])
-    def test_flag_rows_are_exact(self, f):
-        # the engine's row runs the one flag formula on the same products
-        model = ManifoldModel.flag(f, 2.0)
-        pts = sample_uniform(model, 16, seed=3)
-        eng = _make_engine(model, pts)
-        for y in sample_uniform(model, 40, seed=4):
-            assert np.array_equal(eng.l_row(y), lagrangian_cross(model, pts, y)[:, 0])
+    @pytest.mark.parametrize("model", LIFT_MODELS, ids=str)
+    def test_lifted_rows_match_the_oracles(self, model):
+        assert_rows_match_oracles(model, *oracle_points(model))
+
+    @pytest.mark.parametrize("mutation", ["drop-half", "swap-index", "zonal-cross-once"])
+    def test_a_mutated_lift_fails_the_oracles(self, mutation, monkeypatch):
+        if mutation == "zonal-cross-once":
+            model = ManifoldModel.sphere(1.4)
+            features = optimize._zonal_features
+            monkeypatch.setattr(optimize, "_zonal_features",
+                                lambda e, a, a2, b, c: features(e, a, a, b, c))
+        else:
+            model = ManifoldModel.flag(3, 2.0)
+
+            def store(O):
+                f = model.f
+                Y = O.reshape(f, f, f, f)  # Y[a, b, c, d] = Y_ab Y_cd
+                if mutation == "drop-half":  # Y_bc Y_da - Y_ba Y_dc
+                    T = Y.transpose(3, 0, 1, 2) - Y.transpose(1, 0, 3, 2)
+                else:  # Y_cb Y_da - Y_ba Y_dc / 2
+                    T = Y.transpose(3, 1, 0, 2) - 0.5 * Y.transpose(1, 0, 3, 2)
+                return np.conj(T).ravel().view(float)
+
+            monkeypatch.setattr(optimize, "_flag_store", store)
+        with pytest.raises(AssertionError):
+            assert_rows_match_oracles(model, *oracle_points(model))
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_flag_jitter_is_exact(self, f):
