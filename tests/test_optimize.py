@@ -143,13 +143,12 @@ class TestSimplexQP:
     def test_kkt_residual_is_the_eager_formula(self):
         # the residual is computed when read, from the returned weights and
         # potential; it equals what the solver used to compute on return
-        model = ManifoldModel.sphere(1.5)
-        grams = [lagrangian_matrix(ManifoldModel(kind, tau, f), sample_uniform(
-                     ManifoldModel(kind, tau, f), 9, seed=(41, k)))
-                 for k, (kind, tau, f) in enumerate(
-                     [("circle", 2.6, None), ("sphere", 2.0, None), ("flag", 2.0, 3)])]
-        pts = sample_uniform(model, 4, seed=3)
-        grams.append(lagrangian_matrix(model, np.vstack([pts, pts[:2]])))
+        models = [ManifoldModel.circle(2.6), ManifoldModel.sphere(2.0), ManifoldModel.flag(3, 2.0)]
+        grams = [lagrangian_matrix(model, sample_uniform(model, 9, seed=(41, k)))
+                 for k, model in enumerate(models)]
+        sphere = ManifoldModel.sphere(1.5)
+        pts = sample_uniform(sphere, 4, seed=3)
+        grams.append(lagrangian_matrix(sphere, np.vstack([pts, pts[:2]])))  # coincident points
         for G in grams:
             for warm in (None, np.arange(len(G)) % 2 == 0):
                 sol = _simplex_qp(G, warm)
@@ -304,7 +303,7 @@ class TestEngines:
         assert np.array_equal(eng.pts, pts)
         assert np.max(np.abs(eng.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
 
-    @pytest.mark.parametrize("model", LIFT_MODELS, ids=str)
+    @pytest.mark.parametrize("model", LIFT_MODELS, ids=lambda m: f"{m.kind}{m.f or ''}-{m.tau}")
     def test_lifted_rows_match_the_oracles(self, model):
         assert_rows_match_oracles(model, *oracle_points(model))
 
