@@ -95,6 +95,8 @@ def certify(
     test grid; use ~1e-6 for exact constructions and ~1e-2 for annealed
     measures.
     """
+    if test_grid_size < 1:
+        raise ValueError("test_grid_size must be >= 1")
     scale = model.kernel_scale
     w = m.weights
     kmat = kernel_matrix(model, m.points)

@@ -120,6 +120,8 @@ def cmd_scan(args) -> int:
     n = int(np.floor((args.tau_max - args.tau_min) / args.tau_step + 1e-9)) + 1
     grid = [args.tau_min + i * args.tau_step for i in range(max(n, 0))]
     grid = [t for t in grid if t <= args.tau_max + 1e-12]
+    if not grid:
+        raise ValueError("the tau grid is empty: --tau-min must not exceed --tau-max")
     rows = optimize.tau_scan(
         args.manifold,
         grid,
@@ -278,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "test_grid", 1) < 1:
+            raise ValueError("--test-grid must be >= 1")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

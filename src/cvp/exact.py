@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import ManifoldModel, flag_point, lagrangian, theta_max
+from .manifold import TAU_MAX, ManifoldModel, flag_point, lagrangian, theta_max
 from .measure import DensityMeasure, WeightedMeasure, action, quadrature_grid
 from .optimize import optimal_weights
 
@@ -174,8 +174,8 @@ def flag_negative_witness(f: int, tau: float, eps: float) -> FlagWitness:
     f = int(f)
     if f < 3:
         raise ValueError("f must be >= 3")
-    if not tau > 1:
-        raise ValueError("tau must be > 1")
+    if not 1 < tau <= TAU_MAX:
+        raise ValueError(f"tau must lie in (1, {TAU_MAX:g}]")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     e = np.eye(f, dtype=complex)

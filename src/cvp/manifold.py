@@ -24,10 +24,12 @@ causal relation of two points.
 
 Both kernels are bilinear forms in lifted point features: the zonal D is
 a quadratic alpha c^2 + beta c + gamma in c, so in x (x) x, x and 1, and on
-the flag D(x, y) = Re <X (x) X, T(Y)> with X = (1+tau) uu* + (1-tau) vv*
-and T(Y)_abcd = Y_bc Y_da - Y_ba Y_dc / 2.  The annealer's engine
-(``optimize._Engine``) evaluates its rows that way; ``kernel_cross`` stays
-the reference evaluation.
+the flag D(x, y) = (xi (x) xi) . C (eta (x) eta), where xi are the real
+coordinates of X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian
+basis H_k and C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2.
+The annealer's engine (``optimize._Engine``, ``optimize._flag_maps``)
+evaluates its rows that way; ``kernel_cross`` stays the reference
+evaluation.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ LIGHTLIKE_RTOL = 1e-12
 # construction.
 _FLAG_DRIFT = 1e-12
 
+# Largest coupling a model accepts.  ``zonal_d`` forms tau^2 c + 2 - tau^2,
+# whose rounding error is about eps tau^2 / 2 relative to D(x, x) = 8 tau^2:
+# near 1e-10 at tau = 1e3, while beyond 1/sqrt(eps) the 2 is lost and the
+# kernel reads 0 on the diagonal.
+TAU_MAX = 1e3
+
 
 class Causality(enum.Enum):
     TIMELIKE = "timelike"
@@ -60,6 +68,7 @@ class ManifoldModel:
 
     ``kind`` is one of ``"circle"``, ``"sphere"``, ``"flag"``; ``f`` is the
     complex dimension for the flag manifold and must be None otherwise.
+    tau must lie in [1, TAU_MAX].
     """
 
     kind: str
@@ -74,14 +83,14 @@ class ManifoldModel:
                 raise ValueError("flag manifold requires f >= 3")
             # tau = 1 is the degenerate boundary where the kernel operator
             # against the Haar measure is PSD; it stays constructible
-            if not 1 <= self.tau < math.inf:
-                raise ValueError("flag manifold requires finite tau >= 1")
             object.__setattr__(self, "f", int(self.f))
-        else:
-            if self.f is not None:
-                raise ValueError(f"f is only meaningful for the flag manifold")
-            if not 1 <= self.tau < math.inf:
-                raise ValueError("circle/sphere require finite tau >= 1")
+        elif self.f is not None:
+            raise ValueError(f"f is only meaningful for the flag manifold")
+        if not 1 <= self.tau <= TAU_MAX:
+            raise ValueError(
+                f"tau must lie in [1, {TAU_MAX:g}] (got {self.tau!r}): beyond it the "
+                "kernel's rounding error exceeds 1e-10 of its scale"
+            )
 
     @classmethod
     def circle(cls, tau: float) -> "ManifoldModel":

@@ -19,17 +19,23 @@ triggers a weight re-solve.  Cooling ends in a zero-temperature
 quench with geometrically shrinking move scale.
 
 A move of a massless point leaves the action unchanged and is always
-accepted; during cooling it only marks the point stale.  Its row of the
-Gram matrix G and its entry of g = G w are rebuilt before weight can move
-into it and before every weight re-solve; with weight 0 it meanwhile
-changes neither the action nor any weighted point's potential, nor the
-potential on the relocate move's probe grid, whose minimum is kept until
-the weights or a weighted point move.
+accepted; during cooling it only writes the point's position and marks it
+stale.  Its lifted features are written before any kernel row reads them
+(at a refresh, a consolidation row or a resync), and its row of the Gram
+matrix G and its entry of g = G w are rebuilt before weight can move into
+it and before every weight re-solve; with weight 0 it meanwhile changes
+neither the action nor any weighted point's potential, nor the potential
+on the relocate move's probe grid, whose minimum is kept until the weights
+or a weighted point move.
 
 One move engine serves all three kinds.  D is a bilinear form in lifted
 point features, so the engine keeps one feature row per support point and
 a kernel row is one matrix-vector product and a clamp; only the feature
-maps and the move proposal differ by kind.
+maps and the move proposal differ by kind.  On the flag the lift is real:
+xi, the coordinates of X = (1+tau) uu* + (1-tau) vv* in an orthonormal
+Hermitian basis, is a fixed quadratic map of the real view of (u, v), and
+D(x, y) = (xi (x) xi) . C (eta (x) eta) with a sparse C that depends only
+on f.
 
 A tau-continuation scan runs ascending and descending passes, warm-starts
 each tau from its neighbour and keeps the best of warm and cold runs, so
@@ -276,50 +282,92 @@ def _uniform_slices(rng, block):
 class _BlockedRng:
     """Pre-drawn uniform/normal blocks; one Generator call per ~16k draws.
 
-    ``uniform()`` returns the next uniform as a Python float.
+    ``uniform()`` returns the next uniform as a Python float, ``normal()``
+    the next normal, the value ``normals(1)`` would hold, as a Python float.
     """
 
-    __slots__ = ("rng", "uniform", "_n", "_in")
+    __slots__ = ("rng", "uniform", "_n", "_nl", "_in")
 
     def __init__(self, rng):
         self.rng = rng
         first = rng.random(16384)
         self.uniform = itertools.chain.from_iterable(_uniform_slices(rng, first)).__next__
         self._n = rng.standard_normal(16384)
+        self._nl = None  # the block as Python floats, made on the first normal()
+        self._in = 0
+
+    def _refill(self, k):
+        self._n = self.rng.standard_normal(max(16384, k))
+        self._nl = None
         self._in = 0
 
     def normals(self, k: int):
         if self._in + k > self._n.shape[0]:
-            self._n = self.rng.standard_normal(max(16384, k))
-            self._in = 0
+            self._refill(k)
         v = self._n[self._in : self._in + k]
         self._in += k
+        return v
+
+    def normal(self) -> float:
+        if self._in >= self._n.shape[0]:
+            self._refill(1)
+        if self._nl is None:
+            self._nl = self._n.tolist()
+        v = self._nl[self._in]
+        self._in += 1
         return v
 
 
 def _zonal_features(e, a, a2, b, c):
     """(a e_k^2, a2 e_k e_l for k < l, b e_k, c) from a unit 3-vector e of
     Python floats: with (a, a2, b, c) = (1, 1, 1, 1) the stored features,
-    with (alpha, 2 alpha, beta, gamma) the query of D = alpha c^2 + beta c + gamma."""
+    with (alpha, 2 alpha, beta, gamma) the query of D = alpha c^2 + beta c +
+    gamma.  For a batch, e is three coordinate arrays and c an array."""
     x, y, z = e
     return [a * x * x, a * y * y, a * z * z, a2 * x * y, a2 * x * z, a2 * y * z,
             b * x, b * y, b * z, c]
 
 
-def _flag_outer(x, s):
-    """X (x) X as an (f^2, f^2) matrix, X = (1+tau) u u* + (1-tau) v v*,
-    s = ((1+tau), (1-tau)) as a column."""
-    X = (x.T @ (s * x.conj())).ravel()
-    return np.multiply.outer(X, X)
+def _flag_maps(f, tau):
+    """(A, C) of the real flag lift, D(x, y) = (xi (x) xi) . C (eta (x) eta).
 
-
-def _flag_store(O):
-    """conj T(Y) as real pairs, T(Y)_abcd = Y_bc Y_da - Y_ba Y_dc / 2, from
-    O = Y (x) Y; Re <X (x) X, T(Y)> = Tr((XY)^2) - Tr(XY)^2 / 2 = D(x, y)."""
-    f = math.isqrt(len(O))
-    O = O.reshape(f, f, f, f)  # O[a, b, c, d] = Y_ab Y_cd
-    T = O.transpose(3, 0, 1, 2) - 0.5 * O.transpose(1, 0, 3, 2)
-    return np.conj(T).ravel().view(float)
+    H_k, k = a f + b, is the orthonormal Hermitian basis E_aa,
+    (E_ab + E_ba)/sqrt2 (a < b) and i (E_ba - E_ab)/sqrt2 (a > b), so that
+    Re tr(H_k H_l) = delta_kl and X = (1+tau) uu* + (1-tau) vv* = sum_k xi_k H_k
+    with xi_k = Re tr(H_k X).  xi_k = r . A_k r on the real view r of
+    (u, v), since u* H u is the real form Re H (x) I_2 + Im H (x) J on
+    interleaved (Re, Im) pairs.  Tr((XY)^2) - Tr(XY)^2 / 2 then has the
+    coefficients C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2,
+    which cyclicity and Hermiticity make symmetric in k <-> l, in m <-> n and
+    in (kl) <-> (mn).  Each H_k has at most two nonzeros, so the trace is
+    summed over the closed chains (a, b)(b, c)(c, d)(d, a) of matrix units,
+    16 f^4 products, with the diagonal unit split into two halves so that
+    every position carries two units; pairs of consecutive units are formed
+    first.
+    """
+    K, s = f * f, math.sqrt(0.5)
+    a, b = np.indices((f, f))
+    lo, hi, diag = np.minimum(a, b), np.maximum(a, b), a == b
+    k = np.stack([lo * f + hi, hi * f + lo], -1)  # the two units at (a, b)
+    h = np.stack([np.where(diag, 0.5, s), np.where(diag, 0.5, 1j * s * np.sign(b - a))], -1)
+    H = np.zeros((K, f, f), dtype=complex)
+    H[k[..., 0], a, b] = h[..., 0]
+    H[k[..., 1], a, b] += h[..., 1]
+    blk = np.multiply.outer(H.real, np.eye(2)) + np.multiply.outer(H.imag, [[0.0, -1.0], [1.0, 0.0]])
+    blk = blk.transpose(0, 1, 3, 2, 4).reshape(K, 2 * f, 2 * f)
+    A = np.zeros((K, 2, 2 * f, 2, 2 * f))
+    A[:, 0, :, 0] = (1.0 + tau) * blk
+    A[:, 1, :, 1] = (1.0 - tau) * blk
+    # the pairs H_k at (a, b), H_m at (b, c) on axes (a, c, b, t1, t2), with
+    # index part k K^3 + m K; the chain closes with the pair H_l at (c, d),
+    # H_n at (d, a), whose index part l K^2 + n is the pair (c, a)'s over K
+    kp = (k[:, None, :, :, None] * K**3 + k.transpose(1, 0, 2)[None, :, :, None, :] * K).reshape(f, f, -1)
+    hp = (h[:, None, :, :, None] * h.transpose(1, 0, 2)[None, :, :, None, :]).reshape(f, f, -1)
+    idx = kp[:, :, :, None] + (kp.transpose(1, 0, 2) // K)[:, :, None, :]
+    val = (hp[:, :, :, None] * hp.transpose(1, 0, 2)[:, :, None, :]).real
+    C = np.bincount(idx.ravel(), val.ravel(), K**4).reshape(K * K, K * K)
+    C.flat[:: K * K + 1] -= 0.5
+    return A.reshape(K, -1), C
 
 
 class _Engine:
@@ -328,71 +376,130 @@ class _Engine:
     D is a bilinear form in lifted point features, D(x, y) = q(x) . F(y).
     ``F`` holds the stored features of every point, so a kernel row is
     max(0, F q(x)), and the potential on the relocate move's probe grid is
-    max(0, Q F^T) w with the probe queries Q built once per engine.  On the
-    circle and the sphere D is quadratic in c = <x, y>, with coefficients
-    read off ``zonal_d`` at c = -1, 0, 1; on the flag the features are
-    X (x) X and T(Y) (``_flag_store``).  Only the feature maps and
+    max(0, Q F^T) w with the probe queries Q built once per engine, in one
+    batched lift.  On the circle and the sphere D is quadratic in c = <x, y>,
+    with coefficients read off ``zonal_d`` at c = -1, 0, 1.  On the flag the
+    query is xi (x) xi, f^4 reals, with xi the real coordinates of X in an
+    orthonormal Hermitian basis, and the stored feature is C (eta (x) eta)
+    (``_flag_maps``); a row contracts each stored feature, read as an
+    f^2 x f^2 matrix M(y), with xi on both sides, xi . M(y) xi, so the
+    query's outer product is never formed.  Only the feature maps and
     ``jitter_at`` depend on the kind; ``kernel_cross`` stays the reference
     evaluation, from which the rows differ at rounding level.
+
     ``pts`` keeps the points in their input/output form (angles on the
-    circle).  ``l_row`` returns an internal buffer that is invalidated by
-    the next call; the annealer copies it into the Gram matrix on acceptance.
+    circle).  ``defer_point`` moves a point without writing its features,
+    which the annealer does for massless points; ``sync`` writes the
+    deferred features and must run before a row reads them.  ``l_row``
+    returns an internal buffer that is invalidated by the next call; the
+    annealer copies it into the Gram matrix on acceptance.
     """
 
     def __init__(self, model, pts):
         self.model = model
+        m = len(pts)
+        self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
+        self._row = np.empty(m)
         if model.kind == "flag":
-            s = np.array([[1.0 + model.tau], [1.0 - model.tau]])
-            self.pts = np.array(pts, copy=True)
-            self._lift = lambda x: _flag_outer(x, s)
-            self._query = lambda O: O.ravel().view(float)
-            self._store = _flag_store
+            A, C = _flag_maps(model.f, model.tau)
+            K = A.shape[0]
+            self.pts = np.array(pts, dtype=complex, copy=True)
+            A3, C3 = A.reshape(-1, 4 * model.f), C.reshape(-1, K)
+
+            def lift(x):  # xi_k = r . A_k r
+                r = x.reshape(-1).view(float)
+                return A3.dot(r).reshape(K, -1).dot(r)
+
+            self._lift = lift
+            self._store = lambda xi: C3.dot(xi).reshape(-1, K).dot(xi)
+
+            def lift_all(xs):  # xi (x) xi of a batch
+                r = xs.reshape(len(xs), -1).view(float)
+                xi = np.einsum("nkj,nj->nk", (r @ A3.T).reshape(len(xs), K, -1), r)
+                return (xi[:, :, None] * xi[:, None, :]).reshape(len(xs), -1)
+
+            self._stored = lambda xs: lift_all(xs) @ C
+            self._q_probe = lift_all(self.probe)
+            self.F = self._stored(self.pts)
+            # row_j = xi . M_j xi with M_j the stored feature as a K x K matrix
+            F3 = self.F.reshape(-1, K)
+            self._row_of = lambda xi: F3.dot(xi).reshape(m, K).dot(xi, out=self._row)
         else:
             self.pts = np.array(pts, dtype=float, copy=True)
             dm, d0, dp = zonal_d(model.tau, np.array([-1.0, 0.0, 1.0])).tolist()
             a, b, c = 0.5 * (dp + dm) - d0, 0.5 * (dp - dm), d0
+            query, ones = (a, 2.0 * a, b, c), (1.0, 1.0, 1.0, 1.0)
             if model.kind == "circle":  # a great circle of the sphere
                 self._lift = lambda t: (math.cos(t), math.sin(t), 0.0)
+                coords = lambda xs: np.array([self._lift(t) for t in xs.tolist()]).T
             else:
-                self._lift = np.ndarray.tolist
-            self._query = lambda e: np.array(_zonal_features(e, a, 2.0 * a, b, c))
-            self._store = lambda e: _zonal_features(e, 1.0, 1.0, 1.0, 1.0)
-        self.F = np.array([self._store(self._lift(x)) for x in self.pts])
-        self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
-        self._q_probe = np.array([self._query(self._lift(x)) for x in self.probe])
-        self._row = np.empty(len(self.pts))
+                self._lift = lambda e: e if type(e) is tuple else e.tolist()
+                coords = np.transpose
+
+            def lift_all(xs, a, a2, b, c):  # one feature row per point of a batch
+                return np.stack(_zonal_features(coords(xs), a, a2, b, np.full(len(xs), c)), 1)
+
+            self._store = lambda e: _zonal_features(e, *ones)
+            self._stored = lambda xs: lift_all(xs, *ones)
+            self._q_probe = lift_all(self.probe, *query)
+            self.F = self._stored(self.pts)
+            q = np.empty(10)
+
+            def row_of(e):
+                q[:] = _zonal_features(e, *query)
+                return self.F.dot(q, out=self._row)
+
+            self._row_of = row_of
+        self._deferred = set()
+        self._zero = np.zeros(m)
         self._last = (None, None)
 
     def l_row(self, x):
         p = self._lift(x)
         self._last = (x, p)
-        row = self.F.dot(self._query(p), out=self._row)
-        return np.maximum(0.0, row, out=row)
+        row = self._row_of(p)
+        return np.maximum(self._zero, row, out=row)
 
     def set_point(self, i, x):
         self.pts[i] = x
         last, p = self._last
         self.F[i] = self._store(p if last is x else self._lift(x))
 
+    def defer_point(self, i, x):
+        self.pts[i] = x
+        self._deferred.add(i)
+
+    def sync(self):
+        for i in self._deferred:
+            self.F[i] = self._store(self._lift(self.pts[i]))
+        self._deferred.clear()
+
     def jitter_at(self, x, scale, rand):
         if self.model.kind == "circle":
             # Python floats: the same doubles and remainder as np.float64
-            return (float(x) + scale * rand.normals(1).item(0)) % (2.0 * math.pi)
+            return (float(x) + scale * rand.normal()) % (2.0 * math.pi)
         if self.model.kind == "sphere":
-            v = x + scale * rand.normals(3)
-            return v / math.sqrt(v @ v)
-        # x + scale * (n_re + i n_im) on real and imaginary parts (normals
-        # come as Re u, Im u, Re v, Im v); norms as np.linalg.norm takes them
-        f = self.model.f
-        out = np.empty((2, f), dtype=complex)
-        parts = out.view(float).reshape(2, f, 2).transpose(0, 2, 1)
-        np.multiply(rand.normals(4 * f).reshape(2, 2, f), scale, out=parts)
-        parts += x.view(float).reshape(2, f, 2).transpose(0, 2, 1)
-        u, v = out
-        u /= math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
-        v -= np.vdot(u, v) * u
-        v /= math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-        return out
+            x0, x1, x2 = x.tolist()
+            n0, n1, n2 = rand.normals(3).tolist()
+            v0, v1, v2 = x0 + scale * n0, x1 + scale * n1, x2 + scale * n2
+            r = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+            return (v0 / r, v1 / r, v2 / r)
+        # x + scale * n with the normals read as interleaved (Re, Im) pairs of
+        # u, then of v; Gram-Schmidt with np.vdot, which projects twice when
+        # the first projection removes more than half of |v|^2, so that
+        # <u, v> stays at rounding level (Parlett's criterion)
+        y = rand.normals(4 * self.model.f).view(complex).reshape(2, -1) * scale
+        y += x
+        u, v = y[0], y[1]
+        u *= 1.0 / math.sqrt(np.vdot(u, u).real)
+        c = np.vdot(u, v)
+        v -= c * u
+        vv = np.vdot(v, v).real
+        if abs(c) ** 2 > vv:
+            v -= np.vdot(u, v) * u
+            vv = np.vdot(v, v).real
+        v *= 1.0 / math.sqrt(vv)
+        return y
 
     def ell_on_probe(self, w):
         d = self._q_probe @ self.F.T
@@ -471,12 +578,13 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
         return probe_k
 
     def refresh(idx):
+        eng.sync()
         for k in idx:
             row = eng.l_row(eng.pts[k])
             row[k] = diag_l0
             G[k, :] = row
             G[:, k] = row
-            g[k] = float(row @ w)
+            g[k] = float(row.dot(w))
         stale.difference_update(idx)
 
     def resolve():
@@ -519,7 +627,11 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     delta = rand.uniform() * wi
                 else:
                     # G[i] is out of date in the columns of stale points
-                    row = eng.l_row(eng.pts[i]) if stale else G[i]
+                    if stale:
+                        eng.sync()
+                        row = eng.l_row(eng.pts[i])
+                    else:
+                        row = G[i]
                     gii = row[i]
                     row[i] = -math.inf  # argmax over j != i, then restored
                     j = int(row.argmax())
@@ -551,15 +663,15 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                     x_new = eng.jitter_at(eng.pts[i], jit_scale, rand)
                 wi = w.item(i)
                 if wi == 0.0:
-                    # dS = 0: accepted, and refresh builds the row when needed
-                    eng.set_point(i, x_new)
+                    # dS = 0: accepted; refresh writes its features and row when needed
+                    eng.defer_point(i, x_new)
                     stale.add(i)
                     since_resolve += 1
                     since_resync += 1
                 else:
                     row = eng.l_row(x_new)
                     row[i] = diag_l0
-                    ell = float(row @ w)
+                    ell = float(row.dot(w))
                     dS = 2.0 * wi * (ell - g.item(i))
                     if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
                         _move_point(eng, G, g, w, i, x_new, row, ell)
@@ -574,6 +686,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                 best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
             if since_resync >= _RESYNC_EVERY:
                 since_resync = 0
+                eng.sync()
                 G = lagrangian_matrix(model, eng.pts)
                 g = G @ w
                 S = float(w @ g)
@@ -603,7 +716,7 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                 x_new = eng.jitter_at(eng.probe[probe_argmin()], qscale, rand)
             row = eng.l_row(x_new)
             row[i] = diag_l0
-            ell_new = float(row @ w)
+            ell_new = float(row.dot(w))
             wi, gi = w.item(i), g.item(i)
             dS = 2.0 * wi * (ell_new - gi)
             # relocating a massless point leaves S unchanged; taking it down

@@ -41,6 +41,10 @@ E1 = np.array([1.0, 0.0, 0.0])
 
 
 class TestCertify:
+    def test_empty_test_grid_rejected(self):
+        with pytest.raises(ValueError, match="test_grid_size must be >= 1"):
+            certify(ManifoldModel.sphere(1.2), octahedron(), test_grid_size=0)
+
     def test_octahedron_timelike_phase(self):
         model = ManifoldModel.sphere(1.2)
         rep = certify(model, octahedron())

@@ -14,6 +14,52 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_rejected(code, out, err, message):
+    """Exit code 2 with the message on stderr, no output and no traceback."""
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("tau", ["1e10", "1e160"])
+    def test_large_tau_exit_2(self, capsys, tau):
+        # beyond tau ~ 1e8 zonal_d loses the 2 in tau^2 c + 2 - tau^2 and the
+        # action read 0.0; at 1e160 kernel_scale overflowed with a traceback
+        code, out, err = run(
+            capsys, "minimize", "--manifold", "circle", "--tau", tau, "--m", "3",
+            "--restarts", "1", "--cooling", "0.5", "--steps-per-temp", "2",
+        )
+        assert_rejected(code, out, err, "tau must lie in [1, 1000]")
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--tau", "1e160"],
+        ["exact", "chain", "--tau", "1e160"],
+        ["flag-check", "--f", "3", "--tau", "1e160", "--eps", "0.01"],
+        ["minimize", "--manifold", "flag", "--f", "3", "--tau", "1e10", "--m", "3"],
+    ], ids=["bounds", "chain", "flag-check", "flag-minimize"])
+    def test_large_tau_exit_2_everywhere(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert_rejected(code, out, err, "tau must lie in")
+
+    def test_tau_at_the_cap_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "minimize", "--manifold", "circle", "--tau", "1000", "--m", "3",
+            "--restarts", "1", "--cooling", "0.5", "--steps-per-temp", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["certificate"]["action"] > 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3"],
+        ["exact", "chain", "--tau", "3"],
+    ], ids=["minimize", "exact"])
+    def test_empty_test_grid_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--test-grid", "0")
+        assert_rejected(code, out, err, "--test-grid must be >= 1")
+
+
 class TestMinimize:
     def test_circle_minimize(self, capsys, tmp_path):
         mfile = tmp_path / "measure.json"
@@ -180,14 +226,14 @@ class TestScan:
         assert lines[0] == "tau,m,action,support_size,classification,el_residual"
         assert len(lines) == 4
 
-    def test_empty_grid_header_only(self, capsys):
-        code, out, _ = run(
+    @pytest.mark.parametrize("lo, hi", [("2.0", "1.0"), ("1.7", "1.6")])
+    def test_empty_grid_exit_2(self, capsys, lo, hi):
+        code, out, err = run(
             capsys,
-            "scan", "--manifold", "circle", "--tau-min", "2.0", "--tau-max", "1.0",
+            "scan", "--manifold", "circle", "--tau-min", lo, "--tau-max", hi,
             "--tau-step", "0.02", "--m", "4",
         )
-        assert code == 0
-        assert out.strip() == "tau,m,action,support_size,classification,el_residual"
+        assert_rejected(code, out, err, "the tau grid is empty")
 
 
 class TestExact:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from cvp import (
     theta_max,
 )
 from cvp.manifold import (
+    TAU_MAX,
     _flag_products,
     _flag_traces,
     _haar_flag_pairs,
     kernel_cross,
     kernel_matrix,
     validate_points,
+    zonal_d,
 )
 
 from conftest import dense_flag_kernel
@@ -39,6 +43,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ManifoldModel.flag(3, 0.9)
         assert ManifoldModel.flag(3, 1.0).f == 3
+
+    @pytest.mark.parametrize("kind, f", [("circle", None), ("sphere", None), ("flag", 3)])
+    def test_tau_capped(self, kind, f):
+        # zonal_d's diagonal 8 tau^2 keeps a relative error near eps tau^2 / 2
+        assert ManifoldModel(kind, TAU_MAX, f).tau == TAU_MAX
+        for tau in (1.0001 * TAU_MAX, 1e10, 1e160, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must lie in"):
+                ManifoldModel(kind, tau, f)
+        diag = zonal_d(TAU_MAX, np.array([1.0]))[0]
+        assert abs(diag - 8.0 * TAU_MAX**2) <= 1e-10 * 8.0 * TAU_MAX**2
 
     def test_f_rejected_off_flag(self):
         with pytest.raises(ValueError):

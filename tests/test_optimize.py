@@ -316,23 +316,29 @@ class TestEngines:
                                 lambda e, a, a2, b, c: features(e, a, a, b, c))
         else:
             model = ManifoldModel.flag(3, 2.0)
+            flag_maps = optimize._flag_maps
 
-            def store(O):
-                f = model.f
-                Y = O.reshape(f, f, f, f)  # Y[a, b, c, d] = Y_ab Y_cd
-                if mutation == "drop-half":  # Y_bc Y_da - Y_ba Y_dc
-                    T = Y.transpose(3, 0, 1, 2) - Y.transpose(1, 0, 3, 2)
-                else:  # Y_cb Y_da - Y_ba Y_dc / 2
-                    T = Y.transpose(3, 1, 0, 2) - 0.5 * Y.transpose(1, 0, 3, 2)
-                return np.conj(T).ravel().view(float)
+            def mutated(f, tau):
+                A, C = flag_maps(f, tau)
+                K = f * f
+                half = 0.5 * np.einsum("km,ln->klmn", np.eye(K), np.eye(K)).reshape(K * K, K * K)
+                if mutation == "drop-half":  # Re tr(H_k H_m H_l H_n)
+                    return A, C + half
+                # Re tr(H_k H_l H_m H_n) - delta_km delta_ln / 2: H_m and H_l swapped
+                trace = (C + half).reshape(K, K, K, K).transpose(0, 2, 1, 3)
+                return A, trace.reshape(K * K, K * K) - half
 
-            monkeypatch.setattr(optimize, "_flag_store", store)
+            monkeypatch.setattr(optimize, "_flag_maps", mutated)
         with pytest.raises(AssertionError):
             assert_rows_match_oracles(model, *oracle_points(model))
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_flag_jitter_is_exact(self, f):
-        # the proposal equals the complex-arithmetic form with np.linalg.norm
+        # the proposal against complex arithmetic with np.linalg.norm on the
+        # same draws, read as interleaved (Re, Im) pairs of u, then of v, with
+        # the second projection when the first removes over half of |v|^2;
+        # the two normalize differently (np.vdot and a reciprocal against
+        # np.linalg.norm and a division), so they agree to 4e-16, not bitwise
         model = ManifoldModel.flag(f, 2.0)
         eng = _make_engine(model, sample_uniform(model, 4, seed=3))
         mine = optimize._BlockedRng(np.random.default_rng(1))
@@ -341,13 +347,34 @@ class TestEngines:
         for k in range(600):
             scale = 10.0 ** -(k % 11)
             n = ref.normals(4 * f)
-            u = x[0] + scale * (n[:f] + 1j * n[f : 2 * f])
-            v = x[1] + scale * (n[2 * f : 3 * f] + 1j * n[3 * f :])
+            u = x[0] + scale * (n[0 : 2 * f : 2] + 1j * n[1 : 2 * f : 2])
+            v = x[1] + scale * (n[2 * f :: 2] + 1j * n[2 * f + 1 :: 2])
             u = u / np.linalg.norm(u)
-            v = v - np.vdot(u, v) * u
+            c = np.vdot(u, v)
+            v = v - c * u
+            if abs(c) > np.linalg.norm(v):
+                v = v - np.vdot(u, v) * u
             v = v / np.linalg.norm(v)
             x = eng.jitter_at(x, scale, mine)
-            assert np.array_equal(x, np.stack([u, v]))
+            assert np.max(np.abs(x - np.stack([u, v]))) <= 4e-16
+            assert abs(np.linalg.norm(x[0]) - 1.0) <= 1e-15
+            assert abs(np.linalg.norm(x[1]) - 1.0) <= 1e-15
+            assert abs(np.vdot(x[0], x[1])) <= 1e-15
+
+    def test_sphere_jitter_is_the_normalized_step(self):
+        # the Python-float proposal against v / np.linalg.norm(v) on the same
+        # draws, to 2 ulp of each coordinate
+        model = ManifoldModel.sphere(1.2)
+        eng = _make_engine(model, sample_uniform(model, 4, seed=3))
+        mine = optimize._BlockedRng(np.random.default_rng(2))
+        ref = optimize._BlockedRng(np.random.default_rng(2))
+        x = eng.pts[0]
+        for k in range(600):
+            scale = 10.0 ** -(k % 11)
+            v = x + scale * ref.normals(3)
+            expected = v / np.linalg.norm(v)
+            x = np.array(eng.jitter_at(x, scale, mine))
+            assert np.all(np.abs(x - expected) <= 2.0 * np.spacing(np.abs(expected)))
 
 
 class TestBlockedRng:
@@ -366,6 +393,55 @@ class TestBlockedRng:
         assert np.array_equal(rand.normals(2), n1[:2])
         assert [rand.uniform() for _ in range(16383)] == u1[1:].tolist()
 
+    def test_normal_is_normals_one(self):
+        # normal() reads the normals stream as Python floats, in turn with
+        # normals(k) and across block refills
+        rand = optimize._BlockedRng(np.random.default_rng(9))
+        ref = optimize._BlockedRng(np.random.default_rng(9))
+        for k in range(40000):
+            if k % 7 == 3:
+                assert np.array_equal(rand.normals(5), ref.normals(5))
+            else:
+                v = rand.normal()
+                assert type(v) is float and v == ref.normals(1).item(0)
+
+
+def watch_engines(model, monkeypatch):
+    """Capture the annealer's engines and check, at every weight solve, that
+    its Gram is the Lagrangian matrix of the engine's points, and, at every
+    weight solve and every kernel row of a support point (refresh and
+    consolidation), that its stored features are the lift of its points.
+    Returns [worst Gram error]."""
+    engines, worst = [], [0.0]
+    make_engine, simplex_qp = optimize._make_engine, optimize._simplex_qp
+    tol = 1e-12 * model.kernel_scale
+
+    def assert_fresh(eng):
+        assert np.max(np.abs(eng.F - eng._stored(eng.pts))) <= tol
+
+    def capture(model_, pts):
+        eng = make_engine(model_, pts)
+        l_row = eng.l_row
+
+        def checked_row(x):
+            if any(np.array_equal(x, p) for p in eng.pts):
+                assert_fresh(eng)
+            return l_row(x)
+
+        eng.l_row = checked_row
+        engines.append(eng)
+        return eng
+
+    def checked(G, warm_free=None):
+        exact = lagrangian_matrix(model, engines[-1].pts)
+        worst[0] = max(worst[0], float(np.max(np.abs(G - exact))))
+        assert_fresh(engines[-1])
+        return simplex_qp(G, warm_free)
+
+    monkeypatch.setattr(optimize, "_make_engine", capture)
+    monkeypatch.setattr(optimize, "_simplex_qp", checked)
+    return worst
+
 
 class TestLazyRows:
     @pytest.mark.parametrize(
@@ -379,25 +455,21 @@ class TestLazyRows:
         ids=["circle-3.0", "sphere-1.2", "flag-3-2.0", "circle-1.7"],
     )
     def test_every_weight_solve_sees_the_exact_gram(self, model, m, monkeypatch):
-        # massless points defer their Gram rows; each weight solve must still
-        # see the Lagrangian matrix of the engine's current points
-        engines, worst = [], [0.0]
-        make_engine, simplex_qp = optimize._make_engine, optimize._simplex_qp
-
-        def capture(model_, pts):
-            engines.append(make_engine(model_, pts))
-            return engines[-1]
-
-        def checked(G, warm_free=None):
-            exact = lagrangian_matrix(model, engines[-1].pts)
-            worst[0] = max(worst[0], float(np.max(np.abs(G - exact))))
-            return simplex_qp(G, warm_free)
-
-        monkeypatch.setattr(optimize, "_make_engine", capture)
-        monkeypatch.setattr(optimize, "_simplex_qp", checked)
+        # massless points defer their features and Gram rows; each weight
+        # solve must still see the Lagrangian matrix of the engine's current
+        # points, and every row read must see their current features
+        worst = watch_engines(model, monkeypatch)
         anneal(model, m, light(model))
-        assert engines
         assert worst[0] <= 1e-12 * model.kernel_scale
+
+    def test_deferred_features_unwritten_fail_the_check(self, monkeypatch):
+        # without the write before read, a row or a weight solve sees the
+        # features of a massless point's old position
+        model = ManifoldModel.flag(3, 2.0)
+        watch_engines(model, monkeypatch)
+        monkeypatch.setattr(optimize._Engine, "sync", lambda self: None)
+        with pytest.raises(AssertionError):
+            anneal(model, 16, light(model))
 
 
 class TestAnneal:
