@@ -284,21 +284,23 @@ class _BlockedRng:
 
     ``uniform()`` returns the next uniform as a Python float, ``normal()``
     the next normal, the value ``normals(1)`` would hold, as a Python float.
+    Both convert 1024 draws at a time, which keeps the Python floats small
+    next to the block.
     """
 
-    __slots__ = ("rng", "uniform", "_n", "_nl", "_in")
+    __slots__ = ("rng", "uniform", "_n", "_nl", "_nl_at", "_in")
 
     def __init__(self, rng):
         self.rng = rng
         first = rng.random(16384)
         self.uniform = itertools.chain.from_iterable(_uniform_slices(rng, first)).__next__
         self._n = rng.standard_normal(16384)
-        self._nl = None  # the block as Python floats, made on the first normal()
+        self._nl, self._nl_at = [], 0  # _n[_nl_at : _nl_at + 1024] as Python floats
         self._in = 0
 
     def _refill(self, k):
         self._n = self.rng.standard_normal(max(16384, k))
-        self._nl = None
+        self._nl = []
         self._in = 0
 
     def normals(self, k: int):
@@ -311,11 +313,12 @@ class _BlockedRng:
     def normal(self) -> float:
         if self._in >= self._n.shape[0]:
             self._refill(1)
-        if self._nl is None:
-            self._nl = self._n.tolist()
-        v = self._nl[self._in]
-        self._in += 1
-        return v
+        i = self._in
+        j = i - self._nl_at
+        if not 0 <= j < len(self._nl):
+            self._nl, self._nl_at, j = self._n[i : i + 1024].tolist(), i, 0
+        self._in = i + 1
+        return self._nl[j]
 
 
 def _zonal_features(e, a, a2, b, c):
