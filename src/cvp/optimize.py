@@ -407,14 +407,19 @@ class _Engine:
             A, C = _flag_maps(model.f, model.tau)
             K = A.shape[0]
             self.pts = np.array(pts, dtype=complex, copy=True)
-            A3, C3 = A.reshape(-1, 4 * model.f), C.reshape(-1, K)
+            A3 = A.reshape(-1, 4 * model.f)
+            # C has about 16 f^4 nonzeros of f^8, so one point's feature is a
+            # sparse product; a batch goes through the dense matmul
+            rows, cols = C.nonzero()
+            vals = C[rows, cols]
 
             def lift(x):  # xi_k = r . A_k r
                 r = x.reshape(-1).view(float)
                 return A3.dot(r).reshape(K, -1).dot(r)
 
             self._lift = lift
-            self._store = lambda xi: C3.dot(xi).reshape(-1, K).dot(xi)
+            self._store = lambda xi: np.bincount(
+                rows, vals * np.multiply.outer(xi, xi).reshape(-1)[cols], K * K)
 
             def lift_all(xs):  # xi (x) xi of a batch
                 r = xs.reshape(len(xs), -1).view(float)
