@@ -25,7 +25,6 @@ import numpy as np
 from .manifold import (
     ManifoldModel,
     _flag_kernel_parts,
-    _haar_flag_pairs,
     kernel_cross,
     kernel_matrix,
     lagrangian_matrix,
@@ -304,10 +303,12 @@ def _calibrated_heat_bound(
     K(theta_max) = 0, with S_K = lambda (1 - delta).
 
     ``h1`` and ``h2`` hold (h(0), h(theta_max), h on the check grid) of the
-    two heat kernels and ``lvals`` holds L on that grid.  ``dominated`` is
-    K <= L on the grid (tolerance 1e-9) with 0 < delta < 1 and
-    0 < lambda < inf; a singular calibration gives lambda = inf.  Returns
-    None, without the grid test, when S_K <= ``floor``.
+    two heat kernels and ``lvals`` holds L + 1e-9 on that grid, the
+    tolerance added once by the caller rather than once per pair.
+    ``dominated`` is K <= L on the grid (tolerance 1e-9), i.e.
+    K <= ``lvals``, with 0 < delta < 1 and 0 < lambda < inf; a singular
+    calibration gives lambda = inf.  Returns None, without the grid test,
+    when S_K <= ``floor``.
     """
     (h10, h1m, prof1), (h20, h2m, prof2) = h1, h2
     delta = h1m / h2m
@@ -318,7 +319,7 @@ def _calibrated_heat_bound(
         return None
     kvals = lam * (prof1 - delta * prof2)
     dominated = bool(
-        np.all(kvals <= lvals + 1e-9) and 0.0 < delta < 1.0 and 0.0 < lam < math.inf
+        np.all(kvals <= lvals) and 0.0 < delta < 1.0 and 0.0 < lam < math.inf
     )
     return HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
 
@@ -365,7 +366,7 @@ def heat_kernel_bound(
     theta = np.linspace(0.0, np.pi, check_grid)
     heat = _heat_values((t1, t2), theta_max(model), theta)
     return _calibrated_heat_bound(
-        model, t1, t2, heat[t1], heat[t2], lagrangian_profile(model, theta)
+        model, t1, t2, heat[t1], heat[t2], lagrangian_profile(model, theta) + 1e-9
     )
 
 
@@ -384,7 +385,7 @@ def optimize_heat_params(
     if not t_grid:
         return None
     theta = np.linspace(0.0, np.pi, check_grid)
-    lvals = lagrangian_profile(model, theta)
+    lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
     heat = _heat_values(t_grid, theta_max(model), theta)
     best: HeatKernelBound | None = None
     for i, t1 in enumerate(t_grid):
@@ -468,10 +469,17 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     seed; the standard error comes from the sample variance.
 
     The samples are drawn in blocks of ``_MC_BLOCK`` = 8192 (the last one
-    shorter), each one ``_haar_flag_pairs`` call on the same generator, in
-    order, and written into one array of n values; the working set is one
-    block plus 8 bytes per sample.  For n <= 8192 that is one call, the
-    same stream as drawing all samples at once.
+    shorter), each block one ``standard_normal((4, k, f))`` draw on the same
+    generator, in order, read as Re u, Im u, Re v, Im v: the stream that
+    ``_haar_flag_pairs`` reads with its four (k, f) draws.  Only the four
+    coordinates above are formed.  |u|^2, |v|^2 and <u, v> are summed
+    column by column on (k,) views; then u_1, u_2 = u_j / |u| and, with
+    v_perp = v - (<u, v> / |u|^2) u and |v_perp|^2 = |v|^2 - |<u, v>|^2 / |u|^2,
+    v_1, v_2 = (v_perp)_j / |v_perp|.  This is Gram-Schmidt as in
+    ``_haar_flag_pairs`` in real arithmetic, so a sample agrees with
+    ``kernel_cross`` at x0 on that pair to rounding, not bit for bit.  The
+    values are written into one array of n values; the working set is one
+    block plus 8 bytes per sample.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
@@ -480,10 +488,26 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     rng = np.random.Generator(np.random.Philox(key=seed))
     vals = np.empty(n)
     for lo in range(0, n, _MC_BLOCK):
-        u, v = _haar_flag_pairs(rng, min(_MC_BLOCK, n - lo), model.f)
-        vals[lo : lo + len(u)] = _flag_kernel_parts(
-            np.stack((u[:, 0], v[:, 1], v[:, 0], u[:, 1])), model.tau
-        )
+        k = min(_MC_BLOCK, n - lo)
+        ur, ui, vr, vi = rng.standard_normal((4, k, model.f))
+        uu, vv, sr, si = np.zeros((4, k))  # |u|^2, |v|^2, Re <u, v>, Im <u, v>
+        for j in range(model.f):
+            a, b, c, d = ur[:, j], ui[:, j], vr[:, j], vi[:, j]
+            uu += a * a + b * b
+            vv += c * c + d * d
+            sr += a * c + b * d
+            si += a * d - b * c
+        cr, ci = sr / uu, si / uu  # <u, v> / |u|^2
+        nu = np.sqrt(uu)
+        nv = np.sqrt(vv - (sr * cr + si * ci))
+        X = np.empty((4, k), dtype=complex)  # u_1, v_2, v_1, u_2 as in _flag_traces
+        for row, j in ((0, 0), (3, 1)):
+            X.real[row] = ur[:, j] / nu
+            X.imag[row] = ui[:, j] / nu
+        for row, j in ((2, 0), (1, 1)):
+            X.real[row] = (vr[:, j] - (cr * ur[:, j] - ci * ui[:, j])) / nv
+            X.imag[row] = (vi[:, j] - (cr * ui[:, j] + ci * ur[:, j])) / nv
+        vals[lo : lo + k] = _flag_kernel_parts(X, model.tau)
     return MonteCarloEstimate(
         float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
     )

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import analysis, exact, measure as measure_mod, optimize
-from .manifold import ManifoldModel
+from .manifold import TAU_MAX, ManifoldModel
 from .measure import action, density_action, measure_to_dict
 from .optimize import AnnealSchedule
+
+SCAN_MAX_ROWS = 10_000  # most rows `cvp scan` runs; each row is a few anneals
 
 
 def _dump(obj) -> str:
@@ -114,14 +117,29 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_scan(args) -> int:
-    if args.tau_step <= 0:
+def _scan_grid(tau_min: float, tau_max: float, tau_step: float) -> list:
+    """tau_min, tau_min + step, ... up to tau_max; the row count is checked
+    against SCAN_MAX_ROWS before the grid is built."""
+    if not all(math.isfinite(t) for t in (tau_min, tau_max, tau_step)):
+        raise ValueError("--tau-min, --tau-max and --tau-step must be finite")
+    if tau_step <= 0:
         raise ValueError("--tau-step must be positive")
-    n = int(np.floor((args.tau_max - args.tau_min) / args.tau_step + 1e-9)) + 1
-    grid = [args.tau_min + i * args.tau_step for i in range(max(n, 0))]
-    grid = [t for t in grid if t <= args.tau_max + 1e-12]
-    if not grid:
+    if tau_min > tau_max:
         raise ValueError("the tau grid is empty: --tau-min must not exceed --tau-max")
+    if not (1.0 <= tau_min and tau_max <= TAU_MAX):
+        raise ValueError(f"--tau-min and --tau-max must lie in [1, {TAU_MAX:g}]")
+    span = (tau_max - tau_min) / tau_step + 1e-9
+    if not span < SCAN_MAX_ROWS:
+        raise ValueError(
+            f"the tau grid would have more than {SCAN_MAX_ROWS} rows: raise --tau-step"
+        )
+    n = int(np.floor(span)) + 1
+    grid = [tau_min + i * tau_step for i in range(n)]
+    return [t for t in grid if t <= tau_max + 1e-12]
+
+
+def cmd_scan(args) -> int:
+    grid = _scan_grid(args.tau_min, args.tau_max, args.tau_step)
     rows = optimize.tau_scan(
         args.manifold,
         grid,
@@ -204,15 +222,7 @@ def cmd_flag_check(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvp",
-        description="Causal variational principles: minimize, certify and bound "
-        "actions of measures on the circle, the sphere and flag manifolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("minimize", help="anneal a weighted measure and certify it")
+def _minimize_args(p):
     _add_model_args(p)
     p.add_argument("--m", required=True, type=int, help="number of support points")
     _add_schedule_args(p)
@@ -221,16 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)
     p.add_argument("--out-measure", dest="out_measure", default=None)
     p.add_argument("--out-certificate", dest="out_certificate", default=None)
-    p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("certify", help="certify a measure loaded from JSON")
+
+def _certify_args(p):
     p.add_argument("--measure", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bounds", help="lower/upper bounds for the sphere action")
+
+def _bounds_args(p):
     p.add_argument("--tau", required=True, type=float)
     p.add_argument("--packing", action="append", default=[],
                    help="packing file (repeatable)")
@@ -239,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", dest="t_max", type=float, default=2.0)
     p.add_argument("--t-count", dest="t_count", type=int, default=14)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("scan", help="tau continuation scan, CSV output")
+
+def _scan_args(p):
     p.add_argument("--manifold", required=True, choices=("circle", "sphere", "flag"))
     p.add_argument("--f", type=int, default=None)
     p.add_argument("--tau-min", dest="tau_min", required=True, type=float)
@@ -254,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--merge-radius", dest="merge_radius", type=float, default=1e-3)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("exact", help="closed-form constructions")
+
+def _exact_args(p):
     p.add_argument("construction", choices=("chain", "uniform", "octahedron", "density"))
     p.add_argument("--tau", required=True, type=float)
     p.add_argument("--m", type=int, default=4, help="uniform construction size")
@@ -265,20 +275,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("flag-check", help="negative-eigenvalue witness on the flag")
+
+def _flag_check_args(p):
     p.add_argument("--f", required=True, type=int)
     p.add_argument("--tau", required=True, type=float)
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_flag_check)
 
+
+# (name, help, argument adder, handler) of each command, in the order --help lists them
+_COMMANDS = (
+    ("minimize", "anneal a weighted measure and certify it", _minimize_args, cmd_minimize),
+    ("certify", "certify a measure loaded from JSON", _certify_args, cmd_certify),
+    ("bounds", "lower/upper bounds for the sphere action", _bounds_args, cmd_bounds),
+    ("scan", "tau continuation scan, CSV output", _scan_args, cmd_scan),
+    ("exact", "closed-form constructions", _exact_args, cmd_exact),
+    ("flag-check", "negative-eigenvalue witness on the flag", _flag_check_args, cmd_flag_check),
+)
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cvp",
+        description="Causal variational principles: minimize, certify and bound "
+        "actions of measures on the circle, the sphere and flag manifolds.",
+    )
+    # with fewer commands built, the usage line still names all of them
+    metavar = None if commands is _COMMANDS else "{%s}" % ",".join(c[0] for c in _COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_args, func in commands:
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with all six commands, as ``cvp --help`` shows it.
+
+    ``main`` builds only the invoked command's subparser when its first
+    argument names one (the other five would cost about 1 ms of
+    ``add_argument`` calls and are never read); that parser prints the same
+    help, usage and error text as this one.
+    """
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    chosen = tuple(c for c in _COMMANDS if argv and c[0] == argv[0])
+    args = (_parser(chosen) if chosen else build_parser()).parse_args(argv)
     try:
         if getattr(args, "test_grid", 1) < 1:
             raise ValueError("--test-grid must be >= 1")

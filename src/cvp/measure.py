@@ -284,11 +284,10 @@ def _zonal_legendre_moments(dm: DensityMeasure, lmax: int) -> np.ndarray:
     per_panel = profile.reshape(len(panels) - 1, order)
     if np.max(np.abs(per_panel - per_panel[:, :1])) <= 1e-13:
         # piecewise-constant density: use exact antiderivative integrals
+        bands = legendre_band_integrals(lmax, panels)
         out = np.zeros(lmax + 1)
         for k in range(len(panels) - 1):
-            out += per_panel[k, 0] * 0.5 * legendre_band_integrals(
-                lmax, panels[k], panels[k + 1]
-            )
+            out += per_panel[k, 0] * 0.5 * bands[k]
         return out
     p = legendre_all(lmax, grid.cos_nodes)
     return p @ (grid.cos_weights * profile)

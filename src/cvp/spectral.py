@@ -8,29 +8,49 @@ import numpy as np
 def legendre_all(lmax: int, x) -> np.ndarray:
     """P_0 .. P_lmax evaluated at x, shape (lmax+1,) + x.shape.
 
-    Three-term recurrence; O(lmax * len(x)), stable on [-1, 1].
+    Three-term recurrence P_{l+1} = ((2l+1) x P_l - l P_{l-1}) / (l+1);
+    O(lmax * len(x)), stable on [-1, 1].  Each degree is written into its
+    row in place, with one scratch row for l P_{l-1}, by the same
+    element-wise operations in the same order as the out-of-place
+    expression, so the table is bit for bit the same without four
+    temporaries per degree.  Every value depends only on its own x, so a
+    point's column does not depend on which other points are evaluated.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((lmax + 1,) + x.shape)
-    out[0] = 1.0
+    rows = out.reshape(lmax + 1, x.size)  # a view, so 0-d x also has writable rows
+    xs = x.reshape(-1)
+    rows[0] = 1.0
     if lmax == 0:
         return out
-    out[1] = x
+    rows[1] = xs
+    scratch = np.empty_like(xs)
     for l in range(1, lmax):
-        out[l + 1] = ((2 * l + 1) * x * out[l] - l * out[l - 1]) / (l + 1)
+        row = rows[l + 1]
+        np.multiply(xs, 2 * l + 1, out=row)
+        row *= rows[l]
+        np.multiply(rows[l - 1], l, out=scratch)
+        row -= scratch
+        row /= l + 1
     return out
 
 
-def legendre_band_integrals(lmax: int, a: float, b: float) -> np.ndarray:
-    """Exact integrals of P_l over [a, b] for l = 0 .. lmax.
+def legendre_band_integrals(lmax: int, edges) -> np.ndarray:
+    """Exact integrals of P_l over each band [e_k, e_{k+1}] of ``edges``,
+    l = 0 .. lmax, shape (len(edges) - 1, lmax + 1).
 
-    Uses int P_l = (P_{l+1} - P_{l-1}) / (2l + 1).
+    Uses int_a^b P_l = ((P_{l+1}(b) - P_{l-1}(b)) - P_{l+1}(a)) + P_{l-1}(a),
+    over 2l + 1, with one ``legendre_all`` table over all edges; a band's
+    row equals the one computed from its two edges alone, bit for bit.
     """
-    p = legendre_all(lmax + 1, np.array([a, b]))
-    out = np.empty(lmax + 1)
-    out[0] = b - a
-    for l in range(1, lmax + 1):
-        out[l] = (p[l + 1, 1] - p[l - 1, 1] - p[l + 1, 0] + p[l - 1, 0]) / (2 * l + 1)
+    edges = np.asarray(edges, dtype=float)
+    p = legendre_all(lmax + 1, edges)
+    plus, minus = p[2:], p[:-2]  # P_{l+1}, P_{l-1} for l = 1 .. lmax
+    out = np.empty((len(edges) - 1, lmax + 1))
+    out[:, 0] = edges[1:] - edges[:-1]
+    out[:, 1:] = (
+        ((plus[:, 1:] - minus[:, 1:]) - plus[:, :-1]) + minus[:, :-1]
+    ).T / np.arange(3, 2 * lmax + 2, 2)
     return out
 
 

@@ -35,7 +35,7 @@ from cvp import (
 )
 from cvp.analysis import _MC_BLOCK, _heat_values
 from cvp.exact import circle_chain_minimizer, circle_chain_points
-from cvp.manifold import _haar_flag_pairs, kernel_cross
+from cvp.manifold import _flag_kernel_parts, _haar_flag_pairs, kernel_cross
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -377,6 +377,39 @@ class TestMonteCarlo:
         assert mc.std_error == pytest.approx(
             float(np.std(vals, ddof=1) / math.sqrt(n)), rel=1e-12
         )
+
+    def test_one_draw_is_the_four_draw_stream(self):
+        # a block's standard_normal((4, k, f)) reads Re u, Im u, Re v, Im v
+        # from the stream that _haar_flag_pairs reads with four (k, f) draws
+        a = np.random.Generator(np.random.Philox(key=3))
+        b = np.random.Generator(np.random.Philox(key=3))
+        block = a.standard_normal((4, 100, 3))
+        assert np.array_equal(block, [b.standard_normal((100, 3)) for _ in range(4)])
+
+    @pytest.mark.parametrize("f", [3, 4])
+    def test_samples_match_kernel_cross(self, f, monkeypatch):
+        # each sample, not only the mean: D(x0, y) on the Haar pairs of the stream
+        import cvp.analysis as analysis_mod
+
+        samples = []
+
+        def spy(X, tau):
+            samples.append(_flag_kernel_parts(X, tau))
+            return samples[-1]
+
+        monkeypatch.setattr(analysis_mod, "_flag_kernel_parts", spy)
+        model = ManifoldModel.flag(f, 1.3)
+        n, seed = _MC_BLOCK + 500, 6
+        nu0_monte_carlo(model, n, seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        x0 = np.eye(f, dtype=complex)[:2]
+        want = np.concatenate([
+            kernel_cross(model, x0, np.stack(_haar_flag_pairs(rng, b, f), axis=1))[0]
+            for b in (_MC_BLOCK, 500)
+        ])
+        got = np.concatenate(samples)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * model.kernel_scale
 
     def test_working_set(self):
         # blocked draws: one block plus 8 bytes per sample, not ~200

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from cvp import action, load_measure
-from cvp.cli import main
+from cvp import action, load_measure, optimize
+from cvp.cli import build_parser, main
 
 LIGHT = ["--cooling", "0.88", "--steps-per-temp", "30", "--restarts", "2"]
 
@@ -234,6 +234,108 @@ class TestScan:
             "--tau-step", "0.02", "--m", "4",
         )
         assert_rejected(code, out, err, "the tau grid is empty")
+
+
+class TestScanGrid:
+    """The tau grid is checked before any row runs; these tests never build a
+    large grid, because a call of ``tau_scan`` fails them."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tau_scan ran")
+        monkeypatch.setattr(optimize, "tau_scan", refuse)
+
+    @staticmethod
+    def scan(capsys, lo, hi, step):
+        return run(
+            capsys, "scan", "--manifold", "circle", f"--tau-min={lo}", f"--tau-max={hi}",
+            f"--tau-step={step}", "--m", "4",
+        )
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        ("1", "inf", "0.1"), ("1", "2", "inf"), ("nan", "2", "0.1"), ("1", "nan", "0.1"),
+        ("1", "2", "nan"), ("-inf", "2", "0.1"),
+    ])
+    def test_non_finite_exit_2(self, capsys, lo, hi, step):
+        # inf once overflowed with a traceback, and NaN failed in int()
+        assert_rejected(*self.scan(capsys, lo, hi, step), "must be finite")
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_step_positive(self, capsys, step):
+        assert_rejected(*self.scan(capsys, "1", "2", step), "--tau-step must be positive")
+
+    @pytest.mark.parametrize("lo, hi", [("0.5", "2"), ("1", "1000.5"), ("1", "1e300")])
+    def test_endpoints_in_range(self, capsys, lo, hi):
+        assert_rejected(*self.scan(capsys, lo, hi, "0.5"),
+                        "--tau-min and --tau-max must lie in [1, 1000]")
+
+    @pytest.mark.parametrize("step", ["1e-4", "1e-12", "1e-300", "5e-324"])
+    def test_row_cap(self, capsys, step):
+        # 10,001 rows, 10^12, 10^300 and an overflowing quotient
+        assert_rejected(*self.scan(capsys, "1", "2", step), "more than 10000 rows")
+
+    def test_row_cap_allows_its_count(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(optimize, "tau_scan", lambda kind, grid, *a, **k: seen.append(grid) or [])
+        code, _, _ = self.scan(capsys, "1", "2", "1.0001e-4")
+        assert code == 0
+        assert len(seen[0]) == 10_000 and seen[0][0] == 1.0 and seen[0][-1] <= 2.0
+
+
+# argv whose parse prints help or an error; each prints what the full parser prints
+PARSE_TEXT_ARGV = {
+    "help": ["--help"],
+    "no-command": [],
+    "bad-command": ["bogus"],
+    **{f"help-{c}": [c, "--help"] for c in (
+        "minimize", "certify", "bounds", "scan", "exact", "flag-check")},
+    "missing-minimize": ["minimize", "--manifold", "circle", "--tau", "1.3"],
+    "missing-certify": ["certify"],
+    "missing-bounds": ["bounds", "--packing", "p.txt"],
+    "missing-scan": ["scan", "--manifold", "circle", "--tau-min", "1", "--m", "4"],
+    "missing-exact": ["exact", "chain"],
+    "missing-flag-check": ["flag-check", "--f", "3", "--tau", "1.2"],
+    "bad-choice-exact": ["exact", "cube", "--tau", "2"],
+    "bad-value-bounds": ["bounds", "--tau", "x"],
+    "unknown-minimize": ["minimize", "--manifold", "circle", "--tau", "1.3", "--m", "4",
+                         "--bogus"],
+    "unknown-certify": ["certify", "--measure", "m.json", "--bogus", "1"],
+    "unknown-bounds": ["bounds", "--tau", "1.5", "--bogus"],
+    "unknown-scan": ["scan", "--manifold", "circle", "--tau-min", "1", "--tau-max", "2",
+                     "--tau-step", "0.1", "--m", "4", "--bogus"],
+    "unknown-exact": ["exact", "chain", "--tau", "3", "extra"],
+    "unknown-flag-check": ["flag-check", "--f", "3", "--tau", "1.2", "--eps", "0.1",
+                           "--bogus"],
+}
+
+
+class TestParserText:
+    """``main`` builds only the invoked command's subparser; every help,
+    usage and error text must be the full parser's, byte for byte."""
+
+    @staticmethod
+    def parse_text(capsys, parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", PARSE_TEXT_ARGV.values(), ids=PARSE_TEXT_ARGV.keys())
+    def test_text_is_the_full_parsers(self, capsys, argv):
+        got = self.parse_text(capsys, lambda: main(argv))
+        want = self.parse_text(capsys, lambda: build_parser().parse_args(argv))
+        assert got == want
+        assert got[0] in (0, 2) and got[1] + got[2]
+
+    @pytest.mark.parametrize("argv", [v for k, v in PARSE_TEXT_ARGV.items()
+                                      if k.startswith("unknown-")])
+    def test_usage_names_all_commands(self, capsys, argv):
+        _, _, err = self.parse_text(capsys, lambda: main(argv))
+        assert err.startswith(
+            "usage: cvp [-h] {minimize,certify,bounds,scan,exact,flag-check} ...\n"
+        )
+        assert "unrecognized arguments" in err
 
 
 class TestExact:
