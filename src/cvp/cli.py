@@ -315,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser with all six commands, as ``cvp --help`` shows it.
 
     ``main`` builds only the invoked command's subparser when its first
-    argument names one (the other five would cost about 1 ms of
-    ``add_argument`` calls and are never read); that parser prints the same
-    help, usage and error text as this one.
+    argument names one, since the other five are never read and their
+    ``add_argument`` calls cost more than the one it needs; that parser
+    prints the same help, usage and error text as this one.
     """
     return _parser(_COMMANDS)
 

@@ -283,6 +283,7 @@ class TestScanGrid:
         assert len(seen[0]) == 10_000 and seen[0][0] == 1.0 and seen[0][-1] <= 2.0
 
 
+COMMANDS = "minimize,certify,bounds,scan,exact,flag-check"
 # argv whose parse prints help or an error; each prints what the full parser prints
 PARSE_TEXT_ARGV = {
     "help": ["--help"],
@@ -328,13 +329,22 @@ class TestParserText:
         assert got == want
         assert got[0] in (0, 2) and got[1] + got[2]
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'minimize', "
+                    "'certify', 'bounds', 'scan', 'exact', 'flag-check')"),
+    ], ids=["no-command", "bad-command"])
+    def test_command_errors(self, capsys, argv, message):
+        # the full parser names the subcommand action "command" in these errors
+        assert self.parse_text(capsys, lambda: main(argv)) == (
+            2, "", f"usage: cvp [-h] {{{COMMANDS}}} ...\ncvp: error: {message}\n"
+        )
+
     @pytest.mark.parametrize("argv", [v for k, v in PARSE_TEXT_ARGV.items()
                                       if k.startswith("unknown-")])
     def test_usage_names_all_commands(self, capsys, argv):
         _, _, err = self.parse_text(capsys, lambda: main(argv))
-        assert err.startswith(
-            "usage: cvp [-h] {minimize,certify,bounds,scan,exact,flag-check} ...\n"
-        )
+        assert err.startswith(f"usage: cvp [-h] {{{COMMANDS}}} ...\n")
         assert "unrecognized arguments" in err
 
 
