@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -246,12 +246,18 @@ def flag_gt_threshold(f: int) -> float:
 _HEAT_SERIES_TOL = 1e-12
 
 
-def _heat_lmax(t: float, series_tol: float) -> int:
+def _heat_lmax(t: float, series_tol: float = _HEAT_SERIES_TOL, limit: int = 200000) -> int:
+    """Truncation degree of h_t, for finite t > 0: the first l whose term
+    bound (2l+1) exp(-t l (l+1)) is below series_tol; ValueError past
+    ``limit``."""
     l = 0
     while (2 * l + 1) * math.exp(-t * l * (l + 1)) >= series_tol:
         l += 1
-        if l > 200000:
-            raise ValueError("heat-kernel series does not truncate; t too small")
+        if l > limit:
+            raise ValueError(
+                f"the heat-kernel series at t = {t:g} needs more than {limit} "
+                "Legendre degrees; t too small"
+            )
     return l
 
 
@@ -261,6 +267,20 @@ def _heat_coeffs(t: float, lmax: int) -> np.ndarray:
     return (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
 
 
+def _heat_values(degrees: dict, table) -> dict:
+    """{t: h_t at the points of ``table``}, for ``degrees`` = {t: l_t}, the
+    truncation degrees.
+
+    ``table`` is a ``legendre_all`` table at the points, at least l_t + 1
+    rows deep; h_t is ``_heat_coeffs(t, l_t)`` times its first l_t + 1 rows.
+    A row of the recurrence does not depend on where it stops, so a deeper
+    table gives the bits of one exactly as deep: a (deg + 1, n) table of
+    cos(theta) gives ``heat_kernel(t, theta)``, and a contiguous (deg + 1, 1)
+    column gives ``heat_kernel(t, scalar)``, bit for bit.
+    """
+    return {t: _heat_coeffs(t, l) @ table[: l + 1] for t, l in degrees.items()}
+
+
 def heat_kernel(t: float, theta, series_tol: float = _HEAT_SERIES_TOL):
     """h_t(theta) = sum_l (2l+1) exp(-t l (l+1)) P_l(cos theta).
 
@@ -268,11 +288,11 @@ def heat_kernel(t: float, theta, series_tol: float = _HEAT_SERIES_TOL):
     truncated once the term bound (2l+1) exp(-t l (l+1)) drops below
     series_tol.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
     lmax = _heat_lmax(t, series_tol)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = _heat_coeffs(t, lmax) @ legendre_all(lmax, np.cos(theta_arr))
+    vals = _heat_values({t: lmax}, legendre_all(lmax, np.cos(theta_arr)))[t]
     return float(vals[0]) if np.ndim(theta) == 0 else vals
 
 
@@ -296,55 +316,71 @@ class HeatKernelBound:
         }
 
 
-def _calibrated_heat_bound(
-    model, t1, t2, h1, h2, lvals, floor=-math.inf
-) -> HeatKernelBound | None:
+def _heat_endpoints(degrees: dict, tm: float) -> dict:
+    """{t: (h_t(0), h_t(theta_max))} for ``degrees`` = {t: l_t}.
+
+    One two-point Legendre table serves every time; each of its columns is
+    made contiguous, so every value equals ``heat_kernel(t, 0.0)`` or
+    ``heat_kernel(t, tm)`` bit for bit.
+    """
+    ends = legendre_all(max(degrees.values()), np.cos([0.0, tm]))
+    h0, hm = (_heat_values(degrees, np.ascontiguousarray(ends[:, j : j + 1])) for j in (0, 1))
+    return {t: (float(h0[t][0]), float(hm[t][0])) for t in degrees}
+
+
+def _heat_calibration(model, t1, t2, e1, e2) -> HeatKernelBound:
     """K = lambda (h_t1 - delta h_t2) calibrated so that K(0) = L(0) and
     K(theta_max) = 0, with S_K = lambda (1 - delta).
 
-    ``h1`` and ``h2`` hold (h(0), h(theta_max), h on the check grid) of the
-    two heat kernels and ``lvals`` holds L + 1e-9 on that grid, the
-    tolerance added once by the caller rather than once per pair.
-    ``dominated`` is K <= L on the grid (tolerance 1e-9), i.e.
-    K <= ``lvals``, with 0 < delta < 1 and 0 < lambda < inf; a singular
-    calibration gives lambda = inf.  Returns None, without the grid test,
-    when S_K <= ``floor``.
+    The first half of the bound: ``e1`` and ``e2`` are the endpoint values
+    (h(0), h(theta_max)) of the two heat kernels, and nothing else is read.
+    A singular calibration gives lambda = inf.  ``dominated`` is False until
+    ``_heat_grid_check`` sets it.
     """
-    (h10, h1m, prof1), (h20, h2m, prof2) = h1, h2
+    (h10, h1m), (h20, h2m) = e1, e2
     delta = h1m / h2m
     denom = h10 - delta * h20
     lam = model.kernel_scale / denom if denom != 0 else math.inf
-    s_k = lam * (1.0 - delta)
-    if s_k <= floor:
-        return None
-    kvals = lam * (prof1 - delta * prof2)
-    dominated = bool(
-        np.all(kvals <= lvals) and 0.0 < delta < 1.0 and 0.0 < lam < math.inf
-    )
-    return HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
+    return HeatKernelBound(t1, t2, delta, lam, lam * (1.0 - delta), False)
 
 
-def _heat_values(times, tm, theta) -> dict:
-    """{t: (h_t(0), h_t(theta_max), h_t on the check grid theta)}.
+def _can_dominate(hb: HeatKernelBound) -> bool:
+    """0 < delta < 1 and 0 < lambda < inf, without which K <= L certifies
+    nothing; S_K = lambda (1 - delta) is then finite and positive, never NaN."""
+    return 0.0 < hb.delta < 1.0 and 0.0 < hb.lam < math.inf
 
-    One Legendre table on the grid and one on the two endpoints, up to the
-    largest truncation degree of the times, serve every time: the
-    recurrence does not depend on where it stops.  Each endpoint column is
-    multiplied as a contiguous (l + 1, 1) array, as in ``heat_kernel``, so
-    every value equals ``heat_kernel(t, .)`` bit for bit.
+
+def _heat_grid_check(hb: HeatKernelBound, prof1, prof2, lvals) -> HeatKernelBound:
+    """The second half of the bound: ``hb`` with ``dominated`` = K <= L on the
+    check grid, i.e. K <= ``lvals``.
+
+    ``prof1`` and ``prof2`` hold h_t1 and h_t2 on the grid and ``lvals``
+    holds L + 1e-9 there, the tolerance added once by the caller rather than
+    once per pair.
     """
-    lmax = {t: _heat_lmax(t, _HEAT_SERIES_TOL) for t in times}
-    top = max(lmax.values())
-    table = legendre_all(top, np.cos(theta))
-    ends = legendre_all(top, np.cos([0.0, tm]))
-    out = {}
-    for t, l in lmax.items():
-        c = _heat_coeffs(t, l)
-        h0, hm = (
-            float((c @ np.ascontiguousarray(ends[: l + 1, j : j + 1]))[0]) for j in (0, 1)
-        )
-        out[t] = (h0, hm, c @ table[: l + 1])
-    return out
+    kvals = hb.lam * (prof1 - hb.delta * prof2)
+    return replace(hb, dominated=bool(np.all(kvals <= lvals)))
+
+
+def _grid_checked(model, ranked, degrees: dict, check_grid: int):
+    """Yield each calibrated bound of ``ranked`` after its grid check, in order.
+
+    h_t on the grid is formed only for the times of the bounds checked, once
+    per time, from one Legendre table on the grid that is only as deep as
+    the deepest of those times; a time that needs more degrees rebuilds it
+    deeper.  Nothing is built before the first bound is asked for.
+    """
+    theta = np.linspace(0.0, np.pi, check_grid)
+    lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
+    x = np.cos(theta)
+    table = np.empty((0, check_grid))
+    prof = {}
+    for hb in ranked:
+        new = {t: degrees[t] for t in (hb.t1, hb.t2) if t not in prof}
+        if new and max(new.values()) >= len(table):
+            table = legendre_all(max(new.values()), x)
+        prof.update(_heat_values(new, table))
+        yield _heat_grid_check(hb, prof[hb.t1], prof[hb.t2], lvals)
 
 
 def heat_kernel_bound(
@@ -354,47 +390,57 @@ def heat_kernel_bound(
     K(0) = L(0) and K(theta_max) = 0.
 
     ``dominated`` records whether K <= L holds on a check grid over [0, pi]
-    (tolerance 1e-9); S_K = lambda (1 - delta) is a certified lower bound
-    only in that case.  Positivity of the spectral coefficients
+    (tolerance 1e-9), with 0 < delta < 1 and 0 < lambda < inf; S_K =
+    lambda (1 - delta) is a certified lower bound only in that case.
+    Positivity of the spectral coefficients
     lambda (exp(-t1 l(l+1)) - delta exp(-t2 l(l+1))) holds by construction
-    when delta < 1 and t1 < t2.
+    when delta < 1 and t1 < t2.  The pair takes the path of one pair of
+    ``optimize_heat_params``; the grid is not read when the calibration
+    cannot dominate.
     """
     if model.kind != "sphere":
         raise ValueError("the heat-kernel bound is formulated on the sphere")
-    if not 0 < t1 < t2:
-        raise ValueError("need 0 < t1 < t2")
-    theta = np.linspace(0.0, np.pi, check_grid)
-    heat = _heat_values((t1, t2), theta_max(model), theta)
-    return _calibrated_heat_bound(
-        model, t1, t2, heat[t1], heat[t2], lagrangian_profile(model, theta) + 1e-9
-    )
+    if not 0 < t1 < t2 < math.inf:
+        raise ValueError("need 0 < t1 < t2 < inf")
+    degrees = {t: _heat_lmax(t) for t in (t1, t2)}
+    ends = _heat_endpoints(degrees, theta_max(model))
+    hb = _heat_calibration(model, t1, t2, ends[t1], ends[t2])
+    if not _can_dominate(hb):
+        return hb
+    return next(_grid_checked(model, [hb], degrees, check_grid))
 
 
 def optimize_heat_params(
     model: ManifoldModel, t_grid, check_grid: int = 10000
 ) -> HeatKernelBound | None:
-    """Grid search over dominated (t1, t2) pairs maximizing S_K.
+    """The dominated (t1 < t2) pair of the grid times with the largest S_K,
+    the first in (t1, t2) order on a tie; None when no pair is dominated.
 
-    Repeated times are dropped.  The heat-kernel profiles come from one
-    Legendre table and are shared across pairs.  Returns None when no pair
-    on the grid is dominated (no bound).
+    Repeated times are dropped; a time that is not finite and positive
+    raises ValueError.  Best-first search: every pair is calibrated from
+    the endpoint values alone, the pairs that cannot dominate are dropped,
+    and the rest are checked on the grid in order of decreasing S_K (a
+    stable sort, so ties keep the pair order) until one is dominated.  That
+    is the pair, and the ``HeatKernelBound``, that checking every pair would
+    pick; only the checked pairs' times are evaluated on the grid.
     """
     if model.kind != "sphere":
         raise ValueError("the heat-kernel bound is formulated on the sphere")
     t_grid = sorted({float(t) for t in t_grid})
+    if not all(0.0 < t < math.inf for t in t_grid):
+        raise ValueError("heat times must be finite and > 0")
     if not t_grid:
         return None
-    theta = np.linspace(0.0, np.pi, check_grid)
-    lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
-    heat = _heat_values(t_grid, theta_max(model), theta)
-    best: HeatKernelBound | None = None
-    for i, t1 in enumerate(t_grid):
-        for t2 in t_grid[i + 1:]:
-            floor = -math.inf if best is None else best.s_k
-            hb = _calibrated_heat_bound(model, t1, t2, heat[t1], heat[t2], lvals, floor)
-            if hb is not None and hb.dominated:
-                best = hb
-    return best
+    degrees = {t: _heat_lmax(t) for t in t_grid}
+    ends = _heat_endpoints(degrees, theta_max(model))
+    calibrated = (
+        _heat_calibration(model, t1, t2, ends[t1], ends[t2])
+        for i, t1 in enumerate(t_grid)
+        for t2 in t_grid[i + 1:]
+    )
+    ranked = sorted(filter(_can_dominate, calibrated), key=lambda hb: hb.s_k, reverse=True)
+    checked = _grid_checked(model, ranked, degrees, check_grid)
+    return next((hb for hb in checked if hb.dominated), None)
 
 
 # ---------------------------------------------------------------------------

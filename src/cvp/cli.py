@@ -21,6 +21,8 @@ from .measure import action, density_action, measure_to_dict
 from .optimize import AnnealSchedule
 
 SCAN_MAX_ROWS = 10_000  # most rows `cvp scan` runs; each row is a few anneals
+BOUNDS_MAX_TIMES = 1_000  # most heat times `cvp bounds` takes; it calibrates every pair
+BOUNDS_MAX_DEGREE = 1_000  # deepest heat series `cvp bounds` sums, on a 10,000-point grid
 
 
 def _dump(obj) -> str:
@@ -97,6 +99,28 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _heat_grid(t_min: float, t_max: float, t_count: int) -> np.ndarray:
+    """t_count geometric heat times from t_min to t_max, checked before any
+    work: the pair count against BOUNDS_MAX_TIMES and the truncation degree
+    of the smallest time, the deepest, against BOUNDS_MAX_DEGREE."""
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError("--t-min and --t-max must be finite")
+    if t_min <= 0:
+        raise ValueError("--t-min must be positive")
+    if t_min > t_max:
+        raise ValueError("--t-min must not exceed --t-max")
+    if not 2 <= t_count <= BOUNDS_MAX_TIMES:
+        raise ValueError(f"--t-count must lie in [2, {BOUNDS_MAX_TIMES}]")
+    try:
+        analysis._heat_lmax(t_min, limit=BOUNDS_MAX_DEGREE)
+    except ValueError:
+        raise ValueError(
+            f"--t-min {t_min:g} needs more than {BOUNDS_MAX_DEGREE} Legendre degrees: "
+            "raise --t-min"
+        ) from None
+    return np.geomspace(t_min, t_max, t_count)
+
+
 def cmd_bounds(args) -> int:
     model = ManifoldModel.sphere(args.tau)
     packings = [analysis.load_packing(p) for p in args.packing]
@@ -106,7 +130,7 @@ def cmd_bounds(args) -> int:
         if mmodel.kind != "sphere" or mmodel.tau != args.tau:
             raise ValueError("--measure must hold a sphere measure at the same tau")
         best_found = action(model, meas)
-    t_grid = np.geomspace(args.t_min, args.t_max, args.t_count)
+    t_grid = _heat_grid(args.t_min, args.t_max, args.t_count)
     report = analysis.bounds_report(
         model, packings=packings, best_found=best_found, t_grid=t_grid
     )

@@ -14,9 +14,9 @@ including the diagonal terms.  The potentials are
 
 Density actions are evaluated spectrally: the Lagrangian profile is
 expanded in Legendre polynomials (circle: Fourier cosines) with
-coefficients obtained by Gauss-Legendre quadrature split exactly at the
-lightcone kink, so the double integral reduces to a rapidly converging
-series in the zonal moments of the density.
+coefficients integrated exactly up to the lightcone kink (sphere: in closed
+form; circle: Gauss-Legendre), so the double integral reduces to a rapidly
+converging series in the zonal moments of the density.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .manifold import (
     sample_uniform,
     theta_max,
     validate_points,
-    zonal_d,
 )
 from .spectral import (
     fibonacci_sphere,
@@ -241,23 +240,33 @@ def volume_action(model: ManifoldModel) -> float:
     raise ValueError("no closed-form volume action on the flag manifold")
 
 
-def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
-    """c_l with L(theta_xy) = sum_l c_l P_l(cos theta_xy), machine-exact.
+def _times_c(moments: np.ndarray) -> np.ndarray:
+    """int c f P_l, l = 0 .. n - 1, from m_l = int f P_l, l = 0 .. n, by
+    c P_l = ((l + 1) P_{l+1} + l P_{l-1}) / (2l + 1)."""
+    ell = np.arange(len(moments) - 1)
+    below = np.concatenate(([0.0], moments[:-2]))  # m_{l-1}; l m_{l-1} vanishes at l = 0
+    return ((ell + 1) * moments[1:] + ell * below) / (2 * ell + 1)
 
-    L vanishes below the kink cos(theta_max) and is a degree-2 polynomial
-    above it, so Gauss-Legendre on [cos(theta_max), 1] of sufficient order
-    integrates D * P_l exactly for every l <= lmax.
+
+def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
+    """c_l with L(theta_xy) = sum_l c_l P_l(cos theta_xy), l = 0 .. lmax.
+
+    L vanishes below the kink c_k = cos(theta_max) and above it equals
+    D = 2 tau^2 (tau^2 c^2 + 2c + 2 - tau^2), so
+    c_l = (2l + 1) tau^2 (tau^2 int c^2 P_l + 2 int c P_l + (2 - tau^2) int P_l)
+    over [c_k, 1], in closed form: the exact band integrals of P_l up to
+    degree lmax + 2, multiplied by c twice through the three-term recurrence.
     """
     ckink = max(-1.0, 1.0 - 2.0 / model.tau**2)
     if ckink >= 1.0:
         return np.zeros(lmax + 1)
-    x, w = np.polynomial.legendre.leggauss(lmax // 2 + 4)
-    c = 0.5 * (1.0 - ckink) * x + 0.5 * (1.0 + ckink)
-    w = 0.5 * (1.0 - ckink) * w
-    dvals = zonal_d(model.tau, c)
-    p = legendre_all(lmax, c)
-    ell = np.arange(lmax + 1)
-    return (2 * ell + 1) / 2.0 * (p @ (w * dvals))
+    t2 = model.tau**2
+    p0 = legendre_band_integrals(lmax + 2, [ckink, 1.0])[0]
+    p1 = _times_c(p0)
+    p2 = _times_c(p1)
+    n = lmax + 1
+    ell = np.arange(n)
+    return (2 * ell + 1) * t2 * (t2 * p2 + 2.0 * p1[:n] + (2.0 - t2) * p0[:n])
 
 
 def _lagrangian_fourier_coeffs(model: ManifoldModel, nmax: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from cvp import (
     theta_max,
     volume_action,
 )
-from cvp.analysis import _MC_BLOCK, _heat_values
+from cvp import analysis
+from cvp.analysis import _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_values
 from cvp.exact import circle_chain_minimizer, circle_chain_points
-from cvp.manifold import _flag_kernel_parts, _haar_flag_pairs, kernel_cross
+from cvp.manifold import _flag_kernel_parts, _haar_flag_pairs, kernel_cross, lagrangian_profile
+from cvp.spectral import legendre_all
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -248,25 +251,23 @@ class TestHeatKernelBound:
             ) is None
 
     def test_shared_legendre_table_matches_heat_kernel(self):
+        # profiles from one table as deep as the smallest time equal the
+        # per-time path of heat_kernel, whose own table stops at its degree
         grid = np.geomspace(0.01, 2.0, 14)
         theta = np.linspace(0.0, np.pi, 10000)
-        tm = theta_max(ManifoldModel.sphere(2.0))
-        heat = _heat_values(grid.tolist(), tm, theta)
+        degrees = {t: _heat_lmax(t) for t in grid.tolist()}
+        heat = _heat_values(degrees, legendre_all(max(degrees.values()), np.cos(theta)))
         for t in grid:
-            h0, hm, prof = heat[t]
-            assert np.array_equal(prof, heat_kernel(t, theta))
-            assert (h0, hm) == (heat_kernel(t, 0.0), heat_kernel(t, tm))
+            assert np.array_equal(heat[t], heat_kernel(t, theta))
 
     @pytest.mark.parametrize("tau", [1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5])
     def test_endpoints_match_scalar_heat_kernel(self, tau):
         # the two-point endpoint table gives the scalar path's values exactly
         grid = np.geomspace(0.01, 2.0, 14)
         tm = theta_max(ManifoldModel.sphere(tau))
-        heat = _heat_values(grid.tolist(), tm, np.linspace(0.0, np.pi, 100))
+        ends = _heat_endpoints({t: _heat_lmax(t) for t in grid.tolist()}, tm)
         for t in grid:
-            h0, hm, _ = heat[t]
-            assert h0 == heat_kernel(t, 0.0)
-            assert hm == heat_kernel(t, tm)
+            assert ends[t] == (heat_kernel(t, 0.0), heat_kernel(t, tm))
 
     @pytest.mark.parametrize("tau", [1.5, 2.0, 2.5])
     def test_single_pair_matches_search(self, tau):
@@ -283,6 +284,123 @@ class TestHeatKernelBound:
         if best is not None:
             # both lower bounds must sit below the exact minimum nu0
             assert best.s_k <= nu0.value + 1e-9
+
+    @pytest.mark.parametrize("times", [[-1.0, 0.5], [0.0, 0.5], [math.nan, 0.5], [0.1, math.inf]])
+    def test_bad_times_raise_value_error(self, times):
+        # -1 once raised OverflowError in the truncation degree, and NaN gave None
+        model = ManifoldModel.sphere(1.5)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            optimize_heat_params(model, times)
+        with pytest.raises(ValueError, match="need 0 < t1 < t2 < inf"):
+            heat_kernel_bound(model, *times)
+
+
+def _reference_calibrated_bound(model, t1, t2, h1, h2, lvals, floor=-math.inf):
+    """The calibration and grid check of every pair, as one function."""
+    (h10, h1m, prof1), (h20, h2m, prof2) = h1, h2
+    delta = h1m / h2m
+    denom = h10 - delta * h20
+    lam = model.kernel_scale / denom if denom != 0 else math.inf
+    s_k = lam * (1.0 - delta)
+    if s_k <= floor:
+        return None
+    kvals = lam * (prof1 - delta * prof2)
+    dominated = bool(
+        np.all(kvals <= lvals) and 0.0 < delta < 1.0 and 0.0 < lam < math.inf
+    )
+    return analysis.HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
+
+
+def _reference_heat_search(model, t_grid, check_grid=10000):
+    """Exhaustive search: grid-check every pair whose S_K beats the best so
+    far, in (t1, t2) order; returns (best, number of grid checks)."""
+    t_grid = sorted({float(t) for t in t_grid})
+    theta = np.linspace(0.0, np.pi, check_grid)
+    lvals = lagrangian_profile(model, theta) + 1e-9
+    tm = theta_max(model)
+    heat = {t: (heat_kernel(t, 0.0), heat_kernel(t, tm), heat_kernel(t, theta)) for t in t_grid}
+    best, checks = None, 0
+    with np.errstate(invalid="ignore"):  # a singular calibration multiplies inf by 0
+        for i, t1 in enumerate(t_grid):
+            for t2 in t_grid[i + 1:]:
+                floor = -math.inf if best is None else best.s_k
+                hb = _reference_calibrated_bound(model, t1, t2, heat[t1], heat[t2], lvals, floor)
+                checks += hb is not None
+                if hb is not None and hb.dominated:
+                    best = hb
+    return best, checks
+
+
+BENCH_TAUS = (1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5)
+
+
+def _random_heat_cases(n, seed=13):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        tau = float(rng.uniform(1.0, 3.0))
+        t_min = float(np.exp(rng.uniform(np.log(0.005), np.log(1.0))))
+        t_max = t_min * float(np.exp(rng.uniform(0.0, np.log(100.0))))
+        yield tau, t_min, t_max, int(rng.integers(2, 17))
+
+
+class TestHeatSearchOracle:
+    """The best-first search against the exhaustive loop, which is kept here
+    as the reference: the same HeatKernelBound, or None, on every grid."""
+
+    @pytest.mark.parametrize("tau", BENCH_TAUS)
+    @pytest.mark.parametrize("t_grid", [
+        np.geomspace(0.01, 2.0, 14), np.geomspace(0.02, 2.0, 8), [0.1, 0.3],
+        [0.3, 0.1, 0.3, 0.1, 0.3], [0.1, 0.2, 0.2, 0.5, 0.5, 2.0],
+    ], ids=["default", "8-times", "2-times", "repeated-pair", "repeated"])
+    def test_bench_taus(self, tau, t_grid):
+        model = ManifoldModel.sphere(tau)
+        assert optimize_heat_params(model, t_grid) == _reference_heat_search(model, t_grid)[0]
+
+    def test_random_grids(self):
+        found = 0
+        for tau, t_min, t_max, count in _random_heat_cases(120):
+            model = ManifoldModel.sphere(tau)
+            t_grid = np.geomspace(t_min, t_max, count)
+            ref, _ = _reference_heat_search(model, t_grid, check_grid=600)
+            assert optimize_heat_params(model, t_grid, check_grid=600) == ref
+            found += ref is not None
+        assert 0 < found < 120  # both outcomes occur among the cases
+
+    def test_no_dominated_pair(self):
+        # two close large times: h_t is nearly flat, and K cannot reach L(0)
+        # at 0 while staying below L near theta_max
+        model = ManifoldModel.sphere(1.1)
+        t_grid = [1.5, 1.6, 1.8]
+        assert _reference_heat_search(model, t_grid) == (None, 3)
+        assert optimize_heat_params(model, t_grid) is None
+
+    def test_grid_checks_and_table_depth(self, monkeypatch):
+        # the exhaustive loop checked 91, 78, 53, 42, 37, 32, 26 and 24 pairs
+        checked, depths = [], []
+        check, table = analysis._heat_grid_check, analysis.legendre_all
+
+        def spy_check(hb, *args):
+            checked.append(hb)
+            return check(hb, *args)
+
+        def spy_table(lmax, x):
+            if np.size(x) > 2:  # the grid table, not the two endpoints
+                depths.append(lmax)
+            return table(lmax, x)
+
+        monkeypatch.setattr(analysis, "_heat_grid_check", spy_check)
+        monkeypatch.setattr(analysis, "legendre_all", spy_table)
+        t_grid = np.geomspace(0.01, 2.0, 14)
+        counts = []
+        for tau in BENCH_TAUS:
+            checked.clear()
+            depths.clear()
+            best = optimize_heat_params(ManifoldModel.sphere(tau), t_grid)
+            counts.append(len(checked))
+            assert checked[-1] == replace(best, dominated=False)
+            deepest = max(_heat_lmax(t) for hb in checked for t in (hb.t1, hb.t2))
+            assert max(depths) == deepest < _heat_lmax(0.01)
+        assert counts == [11, 1, 1, 1, 1, 1, 1, 1]
 
 
 class TestTammes:

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from cvp import action, load_measure, optimize
+from cvp import action, analysis, load_measure, optimize
 from cvp.cli import build_parser, main
 
 LIGHT = ["--cooling", "0.88", "--steps-per-temp", "30", "--restarts", "2"]
@@ -281,6 +282,71 @@ class TestScanGrid:
         code, _, _ = self.scan(capsys, "1", "2", "1.0001e-4")
         assert code == 0
         assert len(seen[0]) == 10_000 and seen[0][0] == 1.0 and seen[0][-1] <= 2.0
+
+
+class TestBoundsGrid:
+    """The heat-time grid is checked before any work; these tests never build a
+    large table, because a call of ``bounds_report`` fails them."""
+
+    real_report = staticmethod(analysis.bounds_report)
+
+    @pytest.fixture(autouse=True)
+    def no_bounds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bounds_report ran")
+        monkeypatch.setattr(analysis, "bounds_report", refuse)
+
+    @staticmethod
+    def bounds(capsys, *argv):
+        return run(capsys, "bounds", "--tau", "1.5", *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--t-min=nan"], ["--t-max=nan"], ["--t-min=-inf"], ["--t-max=inf"],
+    ])
+    def test_non_finite_exit_2(self, capsys, argv):
+        # NaN once gave "heat_kernel": null with exit 0
+        assert_rejected(*self.bounds(capsys, *argv), "--t-min and --t-max must be finite")
+
+    @pytest.mark.parametrize("t_min", ["0", "-1", "-1e-300"])
+    def test_t_min_positive(self, capsys, t_min):
+        # -1 once overflowed in the truncation degree with a traceback
+        assert_rejected(*self.bounds(capsys, f"--t-min={t_min}"), "--t-min must be positive")
+
+    def test_t_min_at_most_t_max(self, capsys):
+        assert_rejected(*self.bounds(capsys, "--t-min=3"), "--t-min must not exceed --t-max")
+
+    @pytest.mark.parametrize("count", ["0", "1", "-5", "1001"])
+    def test_count_cap(self, capsys, count):
+        # 0 once gave "heat_kernel": null with exit 0
+        assert_rejected(*self.bounds(capsys, f"--t-count={count}"), "--t-count must lie in [2, 1000]")
+
+    @pytest.mark.parametrize("t_min", ["1e-8", "3e-5", "5e-324"])
+    def test_degree_cap(self, capsys, t_min):
+        # 1e-8 would ask for a 62,748 x 10,000 table
+        assert_rejected(*self.bounds(capsys, f"--t-min={t_min}"),
+                        "needs more than 1000 Legendre degrees")
+
+    @pytest.mark.parametrize("argv, grid", [
+        ([], np.geomspace(0.01, 2.0, 14)),
+        (["--t-count=1000", "--t-min=1", "--t-max=1"], np.ones(1000)),
+        (["--t-min=4e-5", "--t-count=2"], [4e-5, 2.0]),
+        (["--t-min=0.5", "--t-max=0.5", "--t-count=2"], [0.5, 0.5]),
+    ])
+    def test_valid_grids_reach_the_report(self, capsys, monkeypatch, argv, grid):
+        seen = []
+
+        def report(model, t_grid, **kwargs):  # on a small check grid
+            seen.append(t_grid)
+            return self.real_report(model, t_grid=t_grid, check_grid=100, **kwargs)
+
+        monkeypatch.setattr(analysis, "bounds_report", report)
+        code, _, err = self.bounds(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert np.array_equal(seen[0], grid)
+
+    def test_cap_degree_is_the_truncation_degree(self):
+        # 4e-5 sums 938 degrees and 3e-5 would need 1,085
+        assert analysis._heat_lmax(4e-5) <= 1000 < analysis._heat_lmax(3e-5)
 
 
 COMMANDS = "minimize,certify,bounds,scan,exact,flag-check"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre, Polynomial
 
 from cvp import (
     DensityMeasure,
@@ -22,7 +23,9 @@ from cvp import (
     uniform_density,
     volume_action,
 )
-from cvp.manifold import kernel_cross
+from cvp.manifold import kernel_cross, zonal_d
+from cvp.measure import _lagrangian_legendre_coeffs
+from cvp.spectral import legendre_all
 
 from conftest import brute_action, brute_potentials
 
@@ -201,6 +204,48 @@ class TestDensityMeasure:
         a1 = density_action(model, dm, lmax=240)
         a2 = density_action(model, dm, lmax=480)
         assert a1 == pytest.approx(a2, abs=1e-10)
+
+
+def _gauss_lagrangian_coeffs(model, lmax):
+    """c_l by Gauss-Legendre on [cos(theta_max), 1], exact for D * P_l."""
+    ckink = max(-1.0, 1.0 - 2.0 / model.tau**2)
+    x, w = np.polynomial.legendre.leggauss(lmax // 2 + 4)
+    c = 0.5 * (1.0 - ckink) * x + 0.5 * (1.0 + ckink)
+    w = 0.5 * (1.0 - ckink) * w
+    ell = np.arange(lmax + 1)
+    return (2 * ell + 1) / 2.0 * (legendre_all(lmax, c) @ (w * zonal_d(model.tau, c)))
+
+
+class TestLagrangianCoeffs:
+    """c_l of L = sum_l c_l P_l, in closed form above the kink."""
+
+    TAUS = [1.0, 1.001, 1.2, 1.5, 2.0, 3.0, 10.0]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_matches_exact_polynomial_integration(self, tau):
+        # (2l + 1)/2 times the integral of P_l D over [c_k, 1], integrated as a
+        # Legendre series: D = 2 tau^2 (tau^2 c^2 + 2c + 2 - tau^2)
+        model = ManifoldModel.sphere(tau)
+        t2 = tau**2
+        d = Polynomial([2 * t2 * (2 - t2), 4 * t2, 2 * t2 * t2]).convert(kind=Legendre)
+        ckink = max(-1.0, 1.0 - 2.0 / t2)
+        got = _lagrangian_legendre_coeffs(model, 60)
+        for l in range(61):
+            antiderivative = (Legendre.basis(l) * d).integ()
+            ref = (2 * l + 1) / 2 * (antiderivative(1.0) - antiderivative(ckink))
+            assert abs(got[l] - ref) <= 1e-13 * model.kernel_scale
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_matches_gauss_form(self, tau):
+        model = ManifoldModel.sphere(tau)
+        got = _lagrangian_legendre_coeffs(model, 480)
+        assert got.shape == (481,)
+        assert np.max(np.abs(got - _gauss_lagrangian_coeffs(model, 480))) <= 1e-10 * model.kernel_scale
+
+    def test_prefix_does_not_depend_on_lmax(self):
+        model = ManifoldModel.sphere(1.3)
+        assert np.array_equal(_lagrangian_legendre_coeffs(model, 7),
+                              _lagrangian_legendre_coeffs(model, 480)[:8])
 
 
 class TestSerialization:
