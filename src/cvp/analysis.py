@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -267,18 +268,17 @@ def _heat_coeffs(t: float, lmax: int) -> np.ndarray:
     return (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
 
 
-def _heat_values(degrees: dict, table) -> dict:
-    """{t: h_t at the points of ``table``}, for ``degrees`` = {t: l_t}, the
-    truncation degrees.
+def _heat_values(coeffs: dict, table) -> dict:
+    """{t: h_t at the points of ``table``}, for ``coeffs`` = {t: the
+    ``_heat_coeffs`` of h_t}: each coefficient vector times as many leading
+    rows of a ``legendre_all`` table at least that deep.
 
-    ``table`` is a ``legendre_all`` table at the points, at least l_t + 1
-    rows deep; h_t is ``_heat_coeffs(t, l_t)`` times its first l_t + 1 rows.
     A row of the recurrence does not depend on where it stops, so a deeper
     table gives the bits of one exactly as deep: a (deg + 1, n) table of
-    cos(theta) gives ``heat_kernel(t, theta)``, and a contiguous (deg + 1, 1)
+    cos(theta) gives ``heat_kernel(t, theta)`` and a contiguous (deg + 1, 1)
     column gives ``heat_kernel(t, scalar)``, bit for bit.
     """
-    return {t: _heat_coeffs(t, l) @ table[: l + 1] for t, l in degrees.items()}
+    return {t: c @ table[: len(c)] for t, c in coeffs.items()}
 
 
 def heat_kernel(t: float, theta, series_tol: float = _HEAT_SERIES_TOL):
@@ -292,7 +292,8 @@ def heat_kernel(t: float, theta, series_tol: float = _HEAT_SERIES_TOL):
         raise ValueError("t must be finite and > 0")
     lmax = _heat_lmax(t, series_tol)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = _heat_values({t: lmax}, legendre_all(lmax, np.cos(theta_arr)))[t]
+    table = legendre_all(lmax, np.cos(theta_arr))
+    vals = _heat_values({t: _heat_coeffs(t, lmax)}, table)[t]
     return float(vals[0]) if np.ndim(theta) == 0 else vals
 
 
@@ -316,71 +317,77 @@ class HeatKernelBound:
         }
 
 
-def _heat_endpoints(degrees: dict, tm: float) -> dict:
-    """{t: (h_t(0), h_t(theta_max))} for ``degrees`` = {t: l_t}.
+def _heat_series(times) -> dict:
+    """{t: ``_heat_coeffs`` of h_t, truncated at its degree}."""
+    return {t: _heat_coeffs(t, _heat_lmax(t)) for t in times}
+
+
+def _heat_endpoints(coeffs: dict, tm: float) -> dict:
+    """{t: (h_t(0), h_t(theta_max))} for ``coeffs`` = {t: coefficients}.
 
     One two-point Legendre table serves every time; each of its columns is
     made contiguous, so every value equals ``heat_kernel(t, 0.0)`` or
     ``heat_kernel(t, tm)`` bit for bit.
     """
-    ends = legendre_all(max(degrees.values()), np.cos([0.0, tm]))
-    h0, hm = (_heat_values(degrees, np.ascontiguousarray(ends[:, j : j + 1])) for j in (0, 1))
-    return {t: (float(h0[t][0]), float(hm[t][0])) for t in degrees}
+    ends = legendre_all(max(map(len, coeffs.values())) - 1, np.cos([0.0, tm]))
+    h0, hm = (_heat_values(coeffs, np.ascontiguousarray(ends[:, j : j + 1])) for j in (0, 1))
+    return {t: (float(h0[t][0]), float(hm[t][0])) for t in coeffs}
 
 
-def _heat_calibration(model, t1, t2, e1, e2) -> HeatKernelBound:
-    """K = lambda (h_t1 - delta h_t2) calibrated so that K(0) = L(0) and
-    K(theta_max) = 0, with S_K = lambda (1 - delta).
+def _heat_calibration(scale: float, e1, e2) -> tuple[float, float, float]:
+    """(delta, lambda, S_K) of K = lambda (h_t1 - delta h_t2) calibrated so
+    that K(0) = L(0) = ``scale`` and K(theta_max) = 0, S_K = lambda (1 - delta).
 
     The first half of the bound: ``e1`` and ``e2`` are the endpoint values
     (h(0), h(theta_max)) of the two heat kernels, and nothing else is read.
-    A singular calibration gives lambda = inf.  ``dominated`` is False until
-    ``_heat_grid_check`` sets it.
+    A singular calibration gives lambda = inf.
     """
     (h10, h1m), (h20, h2m) = e1, e2
     delta = h1m / h2m
     denom = h10 - delta * h20
-    lam = model.kernel_scale / denom if denom != 0 else math.inf
-    return HeatKernelBound(t1, t2, delta, lam, lam * (1.0 - delta), False)
+    lam = scale / denom if denom != 0 else math.inf
+    return delta, lam, lam * (1.0 - delta)
 
 
-def _can_dominate(hb: HeatKernelBound) -> bool:
+def _can_dominate(delta: float, lam: float) -> bool:
     """0 < delta < 1 and 0 < lambda < inf, without which K <= L certifies
     nothing; S_K = lambda (1 - delta) is then finite and positive, never NaN."""
-    return 0.0 < hb.delta < 1.0 and 0.0 < hb.lam < math.inf
+    return 0.0 < delta < 1.0 and 0.0 < lam < math.inf
 
 
-def _heat_grid_check(hb: HeatKernelBound, prof1, prof2, lvals) -> HeatKernelBound:
-    """The second half of the bound: ``hb`` with ``dominated`` = K <= L on the
-    check grid, i.e. K <= ``lvals``.
+def _heat_grid_check(delta: float, lam: float, prof1, prof2, lvals) -> bool:
+    """The second half of the bound: K = lambda (h_t1 - delta h_t2) <= L on
+    the check grid, i.e. K <= ``lvals``.
 
     ``prof1`` and ``prof2`` hold h_t1 and h_t2 on the grid and ``lvals``
     holds L + 1e-9 there, the tolerance added once by the caller rather than
     once per pair.
     """
-    kvals = hb.lam * (prof1 - hb.delta * prof2)
-    return replace(hb, dominated=bool(np.all(kvals <= lvals)))
+    return bool(np.all(lam * (prof1 - delta * prof2) <= lvals))
 
 
-def _grid_checked(model, ranked, degrees: dict, check_grid: int):
-    """Yield each calibrated bound of ``ranked`` after its grid check, in order.
+def _grid_checked(model, ranked, coeffs: dict, check_grid: int):
+    """Yield the ``HeatKernelBound`` of each calibrated pair
+    (t1, t2, delta, lambda, S_K) of ``ranked`` after its grid check, in order.
 
-    h_t on the grid is formed only for the times of the bounds checked, once
+    h_t on the grid is formed only for the times of the pairs checked, once
     per time, from one Legendre table on the grid that is only as deep as
     the deepest of those times; a time that needs more degrees rebuilds it
-    deeper.  Nothing is built before the first bound is asked for.
+    deeper.  Nothing is built before the first pair is asked for.
     """
     theta = np.linspace(0.0, np.pi, check_grid)
     lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
     x = np.cos(theta)
     table = np.empty((0, check_grid))
     prof = {}
-    for hb in ranked:
-        new = {t: degrees[t] for t in (hb.t1, hb.t2) if t not in prof}
-        if new and max(new.values()) >= len(table):
-            table = legendre_all(max(new.values()), x)
+    for t1, t2, delta, lam, s_k in ranked:
+        new = {t: coeffs[t] for t in (t1, t2) if t not in prof}
+        rows = max(map(len, new.values()), default=0)
+        if rows > len(table):
+            table = legendre_all(rows - 1, x)
         prof.update(_heat_values(new, table))
-        yield _heat_grid_check(hb, prof[hb.t1], prof[hb.t2], lvals)
+        dominated = _heat_grid_check(delta, lam, prof[t1], prof[t2], lvals)
+        yield HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
 
 
 def heat_kernel_bound(
@@ -394,20 +401,19 @@ def heat_kernel_bound(
     lambda (1 - delta) is a certified lower bound only in that case.
     Positivity of the spectral coefficients
     lambda (exp(-t1 l(l+1)) - delta exp(-t2 l(l+1))) holds by construction
-    when delta < 1 and t1 < t2.  The pair takes the path of one pair of
-    ``optimize_heat_params``; the grid is not read when the calibration
+    when delta < 1 and t1 < t2.  The grid is not read when the calibration
     cannot dominate.
     """
     if model.kind != "sphere":
         raise ValueError("the heat-kernel bound is formulated on the sphere")
     if not 0 < t1 < t2 < math.inf:
         raise ValueError("need 0 < t1 < t2 < inf")
-    degrees = {t: _heat_lmax(t) for t in (t1, t2)}
-    ends = _heat_endpoints(degrees, theta_max(model))
-    hb = _heat_calibration(model, t1, t2, ends[t1], ends[t2])
-    if not _can_dominate(hb):
-        return hb
-    return next(_grid_checked(model, [hb], degrees, check_grid))
+    coeffs = _heat_series((t1, t2))
+    ends = _heat_endpoints(coeffs, theta_max(model))
+    delta, lam, s_k = _heat_calibration(model.kernel_scale, ends[t1], ends[t2])
+    if not _can_dominate(delta, lam):
+        return HeatKernelBound(t1, t2, delta, lam, s_k, False)
+    return next(_grid_checked(model, [(t1, t2, delta, lam, s_k)], coeffs, check_grid))
 
 
 def optimize_heat_params(
@@ -431,15 +437,17 @@ def optimize_heat_params(
         raise ValueError("heat times must be finite and > 0")
     if not t_grid:
         return None
-    degrees = {t: _heat_lmax(t) for t in t_grid}
-    ends = _heat_endpoints(degrees, theta_max(model))
-    calibrated = (
-        _heat_calibration(model, t1, t2, ends[t1], ends[t2])
-        for i, t1 in enumerate(t_grid)
-        for t2 in t_grid[i + 1:]
-    )
-    ranked = sorted(filter(_can_dominate, calibrated), key=lambda hb: hb.s_k, reverse=True)
-    checked = _grid_checked(model, ranked, degrees, check_grid)
+    coeffs = _heat_series(t_grid)
+    ends = _heat_endpoints(coeffs, theta_max(model))
+    scale = model.kernel_scale
+    ranked = []
+    for i, t1 in enumerate(t_grid):
+        for t2 in t_grid[i + 1:]:
+            delta, lam, s_k = _heat_calibration(scale, ends[t1], ends[t2])
+            if _can_dominate(delta, lam):
+                ranked.append((t1, t2, delta, lam, s_k))
+    ranked.sort(key=itemgetter(4), reverse=True)
+    checked = _grid_checked(model, ranked, coeffs, check_grid)
     return next((hb for hb in checked if hb.dominated), None)
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# up to this many points, legendre_all recurs per point on Python floats: five
+# numpy calls per degree cost more than the arithmetic below about 16 points
+_FEW_POINTS = 16
+
 
 def legendre_all(lmax: int, x) -> np.ndarray:
     """P_0 .. P_lmax evaluated at x, shape (lmax+1,) + x.shape.
@@ -13,8 +17,11 @@ def legendre_all(lmax: int, x) -> np.ndarray:
     row in place, with one scratch row for l P_{l-1}, by the same
     element-wise operations in the same order as the out-of-place
     expression, so the table is bit for bit the same without four
-    temporaries per degree.  Every value depends only on its own x, so a
-    point's column does not depend on which other points are evaluated.
+    temporaries per degree.  At most ``_FEW_POINTS`` points recur one by
+    one on Python floats, again by the same IEEE operations in the same
+    order, so the bits are the same there too.  Every value depends only on
+    its own x, so a point's column does not depend on which other points
+    are evaluated.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((lmax + 1,) + x.shape)
@@ -24,6 +31,14 @@ def legendre_all(lmax: int, x) -> np.ndarray:
     if lmax == 0:
         return out
     rows[1] = xs
+    if xs.size <= _FEW_POINTS:
+        for j, xj in enumerate(xs.tolist()):
+            p0, p1, col = 1.0, xj, []
+            for l in range(1, lmax):
+                p0, p1 = p1, (xj * (2 * l + 1) * p1 - p0 * l) / (l + 1)
+                col.append(p1)
+            rows[2:, j] = col
+        return out
     scratch = np.empty_like(xs)
     for l in range(1, lmax):
         row = rows[l + 1]

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from cvp import (
     volume_action,
 )
 from cvp import analysis
-from cvp.analysis import _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_values
+from cvp.analysis import _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_series, _heat_values
 from cvp.exact import circle_chain_minimizer, circle_chain_points
 from cvp.manifold import _flag_kernel_parts, _haar_flag_pairs, kernel_cross, lagrangian_profile
 from cvp.spectral import legendre_all
@@ -255,8 +254,8 @@ class TestHeatKernelBound:
         # per-time path of heat_kernel, whose own table stops at its degree
         grid = np.geomspace(0.01, 2.0, 14)
         theta = np.linspace(0.0, np.pi, 10000)
-        degrees = {t: _heat_lmax(t) for t in grid.tolist()}
-        heat = _heat_values(degrees, legendre_all(max(degrees.values()), np.cos(theta)))
+        coeffs = _heat_series(grid.tolist())
+        heat = _heat_values(coeffs, legendre_all(len(coeffs[0.01]) - 1, np.cos(theta)))
         for t in grid:
             assert np.array_equal(heat[t], heat_kernel(t, theta))
 
@@ -265,7 +264,7 @@ class TestHeatKernelBound:
         # the two-point endpoint table gives the scalar path's values exactly
         grid = np.geomspace(0.01, 2.0, 14)
         tm = theta_max(ManifoldModel.sphere(tau))
-        ends = _heat_endpoints({t: _heat_lmax(t) for t in grid.tolist()}, tm)
+        ends = _heat_endpoints(_heat_series(grid.tolist()), tm)
         for t in grid:
             assert ends[t] == (heat_kernel(t, 0.0), heat_kernel(t, tm))
 
@@ -375,31 +374,39 @@ class TestHeatSearchOracle:
         assert optimize_heat_params(model, t_grid) is None
 
     def test_grid_checks_and_table_depth(self, monkeypatch):
-        # the exhaustive loop checked 91, 78, 53, 42, 37, 32, 26 and 24 pairs
-        checked, depths = [], []
-        check, table = analysis._heat_grid_check, analysis.legendre_all
+        # the exhaustive loop checked 91, 78, 53, 42, 37, 32, 26 and 24 pairs,
+        # on a table as deep as the smallest time, 0.01
+        checked, on_grid, depths = [], set(), []
+        check, values, table = analysis._heat_grid_check, analysis._heat_values, analysis.legendre_all
 
-        def spy_check(hb, *args):
-            checked.append(hb)
-            return check(hb, *args)
+        def spy_check(delta, lam, *args):
+            checked.append((delta, lam))
+            return check(delta, lam, *args)
+
+        def spy_values(coeffs, tab):
+            if tab.shape[1] > 1:  # the grid, not an endpoint column
+                on_grid.update(coeffs)
+            return values(coeffs, tab)
 
         def spy_table(lmax, x):
-            if np.size(x) > 2:  # the grid table, not the two endpoints
+            if np.size(x) > 2:
                 depths.append(lmax)
             return table(lmax, x)
 
         monkeypatch.setattr(analysis, "_heat_grid_check", spy_check)
+        monkeypatch.setattr(analysis, "_heat_values", spy_values)
         monkeypatch.setattr(analysis, "legendre_all", spy_table)
         t_grid = np.geomspace(0.01, 2.0, 14)
         counts = []
         for tau in BENCH_TAUS:
             checked.clear()
+            on_grid.clear()
             depths.clear()
             best = optimize_heat_params(ManifoldModel.sphere(tau), t_grid)
             counts.append(len(checked))
-            assert checked[-1] == replace(best, dominated=False)
-            deepest = max(_heat_lmax(t) for hb in checked for t in (hb.t1, hb.t2))
-            assert max(depths) == deepest < _heat_lmax(0.01)
+            assert checked[-1] == (best.delta, best.lam)
+            assert {best.t1, best.t2} <= on_grid
+            assert max(depths) == max(_heat_lmax(t) for t in on_grid) < _heat_lmax(0.01)
         assert counts == [11, 1, 1, 1, 1, 1, 1, 1]
 
 

@@ -39,6 +39,20 @@ class TestLegendreAll:
         assert got.shape == (8,) + shape
         assert np.array_equal(got, textbook_legendre(7, x))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 17, 64])
+    def test_few_and_many_points_agree(self, n):
+        # up to 16 points recur on Python floats, more on numpy rows; both
+        # give the textbook bits, also at +-1, -0, NaN, inf and off [-1, 1]
+        special = [1.0, -1.0, -0.0, np.nan, np.inf, 3.0, -1e200]
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        x[: min(n, len(special))] = special[:n]
+        with np.errstate(all="ignore"):
+            ref = textbook_legendre(480, x)
+            got = legendre_all(480, x)
+            single = [legendre_all(480, x[j : j + 1])[:, 0] for j in range(n)]
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.stack(single, axis=1), ref, equal_nan=True)
+
     @pytest.mark.parametrize("lmax", [0, 1, 2])
     def test_low_degrees(self, lmax):
         x = np.array([-0.5, 0.25])
