@@ -27,9 +27,9 @@ a quadratic alpha c^2 + beta c + gamma in c, so in x (x) x, x and 1, and on
 the flag D(x, y) = (xi (x) xi) . C (eta (x) eta), where xi are the real
 coordinates of X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian
 basis H_k and C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2.
-The annealer's engine (``optimize._Engine``, ``optimize._flag_maps``)
-evaluates its rows that way; ``kernel_cross`` stays the reference
-evaluation.
+The annealer's engine (``optimize._Engine``) evaluates its rows that way,
+from the feature maps of ``optimize._Lift`` (on the flag, C from
+``optimize._flag_maps``); ``kernel_cross`` stays the reference evaluation.
 """
 
 from __future__ import annotations

@@ -18,32 +18,13 @@ repairs Euler-Lagrange violations directly; every k-th accepted move
 triggers a weight re-solve.  Cooling ends in a zero-temperature
 quench with geometrically shrinking move scale.
 
-A move of a massless point leaves the action unchanged and is always
-accepted; during cooling it only writes the point's position and marks it
-stale.  Its lifted features are written before any kernel row reads them
-(at a refresh, a consolidation row or a resync), and its row of the Gram
-matrix G and its entry of g = G w are rebuilt before weight can move into
-it and before every weight re-solve; with weight 0 it meanwhile changes
-neither the action nor any weighted point's potential, nor the potential
-on the relocate move's probe grid, whose minimum is kept until the weights
-or a weighted point move.
-
-One move engine serves all three kinds.  D is a bilinear form in lifted
-point features, so the engine keeps one feature row per support point and
-a kernel row is one matrix-vector product and a clamp; only the feature
-maps and the move proposal differ by kind.  On the flag the lift is real:
-xi, the coordinates of X = (1+tau) uu* + (1-tau) vv* in an orthonormal
-Hermitian basis, is a fixed quadratic map of the real view of (u, v), and
-D(x, y) = (xi (x) xi) . C (eta (x) eta) with a sparse C that depends only
-on f.
-
-A tau-continuation scan runs ascending and descending passes, warm-starts
-each tau from its neighbour and keeps the best of warm and cold runs, so
-the kept measure is never above the cold run.  Its row is emitted after
-support reduction (points dropped one at a time by weight re-solves at
-fixed positions, raising the action by at most 1e-6 relative) and cluster
-merging, so the row's action may exceed the cold run's by up to 1e-6 S
-plus the bound that ``merge_clusters`` reports.
+Each restart keeps one annealing state (``_AnnealState``: the move engine,
+G, g = G w, w, S and the best snapshot); cooling and the quench are two
+loops over it, and the quench starts from the best snapshot on the same
+engine.  One engine serves all three kinds: D is a bilinear form in lifted
+point features, so a kernel row is one matrix-vector product and a clamp.
+The feature maps and the probe grid (``_Lift``) depend only on the model,
+and each ``anneal`` call builds them once for all its restarts.
 """
 
 from __future__ import annotations
@@ -52,7 +33,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,8 +73,8 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.t_start > self.t_end > 0):
-            raise ValueError("need t_start > t_end > 0")
+        if not (math.isfinite(self.t_start) and self.t_start > self.t_end > 0):
+            raise ValueError("need finite t_start > t_end > 0")
         if not (0 < self.cooling < 1):
             raise ValueError("cooling must lie in (0, 1)")
         if self.steps_per_temp < 1 or self.restarts < 1:
@@ -103,22 +84,13 @@ class AnnealSchedule:
     def default(cls, model: ManifoldModel, seed: int = 0, **overrides) -> "AnnealSchedule":
         """t_start = 8 tau^2, t_end = 1e-6 * 8 tau^2, cooling 0.97."""
         scale = model.kernel_scale
-        sched = cls(t_start=scale, t_end=1e-6 * scale, seed=seed)
-        return replace(sched, **overrides) if overrides else sched
+        return cls(**{"t_start": scale, "t_end": 1e-6 * scale, "seed": seed, **overrides})
 
     @classmethod
     def light(cls, model: ManifoldModel, seed: int = 0, **overrides) -> "AnnealSchedule":
-        """Shorter schedule for scans."""
-        scale = model.kernel_scale
-        sched = cls(
-            t_start=scale,
-            t_end=1e-6 * scale,
-            cooling=0.93,
-            steps_per_temp=80,
-            restarts=2,
-            seed=seed,
-        )
-        return replace(sched, **overrides) if overrides else sched
+        """Shorter schedule for scans: cooling 0.93, 80 steps, 2 restarts."""
+        light = {"cooling": 0.93, "steps_per_temp": 80, "restarts": 2}
+        return cls.default(model, seed, **{**light, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +231,6 @@ def optimal_weights(model: ManifoldModel, points) -> np.ndarray:
 # proposal helpers
 
 
-def _position_scale(model: ManifoldModel) -> float:
-    if model.kind == "flag":
-        return 1.0
-    return theta_max(model)
-
-
 # probe grid for the relocate move: size per kind, seed of the flag draw
 _PROBE_SIZE = {"circle": 192, "sphere": 256, "flag": 96}
 _PROBE_SEED = 7
@@ -373,52 +339,41 @@ def _flag_maps(f, tau):
     return A.reshape(K, -1), C
 
 
-class _Engine:
-    """Kernel rows for the annealing hot loop, one matmul each.
+class _Lift:
+    """What the annealer needs of the model: the feature maps, the move
+    proposal ``jitter`` and scale ``pos_scale``, and the relocate move's probe
+    grid with its queries ``q_probe``; the engines of one ``anneal`` call share it.
 
-    D is a bilinear form in lifted point features, D(x, y) = q(x) . F(y).
-    ``F`` holds the stored features of every point, so a kernel row is
-    max(0, F q(x)), and the potential on the relocate move's probe grid is
-    max(0, Q F^T) w with the probe queries Q built once per engine, in one
-    batched lift.  On the circle and the sphere D is quadratic in c = <x, y>,
-    with coefficients read off ``zonal_d`` at c = -1, 0, 1.  On the flag the
-    query is xi (x) xi, f^4 reals, with xi the real coordinates of X in an
-    orthonormal Hermitian basis, and the stored feature is C (eta (x) eta)
-    (``_flag_maps``); a row contracts each stored feature, read as an
-    f^2 x f^2 matrix M(y), with xi on both sides, xi . M(y) xi, so the
-    query's outer product is never formed.  Only the feature maps and
-    ``jitter_at`` depend on the kind; ``kernel_cross`` stays the reference
-    evaluation, from which the rows differ at rounding level.
-
-    ``pts`` keeps the points in their input/output form (angles on the
-    circle).  ``defer_point`` moves a point without writing its features,
-    which the annealer does for massless points; ``sync`` writes the
-    deferred features and must run before a row reads them.  ``l_row``
-    returns an internal buffer that is invalidated by the next call; the
-    annealer copies it into the Gram matrix on acceptance.
+    D(x, y) = q(x) . F(y) in lifted features.  ``one`` maps a point to the
+    coordinates both are read from, ``store`` maps those to F, ``stored`` a
+    batch of points to F in one batched lift, and ``row_fn(F, out)`` gives
+    the row function, coordinates -> F q into ``out``.  On the circle and
+    the sphere D is quadratic in c = <x, y>, with coefficients read off
+    ``zonal_d`` at c = -1, 0, 1.  On the flag q = xi (x) xi, f^4 reals, with
+    xi the real coordinates of X in an orthonormal Hermitian basis, and
+    F = C (eta (x) eta) (``_flag_maps``); a row reads each stored feature as
+    an f^2 x f^2 matrix M(y) and forms xi . M(y) xi, so the query's outer
+    product is never formed.
     """
 
-    def __init__(self, model, pts):
+    def __init__(self, model):
         self.model = model
-        m = len(pts)
         self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
-        self._row = np.empty(m)
         if model.kind == "flag":
+            self.pos_scale = 1.0
             A, C = _flag_maps(model.f, model.tau)
             K = A.shape[0]
-            self.pts = np.array(pts, dtype=complex, copy=True)
             A3 = A.reshape(-1, 4 * model.f)
             # C has about 16 f^4 nonzeros of f^8, so one point's feature is a
             # sparse product; a batch goes through the dense matmul
             rows, cols = C.nonzero()
             vals = C[rows, cols]
 
-            def lift(x):  # xi_k = r . A_k r
+            def one(x):  # xi_k = r . A_k r
                 r = x.reshape(-1).view(float)
                 return A3.dot(r).reshape(K, -1).dot(r)
 
-            self._lift = lift
-            self._store = lambda xi: np.bincount(
+            self.store = lambda xi: np.bincount(
                 rows, vals * np.multiply.outer(xi, xi).reshape(-1)[cols], K * K)
 
             def lift_all(xs):  # xi (x) xi of a batch
@@ -426,40 +381,99 @@ class _Engine:
                 xi = np.einsum("nkj,nj->nk", (r @ A3.T).reshape(len(xs), K, -1), r)
                 return (xi[:, :, None] * xi[:, None, :]).reshape(len(xs), -1)
 
-            self._stored = lambda xs: lift_all(xs) @ C
-            self._q_probe = lift_all(self.probe)
-            self.F = self._stored(self.pts)
-            # row_j = xi . M_j xi with M_j the stored feature as a K x K matrix
-            F3 = self.F.reshape(-1, K)
-            self._row_of = lambda xi: F3.dot(xi).reshape(m, K).dot(xi, out=self._row)
+            self.stored = lambda xs: lift_all(xs) @ C
+            self.q_probe = lift_all(self.probe)
+
+            def row_fn(F, out):  # row_j = xi . M_j xi, M_j the stored feature as K x K
+                F3, m = F.reshape(-1, K), len(F)
+                return lambda xi: F3.dot(xi).reshape(m, K).dot(xi, out=out)
+
+            def jitter(x, scale, rand):
+                # x + scale * n with the normals read as interleaved (Re, Im)
+                # pairs of u, then of v; Gram-Schmidt with np.vdot, which
+                # projects twice when the first projection removes more than
+                # half of |v|^2, so that <u, v> stays at rounding level
+                # (Parlett's criterion)
+                y = rand.normals(4 * model.f).view(complex).reshape(2, -1) * scale
+                y += x
+                u, v = y[0], y[1]
+                u *= 1.0 / math.sqrt(np.vdot(u, u).real)
+                c = np.vdot(u, v)
+                v -= c * u
+                vv = np.vdot(v, v).real
+                if abs(c) ** 2 > vv:
+                    v -= np.vdot(u, v) * u
+                    vv = np.vdot(v, v).real
+                v *= 1.0 / math.sqrt(vv)
+                return y
         else:
-            self.pts = np.array(pts, dtype=float, copy=True)
+            self.pos_scale = theta_max(model)
             dm, d0, dp = zonal_d(model.tau, np.array([-1.0, 0.0, 1.0])).tolist()
             a, b, c = 0.5 * (dp + dm) - d0, 0.5 * (dp - dm), d0
-            query, ones = (a, 2.0 * a, b, c), (1.0, 1.0, 1.0, 1.0)
+            a2 = 2.0 * a  # the query is (a, a2, b, c); a *args call per row costs more
             if model.kind == "circle":  # a great circle of the sphere
-                self._lift = lambda t: (math.cos(t), math.sin(t), 0.0)
-                coords = lambda xs: np.array([self._lift(t) for t in xs.tolist()]).T
+                one = lambda t: (math.cos(t), math.sin(t), 0.0)
+                coords = lambda xs: np.array([one(t) for t in xs.tolist()]).T
+
+                def jitter(x, scale, rand):  # Python floats: the doubles of np.float64
+                    return (float(x) + scale * rand.normal()) % (2.0 * math.pi)
             else:
-                self._lift = lambda e: e if type(e) is tuple else e.tolist()
+                one = lambda e: e if type(e) is tuple else e.tolist()
                 coords = np.transpose
+
+                def jitter(x, scale, rand):  # the normalized step on Python floats
+                    x0, x1, x2 = x.tolist()
+                    n0, n1, n2 = rand.normals(3).tolist()
+                    v0, v1, v2 = x0 + scale * n0, x1 + scale * n1, x2 + scale * n2
+                    r = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+                    return (v0 / r, v1 / r, v2 / r)
 
             def lift_all(xs, a, a2, b, c):  # one feature row per point of a batch
                 return np.stack(_zonal_features(coords(xs), a, a2, b, np.full(len(xs), c)), 1)
 
-            self._store = lambda e: _zonal_features(e, *ones)
-            self._stored = lambda xs: lift_all(xs, *ones)
-            self._q_probe = lift_all(self.probe, *query)
-            self.F = self._stored(self.pts)
-            q = np.empty(10)
+            self.store = lambda e: _zonal_features(e, 1.0, 1.0, 1.0, 1.0)
+            self.stored = lambda xs: lift_all(xs, 1.0, 1.0, 1.0, 1.0)
+            self.q_probe = lift_all(self.probe, a, a2, b, c)
 
-            def row_of(e):
-                q[:] = _zonal_features(e, *query)
-                return self.F.dot(q, out=self._row)
+            def row_fn(F, out):
+                q = np.empty(10)
 
-            self._row_of = row_of
+                def row_of(e):
+                    q[:] = _zonal_features(e, a, a2, b, c)
+                    return F.dot(q, out=out)
+
+                return row_of
+        self.one, self.row_fn, self.jitter = one, row_fn, jitter
+
+
+class _Engine:
+    """Kernel rows for the annealing hot loop, one matmul each.
+
+    ``F`` holds the stored features of the points ``pts`` (angles on the
+    circle): a kernel row is max(0, F q(x)) and the potential on the probe
+    grid max(0, Q F^T) w, both within rounding of ``kernel_cross``, and
+    ``jitter_at`` is the lift's move proposal.  ``defer_point`` moves a
+    point without writing its features, as the annealer does for massless
+    points; ``sync`` writes them and must run before a row reads them.
+    ``reset`` moves every point and rewrites ``F`` in place by the batched
+    lift, since the row function reads it through a view.  ``l_row``
+    returns a buffer that the next call overwrites.
+    """
+
+    def __init__(self, lift, pts):
+        self.lift = lift
+        self.pts = np.array(pts, dtype=complex if lift.model.kind == "flag" else float, copy=True)
+        self.F = lift.stored(self.pts)
+        self._lift, self._store, self.jitter_at = lift.one, lift.store, lift.jitter
+        self._row_of = lift.row_fn(self.F, np.empty(len(self.F)))
         self._deferred = set()
-        self._zero = np.zeros(m)
+        self._zero = np.zeros(len(self.F))
+        self._last = (None, None)
+
+    def reset(self, pts):
+        self.pts[:] = pts
+        self.F[:] = self.lift.stored(self.pts)
+        self._deferred.clear()
         self._last = (None, None)
 
     def l_row(self, x):
@@ -482,41 +496,10 @@ class _Engine:
             self.F[i] = self._store(self._lift(self.pts[i]))
         self._deferred.clear()
 
-    def jitter_at(self, x, scale, rand):
-        if self.model.kind == "circle":
-            # Python floats: the same doubles and remainder as np.float64
-            return (float(x) + scale * rand.normal()) % (2.0 * math.pi)
-        if self.model.kind == "sphere":
-            x0, x1, x2 = x.tolist()
-            n0, n1, n2 = rand.normals(3).tolist()
-            v0, v1, v2 = x0 + scale * n0, x1 + scale * n1, x2 + scale * n2
-            r = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-            return (v0 / r, v1 / r, v2 / r)
-        # x + scale * n with the normals read as interleaved (Re, Im) pairs of
-        # u, then of v; Gram-Schmidt with np.vdot, which projects twice when
-        # the first projection removes more than half of |v|^2, so that
-        # <u, v> stays at rounding level (Parlett's criterion)
-        y = rand.normals(4 * self.model.f).view(complex).reshape(2, -1) * scale
-        y += x
-        u, v = y[0], y[1]
-        u *= 1.0 / math.sqrt(np.vdot(u, u).real)
-        c = np.vdot(u, v)
-        v -= c * u
-        vv = np.vdot(v, v).real
-        if abs(c) ** 2 > vv:
-            v -= np.vdot(u, v) * u
-            vv = np.vdot(v, v).real
-        v *= 1.0 / math.sqrt(vv)
-        return y
-
     def ell_on_probe(self, w):
-        d = self._q_probe @ self.F.T
+        d = self.lift.q_probe @ self.F.T
         np.maximum(0.0, d, out=d)
         return d @ w
-
-
-def _make_engine(model: ManifoldModel, pts):
-    return _Engine(model, pts)
 
 
 def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
@@ -552,92 +535,148 @@ def _pad_measure(model: ManifoldModel, meas: WeightedMeasure, m: int, seed):
 # the annealer
 
 
-def _move_point(eng, G, g, w, i, x_new, row, ell):
-    """Accept a position move: row and column i of G become ``row`` and the
-    potential g = G w is updated in place; ``ell`` is ``row @ w``, the
-    moved point's new potential."""
-    change = row - G[i]
-    eng.set_point(i, x_new)
-    G[i, :] = row
-    G[:, i] = row
-    change *= w.item(i)
-    g += change
-    g[i] = ell
+class _AnnealState:
+    """One restart's annealing state, shared by cooling and the quench: the
+    engine, the Gram G of its points, the weights w, g = G w and S = w . g
+    (kept incrementally), the probe grid's argmin of ell (None once w or a
+    weighted point moves), cooling's warm face (the support of the last
+    weight solve) and the best snapshot [S, points, weights].
 
+    A massless point's move leaves S unchanged and is always accepted;
+    cooling only writes the point (``defer_point``) and marks it stale.  Its
+    features are written before a kernel row reads them, and its row of G
+    and entry of g (``refresh``) before weight can move into it and before
+    every weight solve; meanwhile it changes neither S, nor any weighted
+    point's potential, nor the probe argmin.  ``resolve`` and ``resync``
+    replace w, g and G: a loop that keeps them in locals rebinds them after.
+    """
 
-def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
-    eng = _make_engine(model, pts)
-    w = np.array(w, dtype=float, copy=True)
-    m = len(w)
-    diag_l0 = model.kernel_scale
-    G = lagrangian_matrix(model, eng.pts)
-    g = G @ w
-    S = float(w @ g)
-    best = [S, eng.pts.copy(), w.copy()]
-    warm_free = None
-    stale = set()  # massless points whose rows of G and entries of g are out of date
-    probe_k = None  # argmin of ell on the probe grid, None once w or a weighted point moves
+    def __init__(self, lift, pts, w):
+        self.model = lift.model
+        self.eng = _Engine(lift, pts)
+        self.l_row = self.eng.l_row
+        self.diag = self.model.kernel_scale
+        self.stale = set()
+        self.warm = None
+        self.load(w)
+        self.best = [self.S, self.eng.pts.copy(), self.w.copy()]
 
-    def probe_argmin():
-        # a massless point adds exact zeros to ell, so its moves keep probe_k
-        nonlocal probe_k
-        if probe_k is None:
-            probe_k = int(eng.ell_on_probe(w).argmin())
-        return probe_k
+    def load(self, w):
+        self.w = np.array(w, dtype=float, copy=True)
+        self.probe_k = None
+        self.resync()
 
-    def refresh(idx):
-        eng.sync()
+    def resync(self):
+        """G, g and S recomputed from the points and weights."""
+        self.eng.sync()
+        self.G = lagrangian_matrix(self.model, self.eng.pts)
+        self.g = self.G @ self.w
+        self.S = float(self.w @ self.g)
+        self.stale.clear()
+
+    def snapshot(self):
+        if self.S < self.best[0]:
+            self.best = [self.S, self.eng.pts.copy(), self.w.copy()]
+
+    def relocate(self, scale, rand):
+        """The lightest point and a proposal near the probe grid's ell minimum."""
+        eng = self.eng
+        if self.probe_k is None:
+            self.probe_k = int(eng.ell_on_probe(self.w).argmin())
+        return int(self.w.argmin()), eng.jitter_at(eng.lift.probe[self.probe_k], scale, rand)
+
+    def cost(self, i, x_new):
+        """Point i's kernel row at x_new, its potential there and the move's dS."""
+        row = self.l_row(x_new)
+        row[i] = self.diag
+        ell = float(row.dot(self.w))
+        return row, ell, 2.0 * self.w.item(i) * (ell - self.g.item(i))
+
+    def move(self, i, x_new, row, ell, dS):
+        """Accept the move priced by ``cost``."""
+        G, g, wi = self.G, self.g, self.w.item(i)
+        change = row - G[i]
+        self.eng.set_point(i, x_new)
+        G[i, :] = row
+        G[:, i] = row
+        change *= wi
+        g += change
+        g[i] = ell
+        self.S += dS
+        if wi != 0.0:
+            self.probe_k = None
+
+    def transfer(self, i, j, delta, dS):
+        """Accept moving weight delta from point i to point j."""
+        G, w = self.G, self.w
+        w[i] = w.item(i) - delta
+        w[j] += delta
+        self.g += delta * (G[j] - G[i])
+        self.S += dS
+        self.probe_k = None
+
+    def refresh(self, idx):
+        self.eng.sync()
         for k in idx:
-            row = eng.l_row(eng.pts[k])
-            row[k] = diag_l0
-            G[k, :] = row
-            G[:, k] = row
-            g[k] = float(row.dot(w))
-        stale.difference_update(idx)
+            row, self.g[k], _ = self.cost(k, self.eng.pts[k])
+            self.G[k, :] = row
+            self.G[:, k] = row
+        self.stale.difference_update(idx)
 
-    def resolve():
-        nonlocal w, g, S, warm_free, probe_k
-        refresh(sorted(stale))
-        sol = _simplex_qp(G, warm_free)
-        warm_free = sol.weights > 1e-14
-        if sol.action <= S:
-            w, g, S = sol.weights, sol.potential, sol.action
-            probe_k = None
-        if S < best[0]:
-            best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
+    def resolve(self, warm_free):
+        """Re-solve the weights from the face warm_free; keep them unless S rises."""
+        self.refresh(sorted(self.stale))
+        sol = _simplex_qp(self.G, warm_free)
+        self.warm = sol.weights > 1e-14
+        if sol.action <= self.S:
+            self.w, self.g, self.S = sol.weights, sol.potential, sol.action
+            self.probe_k = None
 
-    resolve()
-    if m == 1:
-        return best
+    def exact_best(self):
+        """The best of the snapshot and the end state, each at its action
+        from a fresh Gram: the incremental S accumulates roundoff."""
+        self.S = float(self.w @ lagrangian_matrix(self.model, self.eng.pts) @ self.w)
+        kept = self.best
+        self.snapshot()
+        if self.best is kept:  # the end state's Gram is not the best's
+            _, pts, w = kept
+            kept[0] = float(w @ lagrangian_matrix(self.model, pts) @ w)
+        return self.best
 
-    pos_scale = _position_scale(model)
-    rand = _BlockedRng(rng)
-    since_resolve = 0
-    since_resync = 0
+
+def _cool(st: _AnnealState, sched: AnnealSchedule, rand):
+    """Metropolis cooling from t_start to t_end with a weight re-solve every
+    _RESOLVE_EVERY accepted moves and a resync every _RESYNC_EVERY."""
+    eng, stale, m = st.eng, st.stale, len(st.w)
+    pos_scale = eng.lift.pos_scale
+    uniform, exp, l_row, jitter_at = rand.uniform, math.exp, eng.l_row, eng.jitter_at
+    cost, move, transfer, defer_point = st.cost, st.move, st.transfer, eng.defer_point
+    w, g, G = st.w, st.g, st.G
+    moves, next_resolve, next_resync = 0, _RESOLVE_EVERY, _RESYNC_EVERY
     T = sched.t_start
     while T > sched.t_end:
         # sqrt decay keeps collective rearrangements possible at low T
         jit_scale = pos_scale * math.sqrt(T / sched.t_start)
         for _ in range(sched.steps_per_temp):
             # scalars are read as Python floats: same doubles, cheaper arithmetic
-            u = rand.uniform()
+            u = uniform()
             if u < 0.32:
                 # weight transfer; occasionally consolidate a point into its
                 # most strongly coupled neighbour (cluster formation)
-                i = int(rand.uniform() * m)
+                i = int(uniform() * m)
                 wi = w.item(i)
                 if wi <= 0.0:
                     continue
                 if u < 0.28:
-                    j = int(rand.uniform() * m)
+                    j = int(uniform() * m)
                     if i == j:
                         continue
-                    delta = rand.uniform() * wi
+                    delta = uniform() * wi
                 else:
                     # G[i] is out of date in the columns of stale points
                     if stale:
                         eng.sync()
-                        row = eng.l_row(eng.pts[i])
+                        row = l_row(eng.pts[i])
                     else:
                         row = G[i]
                     gii = row[i]
@@ -648,68 +687,51 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
                         continue
                     delta = wi
                 if j in stale:
-                    refresh((j,))
+                    st.refresh((j,))
                 dS = 2.0 * delta * (g.item(j) - g.item(i)) + delta * delta * (
                     G.item(i, i) - 2.0 * G.item(i, j) + G.item(j, j)
                 )
-                if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
-                    w[i] = wi - delta
-                    w[j] += delta
-                    g += delta * (G[j] - G[i])
-                    S += dS
-                    probe_k = None
-                    since_resolve += 1
-                    since_resync += 1
+                if dS <= 0.0 or uniform() < exp(-dS / T):
+                    transfer(i, j, delta, dS)
+                    moves += 1
             else:
                 if u >= 0.95:
                     # relocate the lightest point onto the ell-minimum probe
-                    i = int(w.argmin())
-                    x_new = eng.jitter_at(eng.probe[probe_argmin()], 0.02 * pos_scale, rand)
+                    i, x_new = st.relocate(0.02 * pos_scale, rand)
                 else:
                     # geodesic jitter at the temperature-tied scale
-                    i = int(rand.uniform() * m)
-                    x_new = eng.jitter_at(eng.pts[i], jit_scale, rand)
-                wi = w.item(i)
-                if wi == 0.0:
-                    # dS = 0: accepted; refresh writes its features and row when needed
-                    eng.defer_point(i, x_new)
+                    i = int(uniform() * m)
+                    x_new = jitter_at(eng.pts[i], jit_scale, rand)
+                if w.item(i) == 0.0:
+                    defer_point(i, x_new)
                     stale.add(i)
-                    since_resolve += 1
-                    since_resync += 1
+                    moves += 1
                 else:
-                    row = eng.l_row(x_new)
-                    row[i] = diag_l0
-                    ell = float(row.dot(w))
-                    dS = 2.0 * wi * (ell - g.item(i))
-                    if dS <= 0.0 or rand.uniform() < math.exp(-dS / T):
-                        _move_point(eng, G, g, w, i, x_new, row, ell)
-                        S += dS
-                        probe_k = None
-                        since_resolve += 1
-                        since_resync += 1
-            if since_resolve >= _RESOLVE_EVERY:
-                since_resolve = 0
-                resolve()
-            elif S < best[0]:
-                best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
-            if since_resync >= _RESYNC_EVERY:
-                since_resync = 0
-                eng.sync()
-                G = lagrangian_matrix(model, eng.pts)
-                g = G @ w
-                S = float(w @ g)
-                stale.clear()
+                    row, ell, dS = cost(i, x_new)
+                    if dS <= 0.0 or uniform() < exp(-dS / T):
+                        move(i, x_new, row, ell, dS)
+                        moves += 1
+            if moves >= next_resolve:
+                next_resolve = moves + _RESOLVE_EVERY
+                st.resolve(st.warm)
+                st.snapshot()
+                w, g = st.w, st.g
+            elif st.S < st.best[0]:
+                st.snapshot()
+            if moves >= next_resync:
+                next_resync = moves + _RESYNC_EVERY
+                st.resync()
+                g, G = st.g, st.G
         T *= sched.cooling
-    resolve()
+    st.resolve(st.warm)
+    st.snapshot()
 
-    # zero-temperature quench: strict-descent refinement of the best state
-    # with geometrically shrinking move scale
-    eng = _make_engine(model, best[1])
-    w = best[2].copy()
-    G = lagrangian_matrix(model, eng.pts)
-    g = G @ w
-    S = float(w @ g)
-    probe_k = None
+
+def _quench(st: _AnnealState, rand):
+    """Zero-temperature strict-descent refinement with geometrically
+    shrinking move scale and a weight re-solve after every 120 steps."""
+    eng, m = st.eng, len(st.w)
+    pos_scale = st.eng.lift.pos_scale
     qscale = 1e-2 * pos_scale
     while qscale > 1e-10 * pos_scale:
         for _ in range(120):
@@ -717,36 +739,33 @@ def _anneal_once(model: ManifoldModel, pts, w, sched: AnnealSchedule, rng):
             if not relocate:
                 i = int(rand.uniform() * m)
                 x_new = eng.jitter_at(eng.pts[i], qscale, rand)
-                if w.item(i) == 0.0:
+                if st.w.item(i) == 0.0:
                     continue  # dS = 0 is not a strict descent
             else:
-                i = int(w.argmin())
-                x_new = eng.jitter_at(eng.probe[probe_argmin()], qscale, rand)
-            row = eng.l_row(x_new)
-            row[i] = diag_l0
-            ell_new = float(row.dot(w))
-            wi, gi = w.item(i), g.item(i)
-            dS = 2.0 * wi * (ell_new - gi)
+                i, x_new = st.relocate(qscale, rand)
+            row, ell, dS = st.cost(i, x_new)
             # relocating a massless point leaves S unchanged; taking it down
             # the potential ell lets the next weight re-solve give it mass
-            if dS < 0.0 or (relocate and wi == 0.0 and ell_new < gi):
-                _move_point(eng, G, g, w, i, x_new, row, ell_new)
-                S += dS
-                if wi != 0.0:
-                    probe_k = None
-        sol = _simplex_qp(G, w > 1e-14)
-        if sol.action <= S:
-            w, g, S = sol.weights, sol.potential, sol.action
-            probe_k = None
+            if dS < 0.0 or (relocate and st.w.item(i) == 0.0 and ell < st.g.item(i)):
+                st.move(i, x_new, row, ell, dS)
+        st.resolve(st.w > 1e-14)
         qscale *= 0.5
-    S = float(w @ lagrangian_matrix(model, eng.pts) @ w)
-    if S < best[0]:
-        best[0], best[1], best[2] = S, eng.pts.copy(), w.copy()
 
-    # incremental S accumulates roundoff; re-evaluate the tracked best exactly
-    gb = lagrangian_matrix(model, best[1])
-    best[0] = float(best[2] @ gb @ best[2])
-    return best
+
+def _anneal_once(lift: _Lift, pts, w, sched: AnnealSchedule, rng):
+    """One restart: cooling, then the quench from the best snapshot on the
+    same engine; returns the best [S, points, weights]."""
+    st = _AnnealState(lift, pts, w)
+    st.resolve(None)
+    st.snapshot()
+    if len(st.w) == 1:
+        return st.best
+    rand = _BlockedRng(rng)
+    _cool(st, sched, rand)
+    st.eng.reset(st.best[1])
+    st.load(st.best[2])
+    _quench(st, rand)
+    return st.exact_best()
 
 
 def anneal(
@@ -767,23 +786,22 @@ def anneal(
         raise ValueError("m must be >= 1")
     if sched is None:
         sched = AnnealSchedule.default(model)
+    lift = _Lift(model)
     results = []
     for r in range(sched.restarts):
+        w = np.full(m, 1.0 / m)
         if init is not None and r == 0:
             pts, w = _pad_measure(model, init, m, seed=(sched.seed, r, 101))
         elif r == (0 if init is None else 1):
             pts = _structured_start(model, m)
-            w = np.full(m, 1.0 / m)
         else:
             pts = sample_uniform(model, m, seed=(sched.seed, r))
-            w = np.full(m, 1.0 / m)
         rng = np.random.default_rng((sched.seed, r, 7))
-        results.append(_anneal_once(model, pts, w, sched, rng))
+        results.append(_anneal_once(lift, pts, w, sched, rng))
     best_S = min(res[0] for res in results)
-    for S, pts, w in results:  # lowest restart index wins ties
-        if S <= best_S + _TIE_TOL:
-            return WeightedMeasure(pts, w / w.sum()).pruned()
-    raise AssertionError("unreachable")
+    # the lowest restart index wins ties
+    _, pts, w = next(res for res in results if res[0] <= best_S + _TIE_TOL)
+    return WeightedMeasure(pts, w / w.sum()).pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -967,9 +985,6 @@ def tau_scan(
     if not tau_grid:
         return []
 
-    def make_model(tau):
-        return ManifoldModel(model_kind, tau, f)
-
     given = {"cooling": cooling, "steps_per_temp": steps_per_temp, "restarts": restarts}
     given = {name: value for name, value in given.items() if value is not None}
 
@@ -977,41 +992,25 @@ def tau_scan(
         return AnnealSchedule.light(model, seed, **{**given, **warm})
 
     best: dict[float, WeightedMeasure] = {}
-
-    def key(model, meas):
-        return (action(model, meas), meas.support_size)
-
     for direction in (1, -1):
         prev = None
         for tau in tau_grid[::direction]:
-            model = make_model(tau)
-            cands = []
-            if tau in best:
-                cands.append(best[tau])
-            else:
-                cands.append(anneal(model, m, make_sched(model)))
+            model = ManifoldModel(model_kind, tau, f)
+            cands = [best[tau] if tau in best else anneal(model, m, make_sched(model))]
             if prev is not None:
                 cands.append(anneal(model, m, make_sched(model, restarts=1), init=prev))
-            chosen = min(cands, key=lambda c: key(model, c))
-            best[tau] = chosen
-            prev = chosen
+            best[tau] = prev = min(cands, key=lambda c: (action(model, c), c.support_size))
 
     rows = []
     for tau in tau_grid:
-        model = make_model(tau)
+        model = ManifoldModel(model_kind, tau, f)
         reduced = _reduce_support(model, best[tau])
         merged = merge_clusters(model, reduced, merge_radius).measure.pruned()
         report = certify(model, merged, test_grid_size=test_grid_size, tol=certify_tol)
-        rows.append(
-            ScanRow(
-                tau=tau,
-                m=m,
-                action=report.action,
-                support_size_after_merge=merged.support_size,
-                classification=report.classification.value,
-                el_residual=report.el_residual,
-            )
-        )
+        rows.append(ScanRow(tau=tau, m=m, action=report.action,
+                            support_size_after_merge=merged.support_size,
+                            classification=report.classification.value,
+                            el_residual=report.el_residual))
     return rows
 
 

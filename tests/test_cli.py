@@ -52,6 +52,15 @@ class TestBadInput:
         assert code == 0
         assert json.loads(out)["certificate"]["action"] > 0.0
 
+    @pytest.mark.parametrize("option", ["--t-start", "--t-end"])
+    def test_infinite_temperature_exit_2(self, capsys, option):
+        # an infinite t_start kept T at inf, so cooling never ended
+        code, out, err = run(
+            capsys, "minimize", "--manifold", "circle", "--tau", "3.0", "--m", "3",
+            option, "inf",
+        )
+        assert_rejected(code, out, err, "need finite t_start > t_end > 0")
+
     @pytest.mark.parametrize("argv", [
         ["minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3"],
         ["exact", "chain", "--tau", "3"],

@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from cvp.exact import circle_chain_measure, circle_chain_minimizer, circle_m0
 from cvp.manifold import flag_point, lagrangian_cross, lagrangian_matrix
 from cvp.optimize import (
     ScanRow,
-    _make_engine,
     _qp_max_iter,
     _reduce_support,
     _simplex_qp,
@@ -35,6 +37,10 @@ from conftest import pair_kernel, stqp_enumerate
 
 def light(model, seed=0, **kw):
     return AnnealSchedule.light(model, seed=seed, **kw)
+
+
+def make_engine(model, pts):
+    return optimize._Engine(optimize._Lift(model), pts)
 
 
 class TestSchedule:
@@ -54,6 +60,12 @@ class TestSchedule:
             AnnealSchedule(t_start=1.0, t_end=0.1, cooling=1.5)
         with pytest.raises(ValueError):
             AnnealSchedule(t_start=1.0, t_end=0.1, restarts=0)
+
+    @pytest.mark.parametrize("name", ["t_start", "t_end"])
+    def test_non_finite_temperature_rejected(self, name):
+        # with t_start = inf, T *= cooling stays inf and cooling never ends
+        with pytest.raises(ValueError, match="need finite"):
+            AnnealSchedule.default(ManifoldModel.circle(3.0), **{name: math.inf})
 
 
 class TestOptimalWeights:
@@ -262,7 +274,7 @@ def assert_rows_match_oracles(model, pts, queries):
     tol = 1e-12 * model.kernel_scale
     w = np.random.default_rng(8).random(len(pts))
     w /= w.sum()
-    eng = _make_engine(model, pts)
+    eng = make_engine(model, pts)
     for k, new in ((None, None), (4, queries[-1]), (5, queries[0])):
         if k is not None:
             if k == 4:
@@ -275,9 +287,9 @@ def assert_rows_match_oracles(model, pts, queries):
             assert np.max(np.abs(row - lagrangian_cross(model, x, pts)[0])) <= tol
             assert np.max(np.abs(row - oracle)) <= tol
         ell = eng.ell_on_probe(w)
-        assert np.max(np.abs(ell - lagrangian_cross(model, eng.probe, pts) @ w)) <= tol
-        for j in range(0, len(eng.probe), 16):
-            oracle = sum(wi * max(0.0, pair_kernel(model, eng.probe[j], y))
+        assert np.max(np.abs(ell - lagrangian_cross(model, eng.lift.probe, pts) @ w)) <= tol
+        for j in range(0, len(eng.lift.probe), 16):
+            oracle = sum(wi * max(0.0, pair_kernel(model, eng.lift.probe[j], y))
                          for wi, y in zip(w, pts))
             assert abs(ell[j] - oracle) <= tol
 
@@ -294,9 +306,9 @@ class TestEngines:
         w = np.random.default_rng(6).random(9)
         w /= w.sum()
         tol = 1e-12 * model.kernel_scale
-        eng = _make_engine(model, pts)
+        eng = make_engine(model, pts)
         assert np.max(np.abs(eng.l_row(x) - lagrangian_cross(model, x, pts)[0])) <= tol
-        ell = lagrangian_cross(model, eng.probe, pts) @ w
+        ell = lagrangian_cross(model, eng.lift.probe, pts) @ w
         assert np.max(np.abs(eng.ell_on_probe(w) - ell)) <= tol
         eng.set_point(2, x)
         pts[2] = x
@@ -340,7 +352,7 @@ class TestEngines:
         # the two normalize differently (np.vdot and a reciprocal against
         # np.linalg.norm and a division), so they agree to 4e-16, not bitwise
         model = ManifoldModel.flag(f, 2.0)
-        eng = _make_engine(model, sample_uniform(model, 4, seed=3))
+        eng = make_engine(model, sample_uniform(model, 4, seed=3))
         mine = optimize._BlockedRng(np.random.default_rng(1))
         ref = optimize._BlockedRng(np.random.default_rng(1))
         x = eng.pts[0]
@@ -365,7 +377,7 @@ class TestEngines:
         # the Python-float proposal against v / np.linalg.norm(v) on the same
         # draws, to 2 ulp of each coordinate
         model = ManifoldModel.sphere(1.2)
-        eng = _make_engine(model, sample_uniform(model, 4, seed=3))
+        eng = make_engine(model, sample_uniform(model, 4, seed=3))
         mine = optimize._BlockedRng(np.random.default_rng(2))
         ref = optimize._BlockedRng(np.random.default_rng(2))
         x = eng.pts[0]
@@ -408,29 +420,36 @@ class TestBlockedRng:
 
 def watch_engines(model, monkeypatch):
     """Capture the annealer's engines and check, at every weight solve, that
-    its Gram is the Lagrangian matrix of the engine's points, and, at every
-    weight solve and every kernel row of a support point (refresh and
+    its Gram is the Lagrangian matrix of the current engine's points, and, at
+    every weight solve and every kernel row of a support point (refresh and
     consolidation), that its stored features are the lift of its points.
-    Returns [worst Gram error]."""
-    engines, worst = [], [0.0]
-    make_engine, simplex_qp = optimize._make_engine, optimize._simplex_qp
+    At the reset to the best snapshot before the quench, the features and
+    the rows must be bitwise those of an engine built at the new points.
+    Returns [worst Gram error, resets]."""
+    engines, worst = [], [0.0, 0]
+    engine, simplex_qp = optimize._Engine, optimize._simplex_qp
     tol = 1e-12 * model.kernel_scale
 
     def assert_fresh(eng):
-        assert np.max(np.abs(eng.F - eng._stored(eng.pts))) <= tol
+        assert np.max(np.abs(eng.F - eng.lift.stored(eng.pts))) <= tol
 
-    def capture(model_, pts):
-        eng = make_engine(model_, pts)
-        l_row = eng.l_row
+    class Watched(engine):
+        def __init__(self, lift, pts):
+            super().__init__(lift, pts)
+            engines.append(self)
 
-        def checked_row(x):
-            if any(np.array_equal(x, p) for p in eng.pts):
-                assert_fresh(eng)
-            return l_row(x)
+        def l_row(self, x):
+            if any(np.array_equal(x, p) for p in self.pts):
+                assert_fresh(self)
+            return super().l_row(x)
 
-        eng.l_row = checked_row
-        engines.append(eng)
-        return eng
+        def reset(self, pts):
+            super().reset(pts)
+            fresh = engine(self.lift, pts)
+            assert np.array_equal(self.pts, fresh.pts) and np.array_equal(self.F, fresh.F)
+            x = self.lift.probe[0]
+            assert np.array_equal(super().l_row(x), fresh.l_row(x))
+            worst[1] += 1
 
     def checked(G, warm_free=None):
         exact = lagrangian_matrix(model, engines[-1].pts)
@@ -438,7 +457,7 @@ def watch_engines(model, monkeypatch):
         assert_fresh(engines[-1])
         return simplex_qp(G, warm_free)
 
-    monkeypatch.setattr(optimize, "_make_engine", capture)
+    monkeypatch.setattr(optimize, "_Engine", Watched)
     monkeypatch.setattr(optimize, "_simplex_qp", checked)
     return worst
 
@@ -461,6 +480,7 @@ class TestLazyRows:
         worst = watch_engines(model, monkeypatch)
         anneal(model, m, light(model))
         assert worst[0] <= 1e-12 * model.kernel_scale
+        assert worst[1] == light(model).restarts  # one quench reset per restart
 
     def test_deferred_features_unwritten_fail_the_check(self, monkeypatch):
         # without the write before read, a row or a weight solve sees the
@@ -470,6 +490,58 @@ class TestLazyRows:
         monkeypatch.setattr(optimize._Engine, "sync", lambda self: None)
         with pytest.raises(AssertionError):
             anneal(model, 16, light(model))
+
+
+class TestBuildCounts:
+    @pytest.mark.parametrize(
+        "model", [ManifoldModel.circle(3.0), ManifoldModel.flag(3, 2.0)], ids=["circle", "flag"])
+    def test_maps_once_per_call_and_one_engine_per_restart(self, model, monkeypatch):
+        # the probe grid, its queries and the flag maps depend only on the
+        # model; the quench resets its restart's engine instead of building one
+        counts = collections.Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(optimize, "probe_grid", spy("probe", optimize.probe_grid))
+        monkeypatch.setattr(optimize, "_flag_maps", spy("maps", optimize._flag_maps))
+        monkeypatch.setattr(optimize._Engine, "__init__", spy("engine", optimize._Engine.__init__))
+        anneal(model, 6, light(model, steps_per_temp=5, restarts=2))
+        maps = 1 if model.kind == "flag" else 0
+        assert (counts["probe"], counts["maps"], counts["engine"]) == (1, maps, 2)
+
+
+class TestAnnealPins:
+    # sha256 of points.tobytes() + weights.tobytes() of anneal at
+    # AnnealSchedule.light(model, seed, steps_per_temp=10); circle tau 3.0
+    # m 8, sphere tau 1.2 m 6, flag f 3 tau 2.0 m 6.  Both circle seeds end
+    # in the same measure.
+    PINS = {
+        ("circle", 0): "d568683550ae0bb78b4b808c4a336fd6fcfcb59def8fa896ccc47d96f044acde",
+        ("circle", 1): "d568683550ae0bb78b4b808c4a336fd6fcfcb59def8fa896ccc47d96f044acde",
+        ("sphere", 0): "f34ebf6a19fe2f962312775faeab727a69b3894109f9e009f46bbc48fdb0ef40",
+        ("sphere", 1): "f5052fe6e8badeb943fef9e92cdf181656ec749257fdfb4593f4cfc60bded73f",
+        ("flag", 0): "40b62fe30bcd41031d95e46028e9eb84ea4b5fc95010033e7797409f87e5945a",
+        ("flag", 1): "cfc223e10937482d4898c58c78ea55edba9347d4f7ac10e352cb605db70985e8",
+    }
+    MODELS = {
+        "circle": (ManifoldModel.circle(3.0), 8),
+        "sphere": (ManifoldModel.sphere(1.2), 6),
+        "flag": (ManifoldModel.flag(3, 2.0), 6),
+    }
+
+    @pytest.mark.parametrize("kind, seed", list(PINS), ids=lambda v: str(v))
+    def test_output_bits(self, kind, seed):
+        """The annealer's output bits are pinned: a refactor must keep them.
+        Only a deliberate change of the search, such as a new random stream,
+        listed in CHANGES.md with its reason and new pins, may move a pin."""
+        model, m = self.MODELS[kind]
+        out = anneal(model, m, light(model, seed, steps_per_temp=10))
+        digest = hashlib.sha256(out.points.tobytes() + out.weights.tobytes()).hexdigest()
+        assert digest == self.PINS[kind, seed]
 
 
 class TestAnneal:
