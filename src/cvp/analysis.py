@@ -372,8 +372,10 @@ def _grid_checked(model, ranked, coeffs: dict, check_grid: int):
 
     h_t on the grid is formed only for the times of the pairs checked, once
     per time, from one Legendre table on the grid that is only as deep as
-    the deepest of those times; a time that needs more degrees rebuilds it
-    deeper.  Nothing is built before the first pair is asked for.
+    the deepest of those times; a time that needs more degrees extends it
+    by continuing the recurrence from its last two rows, so each degree is
+    computed once per call.  Nothing is built before the first pair is
+    asked for.
     """
     theta = np.linspace(0.0, np.pi, check_grid)
     lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
@@ -384,7 +386,7 @@ def _grid_checked(model, ranked, coeffs: dict, check_grid: int):
         new = {t: coeffs[t] for t in (t1, t2) if t not in prof}
         rows = max(map(len, new.values()), default=0)
         if rows > len(table):
-            table = legendre_all(rows - 1, x)
+            table = legendre_all(rows - 1, x, below=table)
         prof.update(_heat_values(new, table))
         dominated = _heat_grid_check(delta, lam, prof[t1], prof[t2], lvals)
         yield HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
@@ -519,48 +521,65 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     x0 = (e1, e2).  Each sample therefore draws one Haar point y = (u, v),
     whose inner products with x0 are its coordinates
     <e1, u> = u_1, <e1, v> = v_1, <e2, u> = u_2, <e2, v> = v_2.  The
-    Philox stream keyed by the seed makes the estimate deterministic per
-    seed; the standard error comes from the sample variance.
+    normals come from ``SFC64(seed)``, so the estimate is deterministic per
+    seed; the standard error comes from the sample variance.  SFC64 is the
+    fastest of numpy's bit generators for normals (a block takes about two
+    thirds of Philox's time), and the Haar law of complex Gaussians
+    orthonormalized by Gram-Schmidt holds for any good normal source; this
+    estimate needs one stream per seed, not Philox's counter-based keyed
+    streams.
 
     The samples are drawn in blocks of ``_MC_BLOCK`` = 8192 (the last one
-    shorter), each block one ``standard_normal((4, k, f))`` draw on the same
-    generator, in order, read as Re u, Im u, Re v, Im v: the stream that
-    ``_haar_flag_pairs`` reads with its four (k, f) draws.  Only the four
-    coordinates above are formed.  |u|^2, |v|^2 and <u, v> are summed
-    column by column on (k,) views; then u_1, u_2 = u_j / |u| and, with
-    v_perp = v - (<u, v> / |u|^2) u and |v_perp|^2 = |v|^2 - |<u, v>|^2 / |u|^2,
-    v_1, v_2 = (v_perp)_j / |v_perp|.  This is Gram-Schmidt as in
-    ``_haar_flag_pairs`` in real arithmetic, so a sample agrees with
-    ``kernel_cross`` at x0 on that pair to rounding, not bit for bit.  The
-    values are written into one array of n values; the working set is one
-    block plus 8 bytes per sample.
+    shorter), each block one ``standard_normal`` draw of shape (4, f, k)
+    into a buffer allocated once per call, read as Re u, Im u, Re v, Im v
+    with coordinate j's k values contiguous.  Only the four coordinates
+    above are formed.  |u|^2, |v|^2 and <u, v> are summed coordinate by
+    coordinate into four accumulators through one scratch row; then
+    u_1, u_2 = u_j / |u| and, with v_perp = v - (<u, v> / |u|^2) u and
+    |v_perp|^2 = |v|^2 - |<u, v>|^2 / |u|^2, v_1, v_2 = (v_perp)_j / |v_perp|.
+    This is Gram-Schmidt as in ``_haar_flag_pairs`` in real arithmetic, so
+    a sample agrees with ``kernel_cross`` at x0 on the pair (u, v) of the
+    block's columns to rounding, not bit for bit.  The values are written
+    into one array of n values; the working set is one block plus 8 bytes
+    per sample.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
     if n < 2:
         raise ValueError("n must be >= 2")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    f = model.f
+    rng = np.random.Generator(np.random.SFC64(seed))
+    size = min(n, _MC_BLOCK)
+    # flat buffers, so that the short last block is a contiguous prefix too
+    normals = np.empty(4 * f * size)
+    sums = np.empty(4 * size)
+    scratch = np.empty(size)
+    coords = np.empty(4 * size, dtype=complex)
     vals = np.empty(n)
     for lo in range(0, n, _MC_BLOCK):
         k = min(_MC_BLOCK, n - lo)
-        ur, ui, vr, vi = rng.standard_normal((4, k, model.f))
-        uu, vv, sr, si = np.zeros((4, k))  # |u|^2, |v|^2, Re <u, v>, Im <u, v>
-        for j in range(model.f):
-            a, b, c, d = ur[:, j], ui[:, j], vr[:, j], vi[:, j]
-            uu += a * a + b * b
-            vv += c * c + d * d
-            sr += a * c + b * d
-            si += a * d - b * c
+        block = normals[: 4 * f * k].reshape(4, f, k)
+        rng.standard_normal(out=block)
+        acc = sums[: 4 * k].reshape(4, k)
+        acc.fill(0.0)
+        uu, vv, sr, si = acc  # |u|^2, |v|^2, Re <u, v>, Im <u, v>
+        t = scratch[:k]
+        for a, b, c, d in block.transpose(1, 0, 2):  # Re u_j, Im u_j, Re v_j, Im v_j
+            for s, x, y in ((uu, a, a), (uu, b, b), (vv, c, c), (vv, d, d),
+                            (sr, a, c), (sr, b, d), (si, a, d)):
+                s += np.multiply(x, y, out=t)
+            si -= np.multiply(b, c, out=t)
         cr, ci = sr / uu, si / uu  # <u, v> / |u|^2
         nu = np.sqrt(uu)
         nv = np.sqrt(vv - (sr * cr + si * ci))
-        X = np.empty((4, k), dtype=complex)  # u_1, v_2, v_1, u_2 as in _flag_traces
+        ur, ui, vr, vi = block
+        X = coords[: 4 * k].reshape(4, k)  # u_1, v_2, v_1, u_2 as in _flag_traces
         for row, j in ((0, 0), (3, 1)):
-            X.real[row] = ur[:, j] / nu
-            X.imag[row] = ui[:, j] / nu
+            np.divide(ur[j], nu, out=X.real[row])
+            np.divide(ui[j], nu, out=X.imag[row])
         for row, j in ((2, 0), (1, 1)):
-            X.real[row] = (vr[:, j] - (cr * ur[:, j] - ci * ui[:, j])) / nv
-            X.imag[row] = (vi[:, j] - (cr * ui[:, j] + ci * ur[:, j])) / nv
+            X.real[row] = (vr[j] - (cr * ur[j] - ci * ui[j])) / nv
+            X.imag[row] = (vi[j] - (cr * ui[j] + ci * ur[j])) / nv
         vals[lo : lo + k] = _flag_kernel_parts(X, model.tau)
     return MonteCarloEstimate(
         float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))

@@ -209,15 +209,16 @@ def cmd_exact(args) -> int:
     else:  # density
         model = ManifoldModel.sphere(args.tau)
         dm = exact.three_band_density()
-        grid = dm.grid
-        cosn = grid.nodes[:, 2]
+        # the density is zonal, so its integrals need only the cos(theta) nodes
+        cosn, cw = dm.grid.cos_nodes, dm.grid.cos_weights
+        profile = dm.zonal_profile()
         p2 = 0.5 * (3.0 * cosn**2 - 1.0)
         act = density_action(model, dm)
         nu0 = analysis.spectral_closed_form(model).nu0
         payload = {
-            "mass": grid.integrate(dm.values),
-            "moment_cos": grid.integrate(dm.values * cosn),
-            "moment_p2": grid.integrate(dm.values * p2),
+            "mass": float(cw @ profile),
+            "moment_cos": float(cw @ (profile * cosn)),
+            "moment_p2": float(cw @ (profile * p2)),
             "action": act,
             "nu0": nu0,
             "action_minus_nu0": act - nu0,

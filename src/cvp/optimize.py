@@ -59,6 +59,9 @@ _RESOLVE_EVERY = 50      # accepted moves between weight sub-solves
 _RESYNC_EVERY = 4096     # accepted moves between full recomputations
 _TIE_TOL = 1e-12
 _REDUCE_RTOL = 1e-6      # action rise a support reduction may cause, relative
+# cap on a schedule's cooling steps (temperatures x steps x restarts); the
+# default schedule takes about 7e5
+MAX_ANNEAL_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,19 @@ class AnnealSchedule:
             raise ValueError("cooling must lie in (0, 1)")
         if self.steps_per_temp < 1 or self.restarts < 1:
             raise ValueError("steps_per_temp and restarts must be >= 1")
+        steps = self.temperatures * self.steps_per_temp * self.restarts
+        if steps > MAX_ANNEAL_STEPS:
+            raise ValueError(
+                f"the schedule asks for {steps:.3g} Metropolis steps ({self.temperatures} "
+                f"temperatures x {self.steps_per_temp} steps x {self.restarts} restarts), "
+                f"more than {MAX_ANNEAL_STEPS:.0e}"
+            )
+
+    @property
+    def temperatures(self) -> int:
+        """Temperatures that cooling visits: ceil(ln(t_start / t_end) / -ln(cooling))."""
+        ratio = math.log(self.t_start) - math.log(self.t_end)  # ln(t_start / t_end), no overflow
+        return math.ceil(ratio / -math.log(self.cooling))
 
     @classmethod
     def default(cls, model: ManifoldModel, seed: int = 0, **overrides) -> "AnnealSchedule":
@@ -991,6 +1007,8 @@ def tau_scan(
     def make_sched(model, **warm):
         return AnnealSchedule.light(model, seed, **{**given, **warm})
 
+    # a bad schedule fails here, before any anneal
+    make_sched(ManifoldModel(model_kind, tau_grid[0], f))
     best: dict[float, WeightedMeasure] = {}
     for direction in (1, -1):
         prev = None

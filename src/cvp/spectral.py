@@ -9,7 +9,7 @@ import numpy as np
 _FEW_POINTS = 16
 
 
-def legendre_all(lmax: int, x) -> np.ndarray:
+def legendre_all(lmax: int, x, below=None) -> np.ndarray:
     """P_0 .. P_lmax evaluated at x, shape (lmax+1,) + x.shape.
 
     Three-term recurrence P_{l+1} = ((2l+1) x P_l - l P_{l-1}) / (l+1);
@@ -22,25 +22,39 @@ def legendre_all(lmax: int, x) -> np.ndarray:
     order, so the bits are the same there too.  Every value depends only on
     its own x, so a point's column does not depend on which other points
     are evaluated.
+
+    ``below``, if given, is an earlier table of this function at the same
+    x with at most lmax + 1 rows: its rows are copied and the recurrence
+    continues from its last two, so only the missing degrees are computed
+    and the table is bit for bit the one built from degree 0.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((lmax + 1,) + x.shape)
     rows = out.reshape(lmax + 1, x.size)  # a view, so 0-d x also has writable rows
     xs = x.reshape(-1)
-    rows[0] = 1.0
+    done = 0 if below is None else len(below)
+    if done > lmax + 1:
+        raise ValueError("below has more rows than the table")
+    if done:
+        out[:done] = below
+    else:
+        rows[0] = 1.0
     if lmax == 0:
         return out
-    rows[1] = xs
+    if done < 2:
+        rows[1] = xs
+    first = max(done, 2) - 1  # the first l whose P_{l+1} is computed
     if xs.size <= _FEW_POINTS:
-        for j, xj in enumerate(xs.tolist()):
-            p0, p1, col = 1.0, xj, []
-            for l in range(1, lmax):
+        starts = zip(xs.tolist(), rows[first - 1].tolist(), rows[first].tolist())
+        for j, (xj, p0, p1) in enumerate(starts):
+            col = []
+            for l in range(first, lmax):
                 p0, p1 = p1, (xj * (2 * l + 1) * p1 - p0 * l) / (l + 1)
                 col.append(p1)
-            rows[2:, j] = col
+            rows[first + 1 :, j] = col
         return out
     scratch = np.empty_like(xs)
-    for l in range(1, lmax):
+    for l in range(first, lmax):
         row = rows[l + 1]
         np.multiply(xs, 2 * l + 1, out=row)
         row *= rows[l]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -36,7 +37,7 @@ from cvp import (
 from cvp import analysis
 from cvp.analysis import _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_series, _heat_values
 from cvp.exact import circle_chain_minimizer, circle_chain_points
-from cvp.manifold import _flag_kernel_parts, _haar_flag_pairs, kernel_cross, lagrangian_profile
+from cvp.manifold import _flag_kernel_parts, kernel_cross, lagrangian_profile
 from cvp.spectral import legendre_all
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -375,8 +376,9 @@ class TestHeatSearchOracle:
 
     def test_grid_checks_and_table_depth(self, monkeypatch):
         # the exhaustive loop checked 91, 78, 53, 42, 37, 32, 26 and 24 pairs,
-        # on a table as deep as the smallest time, 0.01
-        checked, on_grid, depths = [], set(), []
+        # on a table as deep as the smallest time, 0.01; a deeper time extends
+        # the grid table, so each degree is computed once per call
+        checked, on_grid, depths, degrees = [], set(), [], []
         check, values, table = analysis._heat_grid_check, analysis._heat_values, analysis.legendre_all
 
         def spy_check(delta, lam, *args):
@@ -388,26 +390,31 @@ class TestHeatSearchOracle:
                 on_grid.update(coeffs)
             return values(coeffs, tab)
 
-        def spy_table(lmax, x):
+        def spy_table(lmax, x, below=None):
             if np.size(x) > 2:
                 depths.append(lmax)
-            return table(lmax, x)
+                degrees.extend(range(0 if below is None else len(below), lmax + 1))
+            return table(lmax, x, below=below)
 
         monkeypatch.setattr(analysis, "_heat_grid_check", spy_check)
         monkeypatch.setattr(analysis, "_heat_values", spy_values)
         monkeypatch.setattr(analysis, "legendre_all", spy_table)
         t_grid = np.geomspace(0.01, 2.0, 14)
-        counts = []
+        counts, tables = [], []
         for tau in BENCH_TAUS:
             checked.clear()
             on_grid.clear()
             depths.clear()
+            degrees.clear()
             best = optimize_heat_params(ManifoldModel.sphere(tau), t_grid)
             counts.append(len(checked))
             assert checked[-1] == (best.delta, best.lam)
             assert {best.t1, best.t2} <= on_grid
             assert max(depths) == max(_heat_lmax(t) for t in on_grid) < _heat_lmax(0.01)
+            assert degrees == list(range(max(depths) + 1))
+            tables.append(depths[:])
         assert counts == [11, 1, 1, 1, 1, 1, 1, 1]
+        assert tables[0] == [5, 6, 7, 9, 11]  # tau = 1.1 extends its table four times
 
 
 class TestTammes:
@@ -458,6 +465,30 @@ class TestTammes:
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-15)
 
 
+def sfc64(seed):
+    return np.random.Generator(np.random.SFC64(seed))
+
+
+def X0(f):
+    """The fixed flag point x0 = (e1, e2) as a batch of one."""
+    return np.eye(f, dtype=complex)[None, :2]
+
+
+def block_pairs(rng, k, f):
+    """The k Haar pairs, shape (k, 2, f), of one Monte Carlo block: a
+    (4, f, k) draw transposed to Re u, Im u, Re v, Im v of shape (k, f),
+    then complex Gram-Schmidt, written out here as an oracle."""
+    ur, ui, vr, vi = rng.standard_normal((4, f, k)).transpose(0, 2, 1)
+    u, v = ur + 1j * ui, vr + 1j * vi
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v -= np.sum(u.conj() * v, axis=1, keepdims=True) * u
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.stack([u, v], axis=1)
+
+
+MC_PIN = "2b05623625803f10d88dd313357be5f3d54dd9a08b47695844040bd2326a4694"
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("f,tau", [(3, 1.0), (3, 1.5), (4, 1.2)])
     def test_matches_closed_form(self, f, tau):
@@ -474,12 +505,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("f", [3, 4])
     def test_matches_kernel_cross_reference(self, f):
-        # the same Philox stream, evaluated by the batch kernel at x0 = (e1, e2)
+        # the same SFC64 block, evaluated by the batch kernel at x0 = (e1, e2)
         model = ManifoldModel.flag(f, 1.3)
         n, seed = 2000, 5
-        u, v = _haar_flag_pairs(np.random.Generator(np.random.Philox(key=seed)), n, f)
-        x0 = np.eye(f, dtype=complex)[:2]
-        vals = kernel_cross(model, x0, np.stack([u, v], axis=1))[0]
+        vals = kernel_cross(model, X0(f), block_pairs(sfc64(seed), n, f))[0]
         mc = nu0_monte_carlo(model, n, seed)
         assert mc.estimate == pytest.approx(float(np.mean(vals)), rel=1e-12)
         assert mc.std_error == pytest.approx(
@@ -491,10 +520,9 @@ class TestMonteCarlo:
         # several blocks, the last one short, drawn in order from one stream
         model = ManifoldModel.flag(f, 1.3)
         n, seed = 2 * _MC_BLOCK + 17, 5
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        x0 = np.eye(f, dtype=complex)[:2]
+        rng = sfc64(seed)
         vals = np.concatenate([
-            kernel_cross(model, x0, np.stack(_haar_flag_pairs(rng, b, f), axis=1))[0]
+            kernel_cross(model, X0(f), block_pairs(rng, b, f))[0]
             for b in (_MC_BLOCK, _MC_BLOCK, 17)
         ])
         mc = nu0_monte_carlo(model, n, seed)
@@ -504,12 +532,16 @@ class TestMonteCarlo:
         )
 
     def test_one_draw_is_the_four_draw_stream(self):
-        # a block's standard_normal((4, k, f)) reads Re u, Im u, Re v, Im v
-        # from the stream that _haar_flag_pairs reads with four (k, f) draws
-        a = np.random.Generator(np.random.Philox(key=3))
-        b = np.random.Generator(np.random.Philox(key=3))
-        block = a.standard_normal((4, 100, 3))
-        assert np.array_equal(block, [b.standard_normal((100, 3)) for _ in range(4)])
+        # a block drawn into the reused flat buffer with out= reads Re u, Im u,
+        # Re v, Im v, each (f, k), from the stream in order; a short last
+        # block is a contiguous prefix of the buffer
+        a, b = sfc64(3), sfc64(3)
+        f, size = 3, 100
+        buf = np.empty(4 * f * size)
+        for k in (size, size, 37):
+            block = buf[: 4 * f * k].reshape(4, f, k)
+            a.standard_normal(out=block)
+            assert np.array_equal(block, [b.standard_normal((f, k)) for _ in range(4)])
 
     @pytest.mark.parametrize("f", [3, 4])
     def test_samples_match_kernel_cross(self, f, monkeypatch):
@@ -526,15 +558,21 @@ class TestMonteCarlo:
         model = ManifoldModel.flag(f, 1.3)
         n, seed = _MC_BLOCK + 500, 6
         nu0_monte_carlo(model, n, seed)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        x0 = np.eye(f, dtype=complex)[:2]
+        rng = sfc64(seed)
         want = np.concatenate([
-            kernel_cross(model, x0, np.stack(_haar_flag_pairs(rng, b, f), axis=1))[0]
-            for b in (_MC_BLOCK, 500)
+            kernel_cross(model, X0(f), block_pairs(rng, b, f))[0] for b in (_MC_BLOCK, 500)
         ])
         got = np.concatenate(samples)
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * model.kernel_scale
+
+    def test_stream_pin(self):
+        # sha256 of (estimate, std_error) at flag(3, 1.3), n = 1000, seed 7,
+        # recorded when the stream became SFC64 with (4, f, k) blocks; a
+        # change of generator or layout must say so and record a new pin
+        mc = nu0_monte_carlo(ManifoldModel.flag(3, 1.3), 1000, seed=7)
+        digest = hashlib.sha256(np.array([mc.estimate, mc.std_error]).tobytes()).hexdigest()
+        assert digest == MC_PIN
 
     def test_working_set(self):
         # blocked draws: one block plus 8 bytes per sample, not ~200

@@ -62,6 +62,22 @@ class TestBadInput:
         assert_rejected(code, out, err, "need finite t_start > t_end > 0")
 
     @pytest.mark.parametrize("argv", [
+        ["minimize", "--manifold", "circle", "--tau", "3.0", "--m", "3"],
+        ["scan", "--manifold", "circle", "--tau-min", "1.7", "--tau-max", "1.72",
+         "--tau-step", "0.02", "--m", "3"],
+    ], ids=["minimize", "scan"])
+    @pytest.mark.parametrize("option", [["--cooling", "0.999999999"],
+                                        ["--steps-per-temp", "1000000000"]])
+    def test_endless_schedule_exit_2(self, capsys, monkeypatch, argv, option):
+        # cooling 0.999999999 asked for about 1.4e10 temperatures and never returned
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("an anneal started")
+
+        monkeypatch.setattr(optimize, "anneal", no_anneal)
+        code, out, err = run(capsys, *argv, *option)
+        assert_rejected(code, out, err, "Metropolis steps")
+
+    @pytest.mark.parametrize("argv", [
         ["minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3"],
         ["exact", "chain", "--tau", "3"],
     ], ids=["minimize", "exact"])
@@ -462,6 +478,23 @@ class TestExact:
         assert abs(doc["moment_cos"]) < 1e-8
         assert abs(doc["moment_p2"]) < 1e-8
         assert abs(doc["action_minus_nu0"]) < 1e-6
+
+    def test_density_integrals_match_the_full_grid(self, capsys):
+        # integrals on the cos(theta) nodes against the 115,200-node grid
+        from cvp import ManifoldModel, density_action, three_band_density
+
+        code, out, _ = run(capsys, "exact", "density", "--tau", "1.001")
+        doc = json.loads(out)
+        dm = three_band_density()
+        cosn = dm.grid.nodes[:, 2]
+        full = {
+            "mass": dm.grid.integrate(dm.values),
+            "moment_cos": dm.grid.integrate(dm.values * cosn),
+            "moment_p2": dm.grid.integrate(dm.values * 0.5 * (3.0 * cosn**2 - 1.0)),
+        }
+        for key, want in full.items():
+            assert abs(doc[key] - want) <= 1e-14
+        assert doc["action"] == density_action(ManifoldModel.sphere(1.001), dm)
 
 
 class TestFlagCheck:

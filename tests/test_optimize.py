@@ -61,6 +61,32 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(t_start=1.0, t_end=0.1, restarts=0)
 
+    def test_step_cap(self):
+        # cooling 0.999999999 asked for about 1.4e10 temperatures and never ended
+        model = ManifoldModel.circle(3.0)
+        default = AnnealSchedule.default(model)
+        assert default.temperatures == 454  # 0.97^454 * 8 tau^2 is the first below t_end
+        assert default.temperatures * 200 * 8 == 726_400
+        with pytest.raises(ValueError, match="Metropolis steps"):
+            AnnealSchedule.default(model, cooling=0.999999999)
+        with pytest.raises(ValueError, match="Metropolis steps"):
+            AnnealSchedule.default(model, steps_per_temp=10**6)
+        cap = optimize.MAX_ANNEAL_STEPS
+        at_cap = AnnealSchedule(t_start=2.0, t_end=1.0, cooling=0.5, steps_per_temp=cap,
+                                restarts=1)
+        assert at_cap.temperatures == 1
+        with pytest.raises(ValueError, match="Metropolis steps"):
+            AnnealSchedule(t_start=2.0, t_end=1.0, cooling=0.5, steps_per_temp=cap, restarts=2)
+
+    @pytest.mark.parametrize("cooling", [0.5, 0.93, 0.95, 0.97, 0.999])
+    def test_temperatures_match_the_cooling_loop(self, cooling):
+        sched = AnnealSchedule.default(ManifoldModel.sphere(1.2), cooling=cooling)
+        T, count = sched.t_start, 0
+        while T > sched.t_end:
+            T *= sched.cooling
+            count += 1
+        assert sched.temperatures == count
+
     @pytest.mark.parametrize("name", ["t_start", "t_end"])
     def test_non_finite_temperature_rejected(self, name):
         # with t_start = inf, T *= cooling stays inf and cooling never ends

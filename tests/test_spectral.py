@@ -53,6 +53,27 @@ class TestLegendreAll:
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.array_equal(np.stack(single, axis=1), ref, equal_nan=True)
 
+    @pytest.mark.parametrize("n", [1, 16, 17, 1001])
+    @pytest.mark.parametrize("steps", [(0, 480), (1, 2, 3, 480), (5, 5, 6, 9, 11, 57)])
+    def test_continued_table_is_the_full_one(self, n, steps):
+        # extending a table from its last rows gives the bits of one built
+        # from degree 0, on both recurrence paths; an empty table is none
+        x = np.linspace(-1.0, 1.0, n)
+        table = np.empty((0, n))
+        for lmax in steps:
+            table = legendre_all(lmax, x, below=table)
+            assert np.array_equal(table, textbook_legendre(lmax, x))
+
+    def test_continued_table_keeps_the_given_rows(self):
+        # the rows given are copied, not recomputed: a marked row stays
+        x = np.linspace(-1.0, 1.0, 20)
+        below = legendre_all(4, x)
+        below[2] = 7.0
+        got = legendre_all(6, x, below=below)
+        assert np.array_equal(got[:5], below)
+        with pytest.raises(ValueError):
+            legendre_all(3, x, below=below)
+
     @pytest.mark.parametrize("lmax", [0, 1, 2])
     def test_low_degrees(self, lmax):
         x = np.array([-0.5, 0.25])
