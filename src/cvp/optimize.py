@@ -1007,8 +1007,6 @@ def tau_scan(
     def make_sched(model, **warm):
         return AnnealSchedule.light(model, seed, **{**given, **warm})
 
-    # a bad schedule fails here, before any anneal
-    make_sched(ManifoldModel(model_kind, tau_grid[0], f))
     best: dict[float, WeightedMeasure] = {}
     for direction in (1, -1):
         prev = None

@@ -33,9 +33,7 @@ def legendre_all(lmax: int, x, below=None) -> np.ndarray:
     rows = out.reshape(lmax + 1, x.size)  # a view, so 0-d x also has writable rows
     xs = x.reshape(-1)
     done = 0 if below is None else len(below)
-    if done > lmax + 1:
-        raise ValueError("below has more rows than the table")
-    if done:
+    if done:  # more rows than lmax + 1 do not broadcast: ValueError
         out[:done] = below
     else:
         rows[0] = 1.0

@@ -285,7 +285,7 @@ class TestStackedFlagTraces:
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_monte_carlo_columns(self, f):
-        # nu0_monte_carlo's shape: coordinates of Haar pairs, strided columns
+        # coordinates of Haar pairs as strided (n,) columns
         u, v = _haar_flag_pairs(np.random.Generator(np.random.Philox(key=2)), 5000, f)
         a, b, c, d = u[:, 0], v[:, 0], u[:, 1], v[:, 1]
         self.assert_traces_equal(np.stack((a, d, b, c)), a, b, c, d, 1.5)
