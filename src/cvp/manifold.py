@@ -16,25 +16,22 @@ only through c = <x,y>,
 evaluated only by ``zonal_d``.  The circle is a great circle of the
 sphere: ``unit_vectors`` embeds its angles in R^2, so both spaces share
 every kernel routine and angles stay at the input/output boundary.  On
-the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated
-through the 2x2 reduction M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*
-with C the 2x2 matrix of inner products of the (u, v) pairs.  The
-Lagrangian is the positive part L = max(0, D); the sign of D defines the
-causal relation of two points.
-
-Both kernels are bilinear forms in lifted point features: the zonal D is
-a quadratic alpha c^2 + beta c + gamma in c, so in x (x) x, x and 1, and on
-the flag D(x, y) = (xi (x) xi) . C (eta (x) eta), where xi are the real
-coordinates of X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian
-basis H_k and C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2.
-The annealer's engine (``optimize._Engine``) evaluates its rows that way,
-from the feature maps of ``optimize._Lift`` (on the flag, C from
-``optimize._flag_maps``); ``kernel_cross`` stays the reference evaluation.
+the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated only by
+the real lift (``_flag_lift``): with xi the real coordinates of
+X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian basis H_k,
+D(x, y) = (xi (x) xi) . C (eta (x) eta), where
+C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2 depends only on
+f.  ``kernel_cross``, the annealer's engine (``optimize._Lift``), the
+merge distance (Tr(xy) = xi . eta) and the flag Monte Carlo all read it;
+the zonal D is likewise bilinear in x (x) x, x and 1.  The Lagrangian is
+the positive part L = max(0, D); the sign of D defines the causal
+relation of two points.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,10 +46,10 @@ LIGHTLIKE_RTOL = 1e-12
 # construction.
 _FLAG_DRIFT = 1e-12
 
-# Largest coupling a model accepts.  ``zonal_d`` forms tau^2 c + 2 - tau^2,
-# whose rounding error is about eps tau^2 / 2 relative to D(x, x) = 8 tau^2:
-# near 1e-10 at tau = 1e3, while beyond 1/sqrt(eps) the 2 is lost and the
-# kernel reads 0 on the diagonal.
+# Largest coupling a model accepts.  The kernel's rounding error grows like
+# eps tau^2 relative to D(x, x) = 8 tau^2 (``zonal_d`` forms tau^2 c + 2 - tau^2,
+# and the flag lift's tau^4 terms cancel on near-coincident pairs): 1e-10 to
+# 1.5e-10 at tau = 1e3, while beyond 1/sqrt(eps) the zonal 2 is lost.
 TAU_MAX = 1e3
 
 
@@ -88,8 +85,8 @@ class ManifoldModel:
             raise ValueError(f"f is only meaningful for the flag manifold")
         if not 1 <= self.tau <= TAU_MAX:
             raise ValueError(
-                f"tau must lie in [1, {TAU_MAX:g}] (got {self.tau!r}): beyond it the "
-                "kernel's rounding error exceeds 1e-10 of its scale"
+                f"tau must lie in [1, {TAU_MAX:g}] (got {self.tau!r}): near it the "
+                "kernel's rounding error reaches 1e-10 of its scale"
             )
 
     @classmethod
@@ -221,49 +218,73 @@ def unit_vectors(model: ManifoldModel, points) -> np.ndarray:
     raise ValueError("the flag kernel is not zonal")
 
 
-def _flag_products(xs, ys):
-    """Inner products of two batches, stacked (4, n, m) in the order
-    <u_x,u_y>, <v_x,v_y>, <u_x,v_y>, <v_x,u_y>."""
-    ux, vx = xs[:, 0, :].conj(), xs[:, 1, :].conj()
-    uy, vy = ys[:, 0, :], ys[:, 1, :]
-    return np.array([ux @ uy.T, vx @ vy.T, ux @ vy.T, vx @ uy.T])
+@functools.cache
+def _flag_basis(f):
+    """(pairs, C) of the real flag lift at dimension f, built once per f.
 
-
-def _flag_traces(X, tau):
-    """(Tr(xy), Tr((xy)^2)) from the 2x2 reduction, in swap-invariant grouped form.
-
-    X stacks the inner products a = <u_x,u_y>, d = <v_x,v_y>, b = <u_x,v_y>,
-    c = <v_x,u_y> along its first axis, in that order, so that the four
-    squared moduli take one pass.  With
-    M = diag(1+tau, 1-tau) C diag(1+tau, 1-tau) C*, Tr(M) and Tr(M^2)
-    reduce to the sums below in p = (1+tau)^2, q = (1-tau)^2 and the signed
-    product r = (1+tau)(1-tau).  Under exchanging x and y the inner
-    products map to (conj a, conj d, conj c, conj b), so every grouped term
-    is symmetric up to commutative float operations and both traces are
-    bit-for-bit symmetric.
+    H_k, k = a f + b, is the orthonormal Hermitian basis E_aa,
+    (E_ab + E_ba)/sqrt2 (a < b) and i (E_ba - E_ab)/sqrt2 (a > b).  On the
+    real view r of u, interleaved (Re, Im) pairs, u* H_k u = r . R_k r with
+    R_k = Re H_k (x) I_2 + Im H_k (x) J, which ``pairs`` = (i, j, s) sums as
+    s[k] . (r_i * r_j) over the pairs i <= j where some R_k is nonzero.  The
+    dense C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2,
+    symmetric in k <-> l, m <-> n and (kl) <-> (mn), is summed over the
+    closed chains (a, b)(b, c)(c, d)(d, a) of matrix units, 16 f^4 products
+    as each H_k has at most two nonzeros; the diagonal unit is split into
+    two halves so that every position carries two units, and pairs of
+    consecutive units are formed first.
     """
-    p = (1.0 + tau) ** 2
-    q = (1.0 - tau) ** 2
-    r = (1.0 + tau) * (1.0 - tau)
-    A, E, B, C = X.real**2 + X.imag**2
-    R = (X[0] * np.conj(X[2]) * np.conj(X[3]) * X[1]).real
-    bc = B + C
-    tr = p * A + q * E + r * bc
-    tr2 = (
-        p * p * A * A
-        + q * q * E * E
-        + (r * r) * (B * B + C * C)
-        + 2.0 * (p * r) * A * bc
-        + 2.0 * (q * r) * E * bc
-        + 4.0 * (r * r) * R
-    )
-    return tr, tr2
+    K, s = f * f, math.sqrt(0.5)
+    a, b = np.indices((f, f))
+    lo, hi, diag = np.minimum(a, b), np.maximum(a, b), a == b
+    k = np.stack([lo * f + hi, hi * f + lo], -1)  # the two units at (a, b)
+    h = np.stack([np.where(diag, 0.5, s), np.where(diag, 0.5, 1j * s * np.sign(b - a))], -1)
+    H = np.zeros((K, f, f), dtype=complex)
+    H[k[..., 0], a, b] = h[..., 0]
+    H[k[..., 1], a, b] += h[..., 1]
+    R = np.multiply.outer(H.real, np.eye(2)) + np.multiply.outer(H.imag, [[0.0, -1.0], [1.0, 0.0]])
+    R = R.transpose(0, 1, 3, 2, 4).reshape(K, 2 * f, 2 * f)
+    S = np.triu(R) + np.triu(R, 1)  # r . R_k r = sum over i <= j of S_k,ij r_i r_j
+    i, j = np.nonzero(S.any(0))
+    # the pairs H_k at (a, b), H_m at (b, c) on axes (a, c, b, t1, t2), with
+    # index part k K^3 + m K; the chain closes with the pair H_l at (c, d),
+    # H_n at (d, a), whose index part l K^2 + n is the pair (c, a)'s over K
+    kp = (k[:, None, :, :, None] * K**3 + k.transpose(1, 0, 2)[None, :, :, None, :] * K).reshape(f, f, -1)
+    hp = (h[:, None, :, :, None] * h.transpose(1, 0, 2)[None, :, :, None, :]).reshape(f, f, -1)
+    idx = kp[:, :, :, None] + (kp.transpose(1, 0, 2) // K)[:, :, None, :]
+    val = (hp[:, :, :, None] * hp.transpose(1, 0, 2)[:, :, None, :]).real
+    C = np.bincount(idx.ravel(), val.ravel(), K**4).reshape(K * K, K * K)
+    C.flat[:: K * K + 1] -= 0.5
+    return (i, j, S[:, i, j]), C
 
 
-def _flag_kernel_parts(X, tau):
-    """The flag kernel D = Tr((xy)^2) - Tr(xy)^2 / 2 from the stacked inner products."""
-    tr, tr2 = _flag_traces(X, tau)
-    return tr2 - 0.5 * tr * tr
+def _flag_lift(f: int, tau: float):
+    """(pairs, C) of the real flag lift, D(x, y) = (xi (x) xi) . C (eta (x) eta).
+
+    xi_k = Re tr(H_k X), X = (1+tau) uu* + (1-tau) vv* = sum_k xi_k H_k, is
+    (r_I * r_J) B^T on the real view r of (u, v), ``pairs`` = (I, J, B^T):
+    ``_flag_basis``'s pairs of u scaled by 1+tau and of v by 1-tau.  It is
+    exact for any pair (u, v), and Tr(XY) = xi . eta.
+    """
+    (i, j, s), C = _flag_basis(f)
+    n = 2 * f  # the real view of v follows that of u
+    return (np.concatenate([i, i + n]), np.concatenate([j, j + n]),
+            np.concatenate([(1.0 + tau) * s.T, (1.0 - tau) * s.T])), C
+
+
+def _flag_xi(pairs, x):
+    """The lift's xi of one point (2, f) or a batch (n, 2, f), read as
+    contiguous complex128: the real view of complex64 or of a batch strided
+    along its last axis would misread them."""
+    I, J, BT = pairs
+    r = np.ascontiguousarray(x, dtype=complex)
+    r = r.reshape(r.shape[:-2] + (-1,)).view(float)
+    return (r.take(I, -1) * r.take(J, -1)).dot(BT)
+
+
+def _flag_outer(xi):
+    """xi (x) xi of a batch of coordinates, flattened to (n, K^2)."""
+    return (xi[:, :, None] * xi[:, None, :]).reshape(len(xi), -1)
 
 
 def kernel_cross(model: ManifoldModel, xs, ys) -> np.ndarray:
@@ -271,7 +292,8 @@ def kernel_cross(model: ManifoldModel, xs, ys) -> np.ndarray:
     xs = _as_batch(model, xs)
     ys = _as_batch(model, ys)
     if model.kind == "flag":
-        return _flag_kernel_parts(_flag_products(xs, ys), model.tau)
+        pairs, C = _flag_lift(model.f, model.tau)
+        return _flag_outer(_flag_xi(pairs, xs)) @ (_flag_outer(_flag_xi(pairs, ys)) @ C).T
     return zonal_d(model.tau, unit_vectors(model, xs) @ unit_vectors(model, ys).T)
 
 

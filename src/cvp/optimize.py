@@ -23,13 +23,15 @@ G, g = G w, w, S and the best snapshot); cooling and the quench are two
 loops over it, and the quench starts from the best snapshot on the same
 engine.  One engine serves all three kinds: D is a bilinear form in lifted
 point features, so a kernel row is one matrix-vector product and a clamp.
-The feature maps and the probe grid (``_Lift``) depend only on the model,
-and each ``anneal`` call builds them once for all its restarts.
+The feature maps and the probe grid (``_Lift``) depend only on the model:
+each ``anneal`` call builds them once for all its restarts, and a scan
+once per tau.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -43,8 +45,9 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .manifold import (
     ManifoldModel,
-    _flag_products,
-    _flag_traces,
+    _flag_lift,
+    _flag_outer,
+    _flag_xi,
     flag_point,
     lagrangian_matrix,
     sample_uniform,
@@ -313,63 +316,22 @@ def _zonal_features(e, a, a2, b, c):
             b * x, b * y, b * z, c]
 
 
-def _flag_maps(f, tau):
-    """(A, C) of the real flag lift, D(x, y) = (xi (x) xi) . C (eta (x) eta).
-
-    H_k, k = a f + b, is the orthonormal Hermitian basis E_aa,
-    (E_ab + E_ba)/sqrt2 (a < b) and i (E_ba - E_ab)/sqrt2 (a > b), so that
-    Re tr(H_k H_l) = delta_kl and X = (1+tau) uu* + (1-tau) vv* = sum_k xi_k H_k
-    with xi_k = Re tr(H_k X).  xi_k = r . A_k r on the real view r of
-    (u, v), since u* H u is the real form Re H (x) I_2 + Im H (x) J on
-    interleaved (Re, Im) pairs.  Tr((XY)^2) - Tr(XY)^2 / 2 then has the
-    coefficients C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2,
-    which cyclicity and Hermiticity make symmetric in k <-> l, in m <-> n and
-    in (kl) <-> (mn).  Each H_k has at most two nonzeros, so the trace is
-    summed over the closed chains (a, b)(b, c)(c, d)(d, a) of matrix units,
-    16 f^4 products, with the diagonal unit split into two halves so that
-    every position carries two units; pairs of consecutive units are formed
-    first.
-    """
-    K, s = f * f, math.sqrt(0.5)
-    a, b = np.indices((f, f))
-    lo, hi, diag = np.minimum(a, b), np.maximum(a, b), a == b
-    k = np.stack([lo * f + hi, hi * f + lo], -1)  # the two units at (a, b)
-    h = np.stack([np.where(diag, 0.5, s), np.where(diag, 0.5, 1j * s * np.sign(b - a))], -1)
-    H = np.zeros((K, f, f), dtype=complex)
-    H[k[..., 0], a, b] = h[..., 0]
-    H[k[..., 1], a, b] += h[..., 1]
-    blk = np.multiply.outer(H.real, np.eye(2)) + np.multiply.outer(H.imag, [[0.0, -1.0], [1.0, 0.0]])
-    blk = blk.transpose(0, 1, 3, 2, 4).reshape(K, 2 * f, 2 * f)
-    A = np.zeros((K, 2, 2 * f, 2, 2 * f))
-    A[:, 0, :, 0] = (1.0 + tau) * blk
-    A[:, 1, :, 1] = (1.0 - tau) * blk
-    # the pairs H_k at (a, b), H_m at (b, c) on axes (a, c, b, t1, t2), with
-    # index part k K^3 + m K; the chain closes with the pair H_l at (c, d),
-    # H_n at (d, a), whose index part l K^2 + n is the pair (c, a)'s over K
-    kp = (k[:, None, :, :, None] * K**3 + k.transpose(1, 0, 2)[None, :, :, None, :] * K).reshape(f, f, -1)
-    hp = (h[:, None, :, :, None] * h.transpose(1, 0, 2)[None, :, :, None, :]).reshape(f, f, -1)
-    idx = kp[:, :, :, None] + (kp.transpose(1, 0, 2) // K)[:, :, None, :]
-    val = (hp[:, :, :, None] * hp.transpose(1, 0, 2)[:, :, None, :]).real
-    C = np.bincount(idx.ravel(), val.ravel(), K**4).reshape(K * K, K * K)
-    C.flat[:: K * K + 1] -= 0.5
-    return A.reshape(K, -1), C
-
-
 class _Lift:
-    """What the annealer needs of the model: the feature maps, the move
-    proposal ``jitter`` and scale ``pos_scale``, and the relocate move's probe
-    grid with its queries ``q_probe``; the engines of one ``anneal`` call share it.
+    """What the annealer needs of the model: the move proposal ``jitter`` and
+    scale ``pos_scale``, the relocate move's probe grid with its queries
+    ``q_probe``, and the kernel row closure; the engines of one ``anneal``
+    call share it, and so do the runs of a scan at one tau.
 
     D(x, y) = q(x) . F(y) in lifted features.  ``one`` maps a point to the
     coordinates both are read from, ``store`` maps those to F, ``stored`` a
     batch of points to F in one batched lift, and ``row_fn(F, out)`` gives
     the row function, coordinates -> F q into ``out``.  On the circle and
     the sphere D is quadratic in c = <x, y>, with coefficients read off
-    ``zonal_d`` at c = -1, 0, 1.  On the flag q = xi (x) xi, f^4 reals, with
-    xi the real coordinates of X in an orthonormal Hermitian basis, and
-    F = C (eta (x) eta) (``_flag_maps``); a row reads each stored feature as
-    an f^2 x f^2 matrix M(y) and forms xi . M(y) xi, so the query's outer
-    product is never formed.
+    ``zonal_d`` at c = -1, 0, 1.  On the flag the coordinates are the
+    manifold's lift xi and F = C (eta (x) eta) (``manifold._flag_lift``, as
+    in ``kernel_cross``); a row reads each stored feature as an f^2 x f^2
+    matrix M(y) and forms xi . M(y) xi, so the query's outer product
+    xi (x) xi is never formed.
     """
 
     def __init__(self, model):
@@ -377,28 +339,17 @@ class _Lift:
         self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
         if model.kind == "flag":
             self.pos_scale = 1.0
-            A, C = _flag_maps(model.f, model.tau)
-            K = A.shape[0]
-            A3 = A.reshape(-1, 4 * model.f)
+            pairs, C = _flag_lift(model.f, model.tau)
+            one = functools.partial(_flag_xi, pairs)
+            K = model.f**2
             # C has about 16 f^4 nonzeros of f^8, so one point's feature is a
             # sparse product; a batch goes through the dense matmul
             rows, cols = C.nonzero()
             vals = C[rows, cols]
-
-            def one(x):  # xi_k = r . A_k r
-                r = x.reshape(-1).view(float)
-                return A3.dot(r).reshape(K, -1).dot(r)
-
             self.store = lambda xi: np.bincount(
                 rows, vals * np.multiply.outer(xi, xi).reshape(-1)[cols], K * K)
-
-            def lift_all(xs):  # xi (x) xi of a batch
-                r = xs.reshape(len(xs), -1).view(float)
-                xi = np.einsum("nkj,nj->nk", (r @ A3.T).reshape(len(xs), K, -1), r)
-                return (xi[:, :, None] * xi[:, None, :]).reshape(len(xs), -1)
-
-            self.stored = lambda xs: lift_all(xs) @ C
-            self.q_probe = lift_all(self.probe)
+            self.stored = lambda xs: _flag_outer(one(xs)) @ C
+            self.q_probe = _flag_outer(one(self.probe))
 
             def row_fn(F, out):  # row_j = xi . M_j xi, M_j the stored feature as K x K
                 F3, m = F.reshape(-1, K), len(F)
@@ -798,11 +749,16 @@ def anneal(
     The returned action never exceeds that of any initial configuration;
     ties between restarts go to the lowest restart index.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if sched is None:
         sched = AnnealSchedule.default(model)
-    lift = _Lift(model)
+    return _anneal(_Lift(model), m, sched, init)
+
+
+def _anneal(lift: _Lift, m: int, sched: AnnealSchedule, init) -> WeightedMeasure:
+    """``anneal`` on a built lift, which the runs of a scan at one tau share."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    model = lift.model
     results = []
     for r in range(sched.restarts):
         w = np.full(m, 1.0 / m)
@@ -828,10 +784,11 @@ def _distance_matrix(model: ManifoldModel, pts) -> np.ndarray:
     if model.kind != "flag":
         e = unit_vectors(model, pts)
         return np.arccos(np.clip(e @ e.T, -1.0, 1.0))
-    # flag: chordal Frobenius distance scaled to match small geodesic angles
+    # flag: chordal Frobenius distance scaled to match small geodesic angles;
+    # the lift's basis is orthonormal, so Tr(xy) = xi(x) . xi(y)
     tau = model.tau
-    tr, _ = _flag_traces(_flag_products(pts, pts), tau)
-    chord_sq = np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - tr))
+    xi = _flag_xi(_flag_lift(model.f, tau)[0], pts)
+    chord_sq = np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - xi @ xi.T))
     return np.sqrt(chord_sq) / (np.sqrt(2.0) * tau)
 
 
@@ -1008,13 +965,15 @@ def tau_scan(
         return AnnealSchedule.light(model, seed, **{**given, **warm})
 
     best: dict[float, WeightedMeasure] = {}
+    # one lift per tau, shared by its cold and warm runs
+    lifts = {tau: _Lift(ManifoldModel(model_kind, tau, f)) for tau in tau_grid}
     for direction in (1, -1):
         prev = None
         for tau in tau_grid[::direction]:
-            model = ManifoldModel(model_kind, tau, f)
-            cands = [best[tau] if tau in best else anneal(model, m, make_sched(model))]
+            model = lifts[tau].model
+            cands = [best[tau] if tau in best else _anneal(lifts[tau], m, make_sched(model), None)]
             if prev is not None:
-                cands.append(anneal(model, m, make_sched(model, restarts=1), init=prev))
+                cands.append(_anneal(lifts[tau], m, make_sched(model, restarts=1), prev))
             best[tau] = prev = min(cands, key=lambda c: (action(model, c), c.support_size))
 
     rows = []

@@ -7,11 +7,14 @@ import pytest
 from cvp import ManifoldModel
 
 
+def dense_flag_matrix(tau, x):
+    """The f x f matrix (1+tau) uu* + (1-tau) vv* of a flag point (u, v)."""
+    return (1 + tau) * np.outer(x[0], x[0].conj()) + (1 - tau) * np.outer(x[1], x[1].conj())
+
+
 def dense_flag_kernel(tau, x, y):
     """Independent oracle: D via dense f x f matrix arithmetic."""
-    xm = (1 + tau) * np.outer(x[0], x[0].conj()) + (1 - tau) * np.outer(x[1], x[1].conj())
-    ym = (1 + tau) * np.outer(y[0], y[0].conj()) + (1 - tau) * np.outer(y[1], y[1].conj())
-    prod = xm @ ym
+    prod = dense_flag_matrix(tau, x) @ dense_flag_matrix(tau, y)
     return float((np.trace(prod @ prod) - 0.5 * np.trace(prod) ** 2).real)
 
 

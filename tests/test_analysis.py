@@ -35,10 +35,14 @@ from cvp import (
     volume_action,
 )
 from cvp import analysis
-from cvp.analysis import _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_series, _heat_values
+from cvp.analysis import (
+    _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_series, _heat_values, _nu0_samples,
+)
 from cvp.exact import circle_chain_minimizer, circle_chain_points
-from cvp.manifold import _flag_kernel_parts, kernel_cross, lagrangian_profile
+from cvp.manifold import kernel_cross, lagrangian_profile
 from cvp.spectral import legendre_all
+
+from conftest import dense_flag_kernel
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -486,7 +490,7 @@ def block_pairs(rng, k, f):
     return np.stack([u, v], axis=1)
 
 
-MC_PIN = "2b05623625803f10d88dd313357be5f3d54dd9a08b47695844040bd2326a4694"
+MC_PIN = "53162179a98280df0b7cd2346fd0e113c0ebc022606b7d147c277da52ee5f4a8"
 
 
 class TestMonteCarlo:
@@ -544,32 +548,23 @@ class TestMonteCarlo:
             assert np.array_equal(block, [b.standard_normal((f, k)) for _ in range(4)])
 
     @pytest.mark.parametrize("f", [3, 4])
-    def test_samples_match_kernel_cross(self, f, monkeypatch):
-        # each sample, not only the mean: D(x0, y) on the Haar pairs of the stream
-        import cvp.analysis as analysis_mod
-
-        samples = []
-
-        def spy(X, tau):
-            samples.append(_flag_kernel_parts(X, tau))
-            return samples[-1]
-
-        monkeypatch.setattr(analysis_mod, "_flag_kernel_parts", spy)
+    def test_samples_match_dense_kernel(self, f):
+        # each sample, not only the mean: D(x0, y) on the Haar pairs of the
+        # stream, against conftest's dense-matrix kernel
         model = ManifoldModel.flag(f, 1.3)
         n, seed = _MC_BLOCK + 500, 6
-        nu0_monte_carlo(model, n, seed)
+        got = _nu0_samples(f, 1.3, n, seed)
         rng = sfc64(seed)
-        want = np.concatenate([
-            kernel_cross(model, X0(f), block_pairs(rng, b, f))[0] for b in (_MC_BLOCK, 500)
-        ])
-        got = np.concatenate(samples)
+        pairs = np.concatenate([block_pairs(rng, b, f) for b in (_MC_BLOCK, 500)])
+        want = np.array([dense_flag_kernel(1.3, X0(f)[0], y) for y in pairs])
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * model.kernel_scale
 
     def test_stream_pin(self):
         # sha256 of (estimate, std_error) at flag(3, 1.3), n = 1000, seed 7,
-        # recorded when the stream became SFC64 with (4, f, k) blocks; a
-        # change of generator or layout must say so and record a new pin
+        # recorded when the samples became the f = 2 lift's eta . W eta on
+        # the SFC64 stream with (4, f, k) blocks; a change of generator,
+        # layout or kernel evaluation must say so and record a new pin
         mc = nu0_monte_carlo(ManifoldModel.flag(3, 1.3), 1000, seed=7)
         digest = hashlib.sha256(np.array([mc.estimate, mc.std_error]).tobytes()).hexdigest()
         assert digest == MC_PIN

@@ -15,16 +15,15 @@ from cvp import (
 )
 from cvp.manifold import (
     TAU_MAX,
-    _flag_products,
-    _flag_traces,
     _haar_flag_pairs,
     kernel_cross,
     kernel_matrix,
     validate_points,
     zonal_d,
 )
+from cvp.optimize import _distance_matrix
 
-from conftest import dense_flag_kernel
+from conftest import dense_flag_kernel, dense_flag_matrix
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -230,65 +229,96 @@ class TestKernelProperties:
         assert np.array_equal(g, g.T)
 
 
-def reference_flag_traces(a, b, c, d, tau):
-    """The unstacked trace formula, one array operation per term; the
-    stacked ``_flag_traces`` must reproduce it bit for bit."""
-    p = (1.0 + tau) ** 2
-    q = (1.0 - tau) ** 2
-    r = (1.0 + tau) * (1.0 - tau)
-    A = a.real**2 + a.imag**2
-    B = b.real**2 + b.imag**2
-    C = c.real**2 + c.imag**2
-    E = d.real**2 + d.imag**2
-    R = (a * np.conj(b) * np.conj(c) * d).real
-    bc = B + C
-    tr = p * A + q * E + r * bc
-    tr2 = (
-        p * p * A * A
-        + q * q * E * E
-        + (r * r) * (B * B + C * C)
-        + 2.0 * (p * r) * A * bc
-        + 2.0 * (q * r) * E * bc
-        + 4.0 * (r * r) * R
-    )
-    return tr, tr2
+def flag_tol(tau):
+    """Rounding of the flag kernel relative to its scale 8 tau^2.  Its tau^4
+    terms cancel on near-coincident pairs, so beyond tau ~ 10 the error grows
+    like eps tau^2: about 1.5e-10 of the scale at TAU_MAX for the lift, and
+    6e-11 for the dense oracle itself."""
+    return 1e-12 + 4 * np.finfo(float).eps * tau**2
+
+
+def assert_matches_dense(model, xs, ys):
+    dense = np.array([[dense_flag_kernel(model.tau, x, y) for y in ys] for x in xs])
+    tol = flag_tol(model.tau) * model.kernel_scale
+    assert np.max(np.abs(kernel_cross(model, xs, ys) - dense)) <= tol
+    for x, row in zip(xs, dense):
+        assert max(abs(d_kernel(model, x, y) - d) for y, d in zip(ys, row)) <= tol
 
 
 class TestStackedFlagTraces:
-    @staticmethod
-    def assert_traces_equal(X, a, b, c, d, tau):
-        for new, ref in zip(_flag_traces(X, tau), reference_flag_traces(a, b, c, d, tau)):
-            assert new.shape == ref.shape
-            assert np.array_equal(new, ref)
+    """Tr(xy) and D = Tr((xy)^2) - Tr(xy)^2 / 2 on stacked batches, read off
+    the real lift by ``kernel_cross``, ``d_kernel`` and the merge distance,
+    against conftest's dense-matrix kernel."""
 
     @pytest.mark.parametrize("f", [3, 4, 5])
-    @pytest.mark.parametrize("tau", [1.0, 1.7, 3.2])
+    @pytest.mark.parametrize("tau", [1.0, 1.7, 3.2, TAU_MAX])
     def test_batches(self, f, tau):
         model = ManifoldModel.flag(f, tau)
-        xs = sample_uniform(model, 96, seed=f)
-        ys = sample_uniform(model, 16, seed=f + 1)
-        ux, vx = xs[:, 0].conj(), xs[:, 1].conj()
-        a, b, c, d = ux @ ys[:, 0].T, ux @ ys[:, 1].T, vx @ ys[:, 0].T, vx @ ys[:, 1].T
-        X = _flag_products(xs, ys)
-        for k, z in enumerate((a, d, b, c)):
-            assert np.array_equal(X[k], z)
-        self.assert_traces_equal(X, a, b, c, d, tau)
+        scale, tol = model.kernel_scale, flag_tol(tau) * model.kernel_scale
+        xs = sample_uniform(model, 12, seed=f)
+        # random partners, coincident pairs and the swapped pairs (v, u),
+        # which are lightlike at every tau: XY = (1 - tau^2)(uu* + vv*)
+        swapped = xs[:, ::-1]
+        ys = np.concatenate([sample_uniform(model, 6, seed=f + 1), xs[:4], swapped[4:8]])
+        assert_matches_dense(model, xs, ys)
+        assert np.max(np.abs(np.diag(kernel_cross(model, xs, xs)) - scale)) <= tol
+        assert np.max(np.abs(np.diag(kernel_cross(model, xs, swapped)))) <= tol
+        # the merge distance is the chord |X - Y| / (sqrt2 tau), so its square
+        # gives back Tr(XY) = xi . eta
+        chord_sq = (_distance_matrix(model, ys) * math.sqrt(2.0) * tau) ** 2
+        mats = [dense_flag_matrix(tau, y) for y in ys]
+        tr = np.array([[np.trace(a @ b).real for b in mats] for a in mats])
+        assert np.max(np.abs(chord_sq - np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - tr)))) <= tol
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_rows(self, f):
-        # the annealer's shape: one point against the support, 1-d
+        # the annealer's shape, one point against the support, with lightlike
+        # partners found by bisection on the dense kernel toward a spacelike point
         model = ManifoldModel.flag(f, 2.0)
-        uc, vc = (z.conj() for z in np.moveaxis(sample_uniform(model, 16, seed=3), 1, 0))
-        for u, v in sample_uniform(model, 50, seed=4):
-            a, b, c, d = uc @ u, uc @ v, vc @ u, vc @ v
-            self.assert_traces_equal(np.stack((a, d, b, c)), a, b, c, d, 2.0)
+        pts = sample_uniform(model, 16, seed=3)
+        partners = []
+        for x in pts[:4]:
+            y = next(y for y in sample_uniform(model, 64, seed=4)
+                     if dense_flag_kernel(2.0, x, y) < 0)
+
+            def along(t):
+                return flag_point((1 - t) * x[0] + t * y[0], (1 - t) * x[1] + t * y[1])
+
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if dense_flag_kernel(2.0, x, along(mid)) > 0 else (lo, mid)
+            partners.append(along(lo))
+            assert abs(dense_flag_kernel(2.0, x, partners[-1])) <= 1e-12 * model.kernel_scale
+        support = np.concatenate([pts, partners])
+        for x in pts[:8]:
+            assert_matches_dense(model, x[None], support)
+            row = kernel_cross(model, x, support)
+            assert np.array_equal(row, kernel_cross(model, x[None], support))
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_monte_carlo_columns(self, f):
-        # coordinates of Haar pairs as strided (n,) columns
-        u, v = _haar_flag_pairs(np.random.Generator(np.random.Philox(key=2)), 5000, f)
-        a, b, c, d = u[:, 0], v[:, 0], u[:, 1], v[:, 1]
-        self.assert_traces_equal(np.stack((a, d, b, c)), a, b, c, d, 1.5)
+        # Haar pairs in every other column of a wider array, a batch whose
+        # last axis is strided: the lift reads it as contiguous complex128,
+        # not through a real view of the strided array
+        rng = np.random.Generator(np.random.SFC64(2))
+        wide = np.zeros((40, 2, 2 * f), dtype=complex)
+        wide[:, 0, ::2], wide[:, 1, ::2] = _haar_flag_pairs(rng, 40, f)
+        strided = wide[..., ::2]
+        assert_matches_dense(ManifoldModel.flag(f, 1.5), strided[:8], strided)
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_complex64_points(self, f):
+        # complex64 points give the kernel of the values they hold
+        model = ManifoldModel.flag(f, 1.5)
+        xs = sample_uniform(model, 8, seed=f).astype(np.complex64)
+        ys = sample_uniform(model, 5, seed=f + 1)
+        dense = np.array([[dense_flag_kernel(1.5, x, y) for y in ys] for x in xs.astype(complex)])
+        tol = flag_tol(1.5) * model.kernel_scale
+        assert np.max(np.abs(kernel_cross(model, xs, ys) - dense)) <= tol
+        assert np.max(np.abs(kernel_cross(model, ys, xs) - dense.T)) <= tol
+        for x, row in zip(xs, dense):
+            assert max(abs(d_kernel(model, x, y) - d) for y, d in zip(ys, row)) <= tol
 
 
 class TestFlagPoint:

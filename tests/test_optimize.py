@@ -22,7 +22,7 @@ from cvp import (
     theta_max,
     write_scan_csv,
 )
-from cvp import optimize
+from cvp import manifold, nu0_monte_carlo, optimize
 from cvp.exact import circle_chain_measure, circle_chain_minimizer, circle_m0
 from cvp.manifold import flag_point, lagrangian_cross, lagrangian_matrix
 from cvp.optimize import (
@@ -353,20 +353,22 @@ class TestEngines:
             monkeypatch.setattr(optimize, "_zonal_features",
                                 lambda e, a, a2, b, c: features(e, a, a, b, c))
         else:
+            # the one C, which kernel_cross and lagrangian_cross read too, so
+            # the mutation must fail through conftest's pair_kernel
             model = ManifoldModel.flag(3, 2.0)
-            flag_maps = optimize._flag_maps
+            flag_basis = manifold._flag_basis
 
-            def mutated(f, tau):
-                A, C = flag_maps(f, tau)
+            def mutated(f):
+                pairs, C = flag_basis(f)
                 K = f * f
                 half = 0.5 * np.einsum("km,ln->klmn", np.eye(K), np.eye(K)).reshape(K * K, K * K)
                 if mutation == "drop-half":  # Re tr(H_k H_m H_l H_n)
-                    return A, C + half
+                    return pairs, C + half
                 # Re tr(H_k H_l H_m H_n) - delta_km delta_ln / 2: H_m and H_l swapped
                 trace = (C + half).reshape(K, K, K, K).transpose(0, 2, 1, 3)
-                return A, trace.reshape(K * K, K * K) - half
+                return pairs, trace.reshape(K * K, K * K) - half
 
-            monkeypatch.setattr(optimize, "_flag_maps", mutated)
+            monkeypatch.setattr(manifold, "_flag_basis", mutated)
         with pytest.raises(AssertionError):
             assert_rows_match_oracles(model, *oracle_points(model))
 
@@ -519,11 +521,8 @@ class TestLazyRows:
 
 
 class TestBuildCounts:
-    @pytest.mark.parametrize(
-        "model", [ManifoldModel.circle(3.0), ManifoldModel.flag(3, 2.0)], ids=["circle", "flag"])
-    def test_maps_once_per_call_and_one_engine_per_restart(self, model, monkeypatch):
-        # the probe grid, its queries and the flag maps depend only on the
-        # model; the quench resets its restart's engine instead of building one
+    @staticmethod
+    def spy_builds(monkeypatch):
         counts = collections.Counter()
 
         def spy(name, fn):
@@ -533,25 +532,52 @@ class TestBuildCounts:
             return counted
 
         monkeypatch.setattr(optimize, "probe_grid", spy("probe", optimize.probe_grid))
-        monkeypatch.setattr(optimize, "_flag_maps", spy("maps", optimize._flag_maps))
         monkeypatch.setattr(optimize._Engine, "__init__", spy("engine", optimize._Engine.__init__))
+        return counts
+
+    @pytest.mark.parametrize(
+        "model", [ManifoldModel.circle(3.0), ManifoldModel.flag(3, 2.0)], ids=["circle", "flag"])
+    def test_maps_once_per_call_and_one_engine_per_restart(self, model, monkeypatch):
+        # the probe grid and its queries depend only on the model, the flag's
+        # C only on f; the quench resets its restart's engine instead of
+        # building one
+        counts = self.spy_builds(monkeypatch)
         anneal(model, 6, light(model, steps_per_temp=5, restarts=2))
-        maps = 1 if model.kind == "flag" else 0
-        assert (counts["probe"], counts["maps"], counts["engine"]) == (1, maps, 2)
+        assert (counts["probe"], counts["engine"]) == (1, 2)
+
+    def test_coupling_built_once_per_f(self):
+        manifold._flag_basis.cache_clear()
+        for f in (3, 4):
+            model = ManifoldModel.flag(f, 2.0)
+            for _ in range(2):
+                meas = anneal(model, 4, light(model, steps_per_temp=2, restarts=1))
+                merge_clusters(model, meas, 0.5)
+        # kernel_cross at f = 3 and 4, the Monte Carlo's f = 2 lift
+        nu0_monte_carlo(ManifoldModel.flag(3, 1.5), 100, seed=0)
+        assert manifold._flag_basis.cache_info().misses == 3
+
+    def test_one_lift_per_tau_in_a_scan(self, monkeypatch):
+        # the cold and the warm run at one tau share its lift
+        counts = self.spy_builds(monkeypatch)
+        tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=2, test_grid_size=64)
+        assert counts["probe"] == 2
 
 
 class TestAnnealPins:
     # sha256 of points.tobytes() + weights.tobytes() of anneal at
     # AnnealSchedule.light(model, seed, steps_per_temp=10); circle tau 3.0
     # m 8, sphere tau 1.2 m 6, flag f 3 tau 2.0 m 6.  Both circle seeds end
-    # in the same measure.
+    # in the same measure.  The flag pins were recorded when the flag kernel
+    # became the one real lift of ``manifold``: the engine's xi and its
+    # resync Grams changed in the last bits, and both seeds then ended in
+    # other measures of the same action 8 tau^2 / 6.
     PINS = {
         ("circle", 0): "d568683550ae0bb78b4b808c4a336fd6fcfcb59def8fa896ccc47d96f044acde",
         ("circle", 1): "d568683550ae0bb78b4b808c4a336fd6fcfcb59def8fa896ccc47d96f044acde",
         ("sphere", 0): "f34ebf6a19fe2f962312775faeab727a69b3894109f9e009f46bbc48fdb0ef40",
         ("sphere", 1): "f5052fe6e8badeb943fef9e92cdf181656ec749257fdfb4593f4cfc60bded73f",
-        ("flag", 0): "40b62fe30bcd41031d95e46028e9eb84ea4b5fc95010033e7797409f87e5945a",
-        ("flag", 1): "cfc223e10937482d4898c58c78ea55edba9347d4f7ac10e352cb605db70985e8",
+        ("flag", 0): "293c6267d804059b3143828dea21c51fd2be5b78e8d4359a0a7934ea80ba16c2",
+        ("flag", 1): "9481d665da30333d91e4fcbc005342714e0ac4e2a196f9c07d67565af7116b6a",
     }
     MODELS = {
         "circle": (ManifoldModel.circle(3.0), 8),
