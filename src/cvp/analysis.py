@@ -25,8 +25,11 @@ import numpy as np
 
 from .manifold import (
     ManifoldModel,
+    _flag_coupling,
+    _flag_features,
     _flag_lift,
     _flag_xi,
+    _flag_xi_real,
     kernel_cross,
     kernel_matrix,
     lagrangian_matrix,
@@ -506,6 +509,7 @@ def load_packing(path) -> np.ndarray:
 
 
 _MC_BLOCK = 8192  # Haar samples per block of the flag Monte Carlo
+_MC_LIFT = 1024  # of them lifted at once
 
 
 @dataclass(frozen=True)
@@ -523,27 +527,19 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     X0 lives in the top-left 2 x 2 block, so D(x0, y) is the f = 2 kernel
     between diag(1+tau, 1-tau) and (u_1, u_2; v_1, v_2): eta . W eta in the
     f = 2 lift (``manifold._flag_lift``), W = C (xi0 (x) xi0) as a 4 x 4
-    matrix.  The normals come from ``SFC64(seed)``, so the estimate is
-    deterministic per seed; the standard error comes from the sample
-    variance.  SFC64 is the fastest of numpy's bit generators for normals
-    (a block takes about two thirds of Philox's time), and the Haar law of
-    complex Gaussians orthonormalized by Gram-Schmidt holds for any good
-    normal source; this estimate needs one stream per seed, not Philox's
-    counter-based keyed streams.
+    matrix.  The normals come from ``SFC64(seed)``, numpy's fastest
+    generator for them, so the estimate is deterministic per seed; the
+    standard error comes from the sample variance.
 
     The samples are drawn in blocks of ``_MC_BLOCK`` = 8192 (the last one
     shorter), each block one ``standard_normal`` draw of shape (4, f, k)
     into a buffer allocated once per call, read as Re u, Im u, Re v, Im v
-    with coordinate j's k values contiguous.  Only the real parts of the
-    four coordinates above are formed.  |u|^2, |v|^2 and <u, v> are summed
-    coordinate by coordinate into four accumulators through one scratch
-    row; then u_1, u_2 = u_j / |u| and, with v_perp = v - (<u, v> / |u|^2) u
-    and |v_perp|^2 = |v|^2 - |<u, v>|^2 / |u|^2, v_1, v_2 = (v_perp)_j /
-    |v_perp|.  This is Gram-Schmidt as in ``_haar_flag_pairs`` in real
-    arithmetic, so a sample agrees with the kernel at x0 on the pair (u, v)
-    of the block's columns to rounding, not bit for bit.  The values are
-    written into one array of n values; the working set is one block plus
-    8 bytes per sample.
+    with coordinate j's k values contiguous.  Only the real view of the
+    four coordinates above is formed, by Gram-Schmidt as in
+    ``_haar_flag_pairs`` in real arithmetic, so a sample agrees with the
+    kernel at x0 on the pair (u, v) of the block's columns to rounding, not
+    bit for bit.  The working set is one block and its products plus 8
+    bytes per sample.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
@@ -557,18 +553,14 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
 
 def _nu0_samples(f: int, tau: float, n: int, seed) -> np.ndarray:
     """The n samples D(x0, y) of ``nu0_monte_carlo``, in stream order."""
-    pairs, C = _flag_lift(2, tau)
-    I, J, BT = pairs
-    xi0 = _flag_xi(pairs, np.eye(2, dtype=complex))
-    W = (np.outer(xi0, xi0).reshape(-1) @ C).reshape(4, 4)
+    pairs = _flag_lift(2, tau)  # W = C (xi0 (x) xi0) as a 4 x 4 matrix
+    W = _flag_features(_flag_coupling(2), _flag_xi(pairs, np.eye(2, dtype=complex))).reshape(4, 4)
     rng = np.random.Generator(np.random.SFC64(seed))
     size = min(n, _MC_BLOCK)
     # flat buffers, so that the short last block is a contiguous prefix too
     normals = np.empty(4 * f * size)
     sums = np.empty(4 * size)
     scratch = np.empty(size)
-    prods = np.empty((len(I), size))  # the pair products, then W eta in its first rows
-    eta = np.empty((4, size))
     vals = np.empty(n)
     for lo in range(0, n, _MC_BLOCK):
         k = min(_MC_BLOCK, n - lo)
@@ -592,14 +584,12 @@ def _nu0_samples(f: int, tau: float, n: int, seed) -> np.ndarray:
             vi[j] -= cr * ui[j] + ci * ur[j]
             block[2:, j] /= nv
             block[:2, j] /= nu
-        # _flag_xi's (r_I * r_J) B^T on the rows r of the real view, then eta . W eta
-        r = (ur[0], ui[0], ur[1], ui[1], vr[0], vi[0], vr[1], vi[1])
-        p, e = prods[:, :k], eta[:, :k]
-        for row, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
-            np.multiply(r[i], r[j], out=p[row])
-        np.matmul(BT.T, p, out=e)
-        q = np.multiply(np.matmul(W, e, out=p[:4]), e, out=p[:4])
-        np.sum(q, axis=0, out=vals[lo : lo + k])
+        # the f = 2 real view (Re u_1, Im u_1, Re u_2, Im u_2, then v) as rows, in
+        # chunks: a whole block's pair products are 3 MB of fresh temporaries
+        for c in range(0, k, _MC_LIFT):
+            r = block[[0, 1, 0, 1, 2, 3, 2, 3], [0, 0, 1, 1, 0, 0, 1, 1], c : c + _MC_LIFT]
+            eta = _flag_xi_real(pairs, r)
+            np.einsum("ij,ij->i", eta @ W, eta, out=vals[lo + c : lo + min(k, c + _MC_LIFT)])
     return vals
 
 

@@ -16,16 +16,14 @@ only through c = <x,y>,
 evaluated only by ``zonal_d``.  The circle is a great circle of the
 sphere: ``unit_vectors`` embeds its angles in R^2, so both spaces share
 every kernel routine and angles stay at the input/output boundary.  On
-the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated only by
-the real lift (``_flag_lift``): with xi the real coordinates of
-X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian basis H_k,
-D(x, y) = (xi (x) xi) . C (eta (x) eta), where
-C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2 depends only on
-f.  ``kernel_cross``, the annealer's engine (``optimize._Lift``), the
-merge distance (Tr(xy) = xi . eta) and the flag Monte Carlo all read it;
-the zonal D is likewise bilinear in x (x) x, x and 1.  The Lagrangian is
-the positive part L = max(0, D); the sign of D defines the causal
-relation of two points.
+the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated only as
+(xi (x) xi) . C (eta (x) eta) in the real lift: xi are the coordinates of
+X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian basis
+(``_flag_lift``) and C a sparse coupling fixed by f (``_flag_coupling``).
+``kernel_cross``, the annealer (``optimize._Lift``), the merge distance
+(Tr(xy) = xi . eta) and the flag Monte Carlo all read it; the zonal D is
+likewise bilinear in x (x) x, x and 1.  The Lagrangian is the positive part
+L = max(0, D); the sign of D defines the causal relation of two points.
 """
 
 from __future__ import annotations
@@ -48,8 +46,9 @@ _FLAG_DRIFT = 1e-12
 
 # Largest coupling a model accepts.  The kernel's rounding error grows like
 # eps tau^2 relative to D(x, x) = 8 tau^2 (``zonal_d`` forms tau^2 c + 2 - tau^2,
-# and the flag lift's tau^4 terms cancel on near-coincident pairs): 1e-10 to
-# 1.5e-10 at tau = 1e3, while beyond 1/sqrt(eps) the zonal 2 is lost.
+# and the flag lift's tau^4 terms cancel on near-coincident pairs): at
+# tau = 1e3 about 1e-10 for the zonal kernel and up to 1.3e-10 on coincident
+# flag pairs, while beyond 1/sqrt(eps) the zonal 2 is lost.
 TAU_MAX = 1e3
 
 
@@ -220,24 +219,15 @@ def unit_vectors(model: ManifoldModel, points) -> np.ndarray:
 
 @functools.cache
 def _flag_basis(f):
-    """(pairs, C) of the real flag lift at dimension f, built once per f.
-
-    H_k, k = a f + b, is the orthonormal Hermitian basis E_aa,
-    (E_ab + E_ba)/sqrt2 (a < b) and i (E_ba - E_ab)/sqrt2 (a > b).  On the
-    real view r of u, interleaved (Re, Im) pairs, u* H_k u = r . R_k r with
-    R_k = Re H_k (x) I_2 + Im H_k (x) J, which ``pairs`` = (i, j, s) sums as
-    s[k] . (r_i * r_j) over the pairs i <= j where some R_k is nonzero.  The
-    dense C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2,
-    symmetric in k <-> l, m <-> n and (kl) <-> (mn), is summed over the
-    closed chains (a, b)(b, c)(c, d)(d, a) of matrix units, 16 f^4 products
-    as each H_k has at most two nonzeros; the diagonal unit is split into
-    two halves so that every position carries two units, and pairs of
-    consecutive units are formed first.
-    """
-    K, s = f * f, math.sqrt(0.5)
-    a, b = np.indices((f, f))
+    """The orthonormal Hermitian basis H_k, k = a f + b: E_aa,
+    (E_ab + E_ba)/sqrt2 (a < b) and i (E_ba - E_ab)/sqrt2 (a > b), as the
+    pairs (i, j, s) and the units (k, h).  On the real view r of u, (Re, Im)
+    interleaved, u* H_k u = r . R_k r, R_k = Re H_k (x) I_2 + Im H_k (x) J,
+    is s[k] . (r_i * r_j) over the pairs i <= j where some R_k is nonzero.
+    Position (a, b) carries the units k[a, b] with coefficients h[a, b]."""
+    K, s, (a, b) = f * f, math.sqrt(0.5), np.indices((f, f))
     lo, hi, diag = np.minimum(a, b), np.maximum(a, b), a == b
-    k = np.stack([lo * f + hi, hi * f + lo], -1)  # the two units at (a, b)
+    k = np.stack([lo * f + hi, hi * f + lo], -1)
     h = np.stack([np.where(diag, 0.5, s), np.where(diag, 0.5, 1j * s * np.sign(b - a))], -1)
     H = np.zeros((K, f, f), dtype=complex)
     H[k[..., 0], a, b] = h[..., 0]
@@ -246,6 +236,16 @@ def _flag_basis(f):
     R = R.transpose(0, 1, 3, 2, 4).reshape(K, 2 * f, 2 * f)
     S = np.triu(R) + np.triu(R, 1)  # r . R_k r = sum over i <= j of S_k,ij r_i r_j
     i, j = np.nonzero(S.any(0))
+    return (i, j, S[:, i, j]), (k, h)
+
+
+@functools.cache
+def _flag_coupling(f):
+    """C_{kl,mn} = Re tr(H_k H_m H_l H_n) - delta_km delta_ln / 2, symmetric in
+    k <-> l, m <-> n and (kl) <-> (mn), as its nonzeros (rows, cols, vals) in
+    row-major order, kl = k f^2 + l: 309 at f = 3, 3,465 at f = 5.  Summed
+    over the chains (a, b)(b, c)(c, d)(d, a) of matrix units, 16 f^4 products."""
+    K, (k, h) = f * f, _flag_basis(f)[1]
     # the pairs H_k at (a, b), H_m at (b, c) on axes (a, c, b, t1, t2), with
     # index part k K^3 + m K; the chain closes with the pair H_l at (c, d),
     # H_n at (d, a), whose index part l K^2 + n is the pair (c, a)'s over K
@@ -253,33 +253,36 @@ def _flag_basis(f):
     hp = (h[:, None, :, :, None] * h.transpose(1, 0, 2)[None, :, :, None, :]).reshape(f, f, -1)
     idx = kp[:, :, :, None] + (kp.transpose(1, 0, 2) // K)[:, :, None, :]
     val = (hp[:, :, :, None] * hp.transpose(1, 0, 2)[:, :, None, :]).real
-    C = np.bincount(idx.ravel(), val.ravel(), K**4).reshape(K * K, K * K)
-    C.flat[:: K * K + 1] -= 0.5
-    return (i, j, S[:, i, j]), C
+    keys, at = np.unique(np.append(idx, np.arange(K * K) * (K * K + 1)), return_inverse=True)
+    vals = np.bincount(at, np.append(val, np.full(K * K, -0.5)))
+    keep = vals != 0.0  # the chains cancel on about half their entries
+    return (*np.divmod(keys[keep], K * K), vals[keep])
 
 
 def _flag_lift(f: int, tau: float):
-    """(pairs, C) of the real flag lift, D(x, y) = (xi (x) xi) . C (eta (x) eta).
-
-    xi_k = Re tr(H_k X), X = (1+tau) uu* + (1-tau) vv* = sum_k xi_k H_k, is
-    (r_I * r_J) B^T on the real view r of (u, v), ``pairs`` = (I, J, B^T):
-    ``_flag_basis``'s pairs of u scaled by 1+tau and of v by 1-tau.  It is
-    exact for any pair (u, v), and Tr(XY) = xi . eta.
-    """
-    (i, j, s), C = _flag_basis(f)
+    """The pairs (I, J, B^T) of the real lift at tau: xi_k = Re tr(H_k X),
+    X = (1+tau) uu* + (1-tau) vv* = sum_k xi_k H_k, is (r_I * r_J) B^T on
+    the real view r of (u, v), ``_flag_basis``'s pairs of u scaled by 1+tau
+    and of v by 1-tau.  Exact for any pair (u, v); Tr(XY) = xi . eta."""
+    i, j, s = _flag_basis(f)[0]
     n = 2 * f  # the real view of v follows that of u
     return (np.concatenate([i, i + n]), np.concatenate([j, j + n]),
-            np.concatenate([(1.0 + tau) * s.T, (1.0 - tau) * s.T])), C
+            np.concatenate([(1.0 + tau) * s.T, (1.0 - tau) * s.T]))
+
+
+def _flag_xi_real(pairs, r):
+    """The lift's xi, (r_I * r_J) B^T, of the real view r (4f,) of one point,
+    or of real views stacked as the columns of r (4f, n), as (n, f^2)."""
+    I, J, BT = pairs
+    return (r[I] * r[J]).T.dot(BT)
 
 
 def _flag_xi(pairs, x):
     """The lift's xi of one point (2, f) or a batch (n, 2, f), read as
     contiguous complex128: the real view of complex64 or of a batch strided
     along its last axis would misread them."""
-    I, J, BT = pairs
     r = np.ascontiguousarray(x, dtype=complex)
-    r = r.reshape(r.shape[:-2] + (-1,)).view(float)
-    return (r.take(I, -1) * r.take(J, -1)).dot(BT)
+    return _flag_xi_real(pairs, r.reshape(r.shape[:-2] + (-1,)).view(float).T)
 
 
 def _flag_outer(xi):
@@ -287,13 +290,24 @@ def _flag_outer(xi):
     return (xi[:, :, None] * xi[:, None, :]).reshape(len(xi), -1)
 
 
+def _flag_features(coupling, xi):
+    """C (xi (x) xi) of coordinates (K,), or of each row of a batch (n, K),
+    summing each row of C's nonzeros in order, one point at a time: no array
+    of C's f^8 entries is formed."""
+    rows, cols, vals = coupling
+    if xi.ndim == 2:
+        return np.array([_flag_features(coupling, x) for x in xi]).reshape(len(xi), xi.shape[1] ** 2)
+    return np.bincount(rows, np.multiply.outer(xi, xi).reshape(-1)[cols] * vals, len(xi) ** 2)
+
+
 def kernel_cross(model: ManifoldModel, xs, ys) -> np.ndarray:
     """Matrix D(x_i, y_j) for two batches of points."""
     xs = _as_batch(model, xs)
     ys = _as_batch(model, ys)
     if model.kind == "flag":
-        pairs, C = _flag_lift(model.f, model.tau)
-        return _flag_outer(_flag_xi(pairs, xs)) @ (_flag_outer(_flag_xi(pairs, ys)) @ C).T
+        pairs = _flag_lift(model.f, model.tau)
+        eta = _flag_features(_flag_coupling(model.f), _flag_xi(pairs, ys))
+        return _flag_outer(_flag_xi(pairs, xs)) @ eta.T
     return zonal_d(model.tau, unit_vectors(model, xs) @ unit_vectors(model, ys).T)
 
 

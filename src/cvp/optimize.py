@@ -45,6 +45,8 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .manifold import (
     ManifoldModel,
+    _flag_coupling,
+    _flag_features,
     _flag_lift,
     _flag_outer,
     _flag_xi,
@@ -328,10 +330,9 @@ class _Lift:
     the row function, coordinates -> F q into ``out``.  On the circle and
     the sphere D is quadratic in c = <x, y>, with coefficients read off
     ``zonal_d`` at c = -1, 0, 1.  On the flag the coordinates are the
-    manifold's lift xi and F = C (eta (x) eta) (``manifold._flag_lift``, as
-    in ``kernel_cross``); a row reads each stored feature as an f^2 x f^2
-    matrix M(y) and forms xi . M(y) xi, so the query's outer product
-    xi (x) xi is never formed.
+    manifold's lift xi and F = C (eta (x) eta), as in ``kernel_cross``; a
+    row reads each stored feature as an f^2 x f^2 matrix M(y) and forms
+    xi . M(y) xi, so the query's outer product xi (x) xi is never formed.
     """
 
     def __init__(self, model):
@@ -339,16 +340,10 @@ class _Lift:
         self.probe = probe_grid(model, _PROBE_SIZE[model.kind], _PROBE_SEED)
         if model.kind == "flag":
             self.pos_scale = 1.0
-            pairs, C = _flag_lift(model.f, model.tau)
-            one = functools.partial(_flag_xi, pairs)
-            K = model.f**2
-            # C has about 16 f^4 nonzeros of f^8, so one point's feature is a
-            # sparse product; a batch goes through the dense matmul
-            rows, cols = C.nonzero()
-            vals = C[rows, cols]
-            self.store = lambda xi: np.bincount(
-                rows, vals * np.multiply.outer(xi, xi).reshape(-1)[cols], K * K)
-            self.stored = lambda xs: _flag_outer(one(xs)) @ C
+            one = functools.partial(_flag_xi, _flag_lift(model.f, model.tau))
+            C, K = _flag_coupling(model.f), model.f**2
+            self.store = functools.partial(_flag_features, C)
+            self.stored = lambda xs: _flag_features(C, one(xs))
             self.q_probe = _flag_outer(one(self.probe))
 
             def row_fn(F, out):  # row_j = xi . M_j xi, M_j the stored feature as K x K
@@ -787,7 +782,7 @@ def _distance_matrix(model: ManifoldModel, pts) -> np.ndarray:
     # flag: chordal Frobenius distance scaled to match small geodesic angles;
     # the lift's basis is orthonormal, so Tr(xy) = xi(x) . xi(y)
     tau = model.tau
-    xi = _flag_xi(_flag_lift(model.f, tau)[0], pts)
+    xi = _flag_xi(_flag_lift(model.f, tau), pts)
     chord_sq = np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - xi @ xi.T))
     return np.sqrt(chord_sq) / (np.sqrt(2.0) * tau)
 
@@ -965,15 +960,17 @@ def tau_scan(
         return AnnealSchedule.light(model, seed, **{**given, **warm})
 
     best: dict[float, WeightedMeasure] = {}
-    # one lift per tau, shared by its cold and warm runs
-    lifts = {tau: _Lift(ManifoldModel(model_kind, tau, f)) for tau in tau_grid}
+    lifts: dict[float, _Lift] = {}  # one per tau, shared by its cold and warm runs
     for direction in (1, -1):
         prev = None
         for tau in tau_grid[::direction]:
-            model = lifts[tau].model
-            cands = [best[tau] if tau in best else _anneal(lifts[tau], m, make_sched(model), None)]
+            model = ManifoldModel(model_kind, tau, f)  # schedules before the lift
+            runs = [] if tau in best else [(make_sched(model), None)]
             if prev is not None:
-                cands.append(_anneal(lifts[tau], m, make_sched(model, restarts=1), prev))
+                runs.append((make_sched(model, restarts=1), prev))
+            lift = lifts[tau] = lifts.get(tau) or _Lift(model)
+            cands = [best[tau]] if tau in best else []
+            cands += [_anneal(lift, m, sched, init) for sched, init in runs]
             best[tau] = prev = min(cands, key=lambda c: (action(model, c), c.support_size))
 
     rows = []

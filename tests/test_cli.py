@@ -69,11 +69,13 @@ class TestBadInput:
     @pytest.mark.parametrize("option", [["--cooling", "0.999999999"],
                                         ["--steps-per-temp", "1000000000"]])
     def test_endless_schedule_exit_2(self, capsys, monkeypatch, argv, option):
-        # cooling 0.999999999 asked for about 1.4e10 temperatures and never returned
+        # cooling 0.999999999 asked for about 1.4e10 temperatures and never
+        # returned; the schedule is rejected before any anneal or lift starts
         def no_anneal(*args, **kwargs):
             raise AssertionError("an anneal started")
 
-        monkeypatch.setattr(optimize, "anneal", no_anneal)
+        for name in ("anneal", "_anneal", "_Lift"):
+            monkeypatch.setattr(optimize, name, no_anneal)
         code, out, err = run(capsys, *argv, *option)
         assert_rejected(code, out, err, "Metropolis steps")
 

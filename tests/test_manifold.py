@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cvp import (
     sample_uniform,
     theta_max,
 )
+from cvp import manifold
 from cvp.manifold import (
     TAU_MAX,
     _haar_flag_pairs,
@@ -232,7 +234,7 @@ class TestKernelProperties:
 def flag_tol(tau):
     """Rounding of the flag kernel relative to its scale 8 tau^2.  Its tau^4
     terms cancel on near-coincident pairs, so beyond tau ~ 10 the error grows
-    like eps tau^2: about 1.5e-10 of the scale at TAU_MAX for the lift, and
+    like eps tau^2: up to 1.3e-10 of the scale at TAU_MAX for the lift, and
     6e-11 for the dense oracle itself."""
     return 1e-12 + 4 * np.finfo(float).eps * tau**2
 
@@ -306,6 +308,24 @@ class TestStackedFlagTraces:
         wide[:, 0, ::2], wide[:, 1, ::2] = _haar_flag_pairs(rng, 40, f)
         strided = wide[..., ::2]
         assert_matches_dense(ManifoldModel.flag(f, 1.5), strided[:8], strided)
+
+    def test_large_f_builds_no_dense_coupling(self):
+        # C has f^8 entries, 134 MB of doubles at f = 8, of which 27,504 are
+        # nonzero: building C and the basis, a Gram and the merge distance
+        # at f = 8 stay within a few MB
+        model = ManifoldModel.flag(8, 1.5)
+        pts = sample_uniform(model, 3, seed=0)
+        manifold._flag_basis.cache_clear()
+        manifold._flag_coupling.cache_clear()
+        tracemalloc.start()
+        try:
+            kernel_matrix(model, pts)
+            _distance_matrix(model, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert_matches_dense(model, pts, pts)
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_complex64_points(self, f):

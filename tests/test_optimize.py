@@ -356,19 +356,24 @@ class TestEngines:
             # the one C, which kernel_cross and lagrangian_cross read too, so
             # the mutation must fail through conftest's pair_kernel
             model = ManifoldModel.flag(3, 2.0)
-            flag_basis = manifold._flag_basis
+            flag_coupling = manifold._flag_coupling
 
             def mutated(f):
-                pairs, C = flag_basis(f)
+                # C dense from its nonzeros, mutated, and stored back whole
+                rows, cols, vals = flag_coupling(f)
                 K = f * f
+                C = np.zeros((K * K, K * K))
+                C[rows, cols] = vals
                 half = 0.5 * np.einsum("km,ln->klmn", np.eye(K), np.eye(K)).reshape(K * K, K * K)
                 if mutation == "drop-half":  # Re tr(H_k H_m H_l H_n)
-                    return pairs, C + half
-                # Re tr(H_k H_l H_m H_n) - delta_km delta_ln / 2: H_m and H_l swapped
-                trace = (C + half).reshape(K, K, K, K).transpose(0, 2, 1, 3)
-                return pairs, trace.reshape(K * K, K * K) - half
+                    C = C + half
+                else:  # Re tr(H_k H_l H_m H_n) - delta_km delta_ln / 2: H_m and H_l swapped
+                    trace = (C + half).reshape(K, K, K, K).transpose(0, 2, 1, 3)
+                    C = trace.reshape(K * K, K * K) - half
+                return (*np.indices(C.shape).reshape(2, -1), C.ravel())
 
-            monkeypatch.setattr(manifold, "_flag_basis", mutated)
+            monkeypatch.setattr(manifold, "_flag_coupling", mutated)
+            monkeypatch.setattr(optimize, "_flag_coupling", mutated)
         with pytest.raises(AssertionError):
             assert_rows_match_oracles(model, *oracle_points(model))
 
@@ -546,7 +551,7 @@ class TestBuildCounts:
         assert (counts["probe"], counts["engine"]) == (1, 2)
 
     def test_coupling_built_once_per_f(self):
-        manifold._flag_basis.cache_clear()
+        manifold._flag_coupling.cache_clear()
         for f in (3, 4):
             model = ManifoldModel.flag(f, 2.0)
             for _ in range(2):
@@ -554,7 +559,7 @@ class TestBuildCounts:
                 merge_clusters(model, meas, 0.5)
         # kernel_cross at f = 3 and 4, the Monte Carlo's f = 2 lift
         nu0_monte_carlo(ManifoldModel.flag(3, 1.5), 100, seed=0)
-        assert manifold._flag_basis.cache_info().misses == 3
+        assert manifold._flag_coupling.cache_info().misses == 3
 
     def test_one_lift_per_tau_in_a_scan(self, monkeypatch):
         # the cold and the warm run at one tau share its lift
@@ -650,6 +655,7 @@ class TestReduceSupport:
             raise AssertionError("support reduction must not anneal")
 
         monkeypatch.setattr(optimize, "anneal", no_anneal)
+        monkeypatch.setattr(optimize, "_anneal", no_anneal)
         model, meas = chain
         out = _reduce_support(model, meas)
         assert out.support_size == 10
