@@ -209,16 +209,14 @@ def cmd_exact(args) -> int:
     else:  # density
         model = ManifoldModel.sphere(args.tau)
         dm = exact.three_band_density()
-        # the density is zonal, so its integrals need only the cos(theta) nodes
-        cosn, cw = dm.grid.cos_nodes, dm.grid.cos_weights
-        profile = dm.zonal_profile()
+        cosn, cw, f = dm.grid.nodes, dm.grid.weights, dm.values
         p2 = 0.5 * (3.0 * cosn**2 - 1.0)
         act = density_action(model, dm)
         nu0 = analysis.spectral_closed_form(model).nu0
         payload = {
-            "mass": float(cw @ profile),
-            "moment_cos": float(cw @ (profile * cosn)),
-            "moment_p2": float(cw @ (profile * p2)),
+            "mass": float(cw @ f),
+            "moment_cos": float(cw @ (f * cosn)),
+            "moment_p2": float(cw @ (f * p2)),
             "action": act,
             "nu0": nu0,
             "action_minus_nu0": act - nu0,

@@ -140,20 +140,18 @@ _BAND_EDGES = (-0.7, -0.5, 0.2, 0.4, 0.8)
 _BAND_VALUES = {(-0.7, -0.5): 40.0 / 9.0, (0.2, 0.4): 35.0 / 9.0, (0.8, 1.0): 5.0 / 3.0}
 
 
-def three_band_density(resolution: int = 240) -> DensityMeasure:
+def three_band_density() -> DensityMeasure:
     """Piecewise-constant zonal density supported on three spherical bands.
 
     Its total mass is 1 and its l = 1, 2 moments vanish, so for couplings
     small enough that the whole support is pairwise non-spacelike it is a
     generically timelike minimizer with action nu0.
     """
-    grid = quadrature_grid(
-        ManifoldModel.sphere(1.0), resolution, breakpoints=_BAND_EDGES
-    )
-    profile = np.zeros_like(grid.cos_nodes)
+    grid = quadrature_grid(ManifoldModel.sphere(1.0), 240, breakpoints=_BAND_EDGES)
+    values = np.zeros_like(grid.nodes)
     for (lo, hi), val in _BAND_VALUES.items():
-        profile[(grid.cos_nodes > lo) & (grid.cos_nodes < hi)] = val
-    return DensityMeasure.from_profile(grid, profile)
+        values[(grid.nodes > lo) & (grid.nodes < hi)] = val
+    return DensityMeasure(grid, values)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Two measure representations are used: ``WeightedMeasure`` (support points
 with non-negative weights summing to one, the optimization variable) and
-``DensityMeasure`` (a density against the uniform/Haar homogenizer on a
-quadrature grid).  The action of a weighted measure is the double sum
+``DensityMeasure`` (a zonal sphere density against the homogenizer, one
+value per node of a cos(theta) quadrature rule).  The action of a weighted
+measure is the double sum
 
     S = sum_ij w_i w_j L(x_i, x_j),
 
@@ -13,9 +14,8 @@ including the diagonal terms.  The potentials are
     d(x)   = sum_i w_i D(x, x_i)      (signed kernel, no clamping).
 
 Density actions are evaluated spectrally: the Lagrangian profile is
-expanded in Legendre polynomials (circle: Fourier cosines) with
-coefficients integrated exactly up to the lightcone kink (sphere: in closed
-form; circle: Gauss-Legendre), so the double integral reduces to a rapidly
+expanded in Legendre polynomials with coefficients integrated in closed
+form up to the lightcone kink, so the double integral reduces to a rapidly
 converging series in the zonal moments of the density.
 """
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .manifold import (
     ManifoldModel,
-    d_profile,
     is_single_point,
     kernel_cross,
     lagrangian_cross,
@@ -121,19 +120,17 @@ def probe_grid(model: ManifoldModel, n: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Quadrature nodes and weights against the normalized uniform measure.
+    """A zonal quadrature rule against the normalized uniform sphere measure.
 
-    Sphere grids are tensor products of per-panel Gauss-Legendre nodes in
-    cos(theta) with uniform phi nodes; node index = i_theta * n_phi + i_phi.
+    ``nodes`` are per-panel Gauss-Legendre nodes in c = cos(theta) and
+    ``weights`` their dc/2, which sum to 1, so ``integrate`` gives the sphere
+    mean of a function of cos(theta) alone.  ``panels`` are the cos(theta)
+    panel edges, from -1 to 1.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    cos_nodes: np.ndarray | None = None
-    cos_weights: np.ndarray | None = None
-    n_phi: int = 0
-    panels: np.ndarray | None = None
+    panels: np.ndarray
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -141,46 +138,37 @@ class QuadratureGrid:
 
 def quadrature_grid(model: ManifoldModel, resolution: int | None = None,
                     breakpoints=None) -> QuadratureGrid:
-    """Uniform-measure quadrature grid on the circle or the sphere.
+    """The zonal quadrature rule on the sphere.
 
-    ``resolution`` is the node count (circle) or the cos(theta) order
-    (sphere; default 200, with 2*resolution phi nodes).  ``breakpoints``
-    (sphere only) lists cos(theta) values where the grid panels are split,
-    making piecewise integrands exactly integrable per panel.
+    ``resolution`` is the cos(theta) order (default 200), spread over the
+    panels with at least 12 nodes each.  ``breakpoints`` lists cos(theta)
+    values where the panels are split, making piecewise integrands exactly
+    integrable per panel.
     """
-    if model.kind == "circle":
-        n = 2048 if resolution is None else int(resolution)
-        if n < 1:
-            raise ValueError("resolution must be >= 1")
-        nodes = 2.0 * np.pi * np.arange(n) / n
-        return QuadratureGrid("circle", nodes, np.full(n, 1.0 / n))
-    if model.kind == "sphere":
-        ntheta = 200 if resolution is None else int(resolution)
-        if breakpoints is None:
-            panels = np.array([-1.0, 1.0])
-        else:
-            panels = np.unique(np.concatenate([[-1.0, 1.0], np.asarray(breakpoints, float)]))
-            if panels[0] < -1.0 or panels[-1] > 1.0:
-                raise ValueError("breakpoints must lie in [-1, 1]")
-        order = max(12, int(np.ceil(ntheta / (len(panels) - 1))))
-        c, cw = panel_gauss_legendre(panels, order)
-        cw = cw / 2.0  # d(cos)/2 is the normalized zonal measure
-        n_phi = 2 * ntheta
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-        nodes = np.empty((len(c) * n_phi, 3))
-        nodes[:, 0] = np.repeat(s, n_phi) * np.tile(np.cos(phi), len(c))
-        nodes[:, 1] = np.repeat(s, n_phi) * np.tile(np.sin(phi), len(c))
-        nodes[:, 2] = np.repeat(c, n_phi)
-        weights = np.repeat(cw / n_phi, n_phi)
-        return QuadratureGrid("sphere", nodes, weights, c, cw, n_phi, panels)
-    raise ValueError("quadrature grids exist for circle and sphere only; "
-                     "flag integrals use Monte Carlo")
+    if model.kind != "sphere":
+        raise ValueError("quadrature grids exist for the sphere only; "
+                         "flag integrals use Monte Carlo")
+    n = 200 if resolution is None else int(resolution)
+    if n < 1:
+        raise ValueError("resolution must be >= 1")
+    if breakpoints is None:
+        panels = np.array([-1.0, 1.0])
+    else:
+        cuts = np.asarray(breakpoints, float)
+        if not np.all(np.isfinite(cuts)):
+            raise ValueError("breakpoints must be finite")
+        panels = np.unique(np.concatenate([[-1.0, 1.0], cuts]))
+        if panels[0] < -1.0 or panels[-1] > 1.0:
+            raise ValueError("breakpoints must lie in [-1, 1]")
+    order = max(12, int(np.ceil(n / (len(panels) - 1))))
+    c, cw = panel_gauss_legendre(panels, order)
+    return QuadratureGrid(c, cw / 2.0, panels)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMeasure:
-    """Non-negative density against the homogenizer on a quadrature grid."""
+    """A non-negative zonal density on the sphere against the homogenizer:
+    one value per cos(theta) node of its grid."""
 
     grid: QuadratureGrid
     values: np.ndarray
@@ -188,36 +176,19 @@ class DensityMeasure:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape != self.grid.weights.shape:
+        if v.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid nodes")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("density values must be finite")
         if np.any(v < -_DENSITY_TOL):
             raise ValueError("density values must be non-negative")
         total = self.grid.integrate(v)
         if abs(total - 1.0) > _DENSITY_TOL:
             raise ValueError(f"density mass {total} is not 1 within 1e-8")
 
-    @classmethod
-    def from_profile(cls, grid: QuadratureGrid, profile) -> "DensityMeasure":
-        """Expand a zonal profile (one value per cos(theta) node)."""
-        profile = np.asarray(profile, dtype=float)
-        if grid.kind == "circle":
-            return cls(grid, profile)
-        if profile.shape != grid.cos_nodes.shape:
-            raise ValueError("profile must match the cos(theta) nodes")
-        return cls(grid, np.repeat(profile, grid.n_phi))
 
-    def zonal_profile(self) -> np.ndarray:
-        """Per cos(theta)-node values; raises if the density is not zonal."""
-        if self.grid.kind == "circle":
-            return self.values
-        v = self.values.reshape(len(self.grid.cos_nodes), self.grid.n_phi)
-        if np.max(np.abs(v - v[:, :1])) > 1e-12:
-            raise ValueError("density is not zonal")
-        return v[:, 0].copy()
-
-
-def uniform_density(model: ManifoldModel, resolution: int | None = None) -> DensityMeasure:
-    grid = quadrature_grid(model, resolution)
+def uniform_density(model: ManifoldModel) -> DensityMeasure:
+    grid = quadrature_grid(model)
     return DensityMeasure(grid, np.ones_like(grid.weights))
 
 
@@ -269,28 +240,11 @@ def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
     return (2 * ell + 1) * t2 * (t2 * p2 + 2.0 * p1[:n] + (2.0 - t2) * p0[:n])
 
 
-def _lagrangian_fourier_coeffs(model: ManifoldModel, nmax: int) -> np.ndarray:
-    """a_n with L(delta) = a_0 + sum_n a_n cos(n delta) on the circle."""
-    tm = theta_max(model)
-    order = int(1.3 * nmax) + 48
-    x, w = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * tm * (x + 1.0)
-    w = 0.5 * tm * w
-    dvals = d_profile(model, t)
-    n = np.arange(nmax + 1)
-    moments = np.cos(np.outer(n, t)) @ (w * dvals)
-    coeffs = (2.0 / np.pi) * moments
-    coeffs[0] /= 2.0
-    return coeffs
-
-
 def _zonal_legendre_moments(dm: DensityMeasure, lmax: int) -> np.ndarray:
     """fhat_l = int f(x) P_l(cos theta_x) dmu, exact for per-panel constants."""
     grid = dm.grid
-    profile = dm.zonal_profile()
     panels = grid.panels
-    order = len(grid.cos_nodes) // (len(panels) - 1)
-    per_panel = profile.reshape(len(panels) - 1, order)
+    per_panel = dm.values.reshape(len(panels) - 1, -1)
     if np.max(np.abs(per_panel - per_panel[:, :1])) <= 1e-13:
         # piecewise-constant density: use exact antiderivative integrals
         bands = legendre_band_integrals(lmax, panels)
@@ -298,34 +252,19 @@ def _zonal_legendre_moments(dm: DensityMeasure, lmax: int) -> np.ndarray:
         for k in range(len(panels) - 1):
             out += per_panel[k, 0] * 0.5 * bands[k]
         return out
-    p = legendre_all(lmax, grid.cos_nodes)
-    return p @ (grid.cos_weights * profile)
+    p = legendre_all(lmax, grid.nodes)
+    return p @ (grid.weights * dm.values)
 
 
 def density_action(model: ManifoldModel, dm: DensityMeasure, lmax: int = 480) -> float:
-    """Action of a density measure d(rho) = f d(mu).
-
-    Evaluated as sum_l c_l * fhat_l^2 (circle: the Fourier analogue); only
-    zonal sphere densities are supported, which covers the volume measure
-    and the banded constructions used here.
-    """
-    if model.kind == "flag":
-        raise ValueError("density measures are not supported on the flag manifold")
-    if model.kind == "sphere":
-        if dm.grid.kind != "sphere":
-            raise ValueError("grid/model mismatch")
-        cl = _lagrangian_legendre_coeffs(model, lmax)
-        fl = _zonal_legendre_moments(dm, lmax)
-        return float(cl @ (fl * fl))
-    if dm.grid.kind != "circle":
-        raise ValueError("grid/model mismatch")
-    an = _lagrangian_fourier_coeffs(model, lmax)
-    theta = dm.grid.nodes
-    fw = dm.grid.weights * dm.values
-    n = np.arange(lmax + 1)
-    cosm = np.cos(np.outer(n, theta)) @ fw
-    sinm = np.sin(np.outer(n, theta)) @ fw
-    return float(an @ (cosm**2 + sinm**2))
+    """Action of a zonal sphere density d(rho) = f d(mu), as
+    sum_l c_l fhat_l^2; this covers the volume measure and the banded
+    constructions used here."""
+    if model.kind != "sphere":
+        raise ValueError("density measures are supported on the sphere only")
+    cl = _lagrangian_legendre_coeffs(model, lmax)
+    fl = _zonal_legendre_moments(dm, lmax)
+    return float(cl @ (fl * fl))
 
 
 # ---------------------------------------------------------------------------

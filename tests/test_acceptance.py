@@ -156,8 +156,17 @@ def test_criterion_4_banded_density():
     dm = three_band_density()
     grid = dm.grid
     mass = grid.integrate(dm.values)
-    ylm = real_sphere_harmonics(grid.nodes)
-    moments = np.abs(ylm @ (grid.weights * dm.values))
+    # the zonal rule times a ring of 8 uniform phi nodes, which integrates
+    # cos(m phi) and sin(m phi) exactly for |m| <= 2
+    phi = 2.0 * np.pi * np.arange(8) / 8
+    s = np.sqrt(1.0 - grid.nodes**2)
+    nodes = np.column_stack([
+        np.outer(s, np.cos(phi)).ravel(),
+        np.outer(s, np.sin(phi)).ravel(),
+        np.repeat(grid.nodes, 8),
+    ])
+    ylm = real_sphere_harmonics(nodes)
+    moments = np.abs(ylm @ np.repeat(grid.weights * dm.values / 8, 8))
     act = density_action(model, dm)
     nu0 = spectral_closed_form(model).nu0
     ok = (

@@ -481,21 +481,21 @@ class TestExact:
         assert abs(doc["moment_p2"]) < 1e-8
         assert abs(doc["action_minus_nu0"]) < 1e-6
 
-    def test_density_integrals_match_the_full_grid(self, capsys):
-        # integrals on the cos(theta) nodes against the 115,200-node grid
+    def test_density_integrals_match_band_arithmetic(self, capsys):
+        # oracle: exact 1-d integrals of the piecewise-constant profile
         from cvp import ManifoldModel, density_action, three_band_density
 
         code, out, _ = run(capsys, "exact", "density", "--tau", "1.001")
         doc = json.loads(out)
-        dm = three_band_density()
-        cosn = dm.grid.nodes[:, 2]
-        full = {
-            "mass": dm.grid.integrate(dm.values),
-            "moment_cos": dm.grid.integrate(dm.values * cosn),
-            "moment_p2": dm.grid.integrate(dm.values * 0.5 * (3.0 * cosn**2 - 1.0)),
+        bands = [(0.8, 1.0, 5 / 3), (0.2, 0.4, 35 / 9), (-0.7, -0.5, 40 / 9)]
+        exact = {
+            "mass": sum(0.5 * v * (b - a) for a, b, v in bands),
+            "moment_cos": sum(0.25 * v * (b**2 - a**2) for a, b, v in bands),
+            "moment_p2": sum(0.25 * v * (b**3 - a**3) - 0.25 * v * (b - a) for a, b, v in bands),
         }
-        for key, want in full.items():
+        for key, want in exact.items():
             assert abs(doc[key] - want) <= 1e-14
+        dm = three_band_density()
         assert doc["action"] == density_action(ManifoldModel.sphere(1.001), dm)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ class TestThreeBandDensity:
         assert mom2 == pytest.approx(0.0, abs=1e-15)
         dm = three_band_density()
         grid = dm.grid
-        cosn = grid.nodes[:, 2]
+        cosn = grid.nodes
         assert grid.integrate(dm.values) == pytest.approx(mass, abs=1e-12)
         assert grid.integrate(dm.values * cosn) == pytest.approx(mom1, abs=1e-12)
         p2 = 0.5 * (3 * cosn**2 - 1)
@@ -215,6 +216,22 @@ class TestThreeBandDensity:
         model = ManifoldModel.sphere(1.05)
         dm = three_band_density()
         assert density_action(model, dm) > spectral_closed_form(model).nu0 + 1e-4
+
+    def test_memory_is_the_cos_theta_rule(self):
+        # the density and its action hold arrays of the 240-node rule and
+        # the Legendre tables, not a grid over the whole sphere; numpy
+        # imports numpy.ma (np.unique) and numpy.polynomial on first use,
+        # and those modules are not the density's memory
+        import numpy.ma  # noqa: F401
+        import numpy.polynomial  # noqa: F401
+
+        tracemalloc.start()
+        try:
+            density_action(ManifoldModel.sphere(1.001), three_band_density())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestFlagWitness:

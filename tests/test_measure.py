@@ -144,28 +144,37 @@ class TestQuadratureGrid:
 
     def test_odd_moment_vanishes(self):
         g = quadrature_grid(ManifoldModel.sphere(1.0), 200)
-        assert abs(g.integrate(g.nodes[:, 2])) < 1e-12
+        assert abs(g.integrate(g.nodes)) < 1e-12
 
     def test_kernel_integral_is_nu0(self):
+        # D about the pole e3 at the points (sin(theta), 0, cos(theta)) of
+        # the rule; nu0 is rotation-invariant, so the pole stands for any point
         model = ManifoldModel.sphere(1.5)
         g = quadrature_grid(model, 200)
-        vals = kernel_cross(model, E1[None, :], g.nodes)[0]
+        ring = np.column_stack([np.sqrt(1.0 - g.nodes**2), np.zeros_like(g.nodes), g.nodes])
+        vals = kernel_cross(model, np.array([[0.0, 0.0, 1.0]]), ring)[0]
         assert g.integrate(vals) == pytest.approx(2.25, abs=1e-8)
 
-    def test_circle_grid(self):
-        g = quadrature_grid(ManifoldModel.circle(1.0), 128)
-        assert len(g.nodes) == 128
-        assert g.weights.sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_flag_unsupported(self, flag32):
+    @pytest.mark.parametrize("kind", ["circle", "flag"])
+    def test_flag_unsupported(self, kind, flag32):
+        model = flag32 if kind == "flag" else ManifoldModel.circle(1.0)
         with pytest.raises(ValueError):
-            quadrature_grid(flag32, 10)
+            quadrature_grid(model, 10)
 
     def test_breakpoints_split_panels(self):
         g = quadrature_grid(ManifoldModel.sphere(1.0), 60, breakpoints=[0.0])
         assert g.panels.tolist() == [-1.0, 0.0, 1.0]
-        step = g.integrate(np.where(np.repeat(g.cos_nodes, g.n_phi) > 0, 1.0, 0.0))
+        step = g.integrate(np.where(g.nodes > 0, 1.0, 0.0))
         assert step == pytest.approx(0.5, abs=1e-14)
+
+    def test_non_finite_breakpoints_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            quadrature_grid(ManifoldModel.sphere(1.0), 60, breakpoints=[0.0, np.nan])
+
+    @pytest.mark.parametrize("resolution", [0, -5])
+    def test_resolution_below_one_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            quadrature_grid(ManifoldModel.sphere(1.0), resolution)
 
 
 class TestDensityMeasure:
@@ -175,6 +184,14 @@ class TestDensityMeasure:
             DensityMeasure(g, -np.ones_like(g.weights))
         with pytest.raises(ValueError):
             DensityMeasure(g, 2.0 * np.ones_like(g.weights))
+
+    def test_non_finite_values_rejected(self):
+        # a NaN passes the sign and mass tests: every comparison with it is false
+        g = quadrature_grid(ManifoldModel.sphere(1.0), 40)
+        v = np.ones_like(g.weights)
+        v[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DensityMeasure(g, v)
 
     @pytest.mark.parametrize("tau", [1.0, 1.5, 2.0, 3.0])
     def test_uniform_matches_closed_form(self, tau):
@@ -191,12 +208,20 @@ class TestDensityMeasure:
         )
 
     def test_circle_uniform_matches_closed_form(self):
-        for tau in (1.0, 1.3, 2.0):
+        # oracle: (1/pi) int_0^theta_max D(theta) by 64-node Gauss-Legendre
+        x, w = np.polynomial.legendre.leggauss(64)
+        for tau in (1.0, 1.3, 2.0, 3.0):
             model = ManifoldModel.circle(tau)
-            dm = uniform_density(model, 1024)
-            assert density_action(model, dm) == pytest.approx(
-                volume_action(model), abs=1e-8
-            )
+            tm = np.arccos(1.0 - 2.0 / tau**2)
+            t = 0.5 * tm * (x + 1.0)
+            c = np.cos(t)
+            dvals = 2 * tau**2 * (1 + c) * (2 - tau**2 * (1 - c))
+            want = 0.5 * tm * (w @ dvals) / np.pi
+            assert volume_action(model) == pytest.approx(want, rel=1e-12)
+            with pytest.raises(ValueError):
+                uniform_density(model)
+            with pytest.raises(ValueError):
+                density_action(model, uniform_density(ManifoldModel.sphere(tau)))
 
     def test_truncation_converged(self):
         model = ManifoldModel.sphere(1.7)
