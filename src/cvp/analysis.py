@@ -17,6 +17,7 @@ measure found by annealing).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -249,55 +250,44 @@ def flag_gt_threshold(f: int) -> float:
 
 
 _HEAT_SERIES_TOL = 1e-12
+_HEAT_MAX_DEGREE = 1_000  # deepest heat series summed; on a 10,000-point grid its table is 80 MB
 
 
-def _heat_lmax(t: float, series_tol: float = _HEAT_SERIES_TOL, limit: int = 200000) -> int:
+def _heat_lmax(t: float) -> int:
     """Truncation degree of h_t, for finite t > 0: the first l whose term
-    bound (2l+1) exp(-t l (l+1)) is below series_tol; ValueError past
-    ``limit``."""
+    bound (2l+1) exp(-t l (l+1)) is below 1e-12; ValueError past
+    ``_HEAT_MAX_DEGREE``."""
     l = 0
-    while (2 * l + 1) * math.exp(-t * l * (l + 1)) >= series_tol:
+    while (2 * l + 1) * math.exp(-t * l * (l + 1)) >= _HEAT_SERIES_TOL:
         l += 1
-        if l > limit:
+        if l > _HEAT_MAX_DEGREE:
             raise ValueError(
-                f"the heat-kernel series at t = {t:g} needs more than {limit} "
+                f"the heat-kernel series at t = {t:g} needs more than {_HEAT_MAX_DEGREE} "
                 "Legendre degrees; t too small"
             )
     return l
 
 
-def _heat_coeffs(t: float, lmax: int) -> np.ndarray:
-    """Legendre coefficients (2l+1) exp(-t l (l+1)) of h_t, l = 0 .. lmax."""
-    ell = np.arange(lmax + 1)
+def _heat_coeffs(t: float) -> np.ndarray:
+    """Legendre coefficients (2l+1) exp(-t l (l+1)) of h_t, l = 0 .. its
+    truncation degree."""
+    ell = np.arange(_heat_lmax(t) + 1)
     return (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
 
 
-def _heat_values(coeffs: dict, table) -> dict:
-    """{t: h_t at the points of ``table``}, for ``coeffs`` = {t: the
-    ``_heat_coeffs`` of h_t}: each coefficient vector times as many leading
-    rows of a ``legendre_all`` table at least that deep.
-
-    A row of the recurrence does not depend on where it stops, so a deeper
-    table gives the bits of one exactly as deep: a (deg + 1, n) table of
-    cos(theta) gives ``heat_kernel(t, theta)`` and a contiguous (deg + 1, 1)
-    column gives ``heat_kernel(t, scalar)``, bit for bit.
-    """
-    return {t: c @ table[: len(c)] for t, c in coeffs.items()}
-
-
-def heat_kernel(t: float, theta, series_tol: float = _HEAT_SERIES_TOL):
+def heat_kernel(t: float, theta):
     """h_t(theta) = sum_l (2l+1) exp(-t l (l+1)) P_l(cos theta).
 
     Normalized so the double integral against the uniform measure is 1;
     truncated once the term bound (2l+1) exp(-t l (l+1)) drops below
-    series_tol.
+    1e-12.  ValueError when that takes more than 1,000 degrees (t below
+    about 3.5e-5).
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and > 0")
-    lmax = _heat_lmax(t, series_tol)
+    c = _heat_coeffs(t)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    table = legendre_all(lmax, np.cos(theta_arr))
-    vals = _heat_values({t: _heat_coeffs(t, lmax)}, table)[t]
+    vals = c @ legendre_all(len(c) - 1, np.cos(theta_arr))
     return float(vals[0]) if np.ndim(theta) == 0 else vals
 
 
@@ -321,79 +311,57 @@ class HeatKernelBound:
         }
 
 
-def _heat_series(times) -> dict:
-    """{t: ``_heat_coeffs`` of h_t, truncated at its degree}."""
-    return {t: _heat_coeffs(t, _heat_lmax(t)) for t in times}
+def _heat_bounds(model: ManifoldModel, pairs, check_grid: int):
+    """Yield the ``HeatKernelBound`` of every pair (t1, t2) of ``pairs``:
+    the pairs that can dominate best-first, grid-checked, then the others,
+    unchecked and not dominated.
 
-
-def _heat_endpoints(coeffs: dict, tm: float) -> dict:
-    """{t: (h_t(0), h_t(theta_max))} for ``coeffs`` = {t: coefficients}.
-
-    One two-point Legendre table serves every time; each of its columns is
-    made contiguous, so every value equals ``heat_kernel(t, 0.0)`` or
-    ``heat_kernel(t, tm)`` bit for bit.
+    Each pair is calibrated from endpoint values alone: K = lambda (h_t1 -
+    delta h_t2) with K(0) = L(0) and K(theta_max) = 0, S_K = lambda (1 -
+    delta), and lambda = inf when singular.  The endpoints come from one
+    two-point Legendre table whose columns are made contiguous, so they are
+    ``heat_kernel(t, 0.0)`` and ``heat_kernel(t, theta_max)`` bit for bit.
+    A pair can dominate when 0 < delta < 1 and 0 < lambda < inf; those come
+    by decreasing S_K (a stable sort: ties keep the order of ``pairs``),
+    ``dominated`` set when K <= L + 1e-9 on ``check_grid`` points over
+    [0, pi].  h_t on the grid is formed once per checked time, from one
+    Legendre table only as deep as the deepest of those times, extended by
+    ``legendre_all(..., below=)`` when a time needs more, so each degree is
+    computed once per call; a row of the recurrence does not depend on
+    where it stops, so the profiles are ``heat_kernel``'s bit for bit.  The
+    grid is not built before the first checked pair is asked for.
     """
-    ends = legendre_all(max(map(len, coeffs.values())) - 1, np.cos([0.0, tm]))
-    h0, hm = (_heat_values(coeffs, np.ascontiguousarray(ends[:, j : j + 1])) for j in (0, 1))
-    return {t: (float(h0[t][0]), float(hm[t][0])) for t in coeffs}
-
-
-def _heat_calibration(scale: float, e1, e2) -> tuple[float, float, float]:
-    """(delta, lambda, S_K) of K = lambda (h_t1 - delta h_t2) calibrated so
-    that K(0) = L(0) = ``scale`` and K(theta_max) = 0, S_K = lambda (1 - delta).
-
-    The first half of the bound: ``e1`` and ``e2`` are the endpoint values
-    (h(0), h(theta_max)) of the two heat kernels, and nothing else is read.
-    A singular calibration gives lambda = inf.
-    """
-    (h10, h1m), (h20, h2m) = e1, e2
-    delta = h1m / h2m
-    denom = h10 - delta * h20
-    lam = scale / denom if denom != 0 else math.inf
-    return delta, lam, lam * (1.0 - delta)
-
-
-def _can_dominate(delta: float, lam: float) -> bool:
-    """0 < delta < 1 and 0 < lambda < inf, without which K <= L certifies
-    nothing; S_K = lambda (1 - delta) is then finite and positive, never NaN."""
-    return 0.0 < delta < 1.0 and 0.0 < lam < math.inf
-
-
-def _heat_grid_check(delta: float, lam: float, prof1, prof2, lvals) -> bool:
-    """The second half of the bound: K = lambda (h_t1 - delta h_t2) <= L on
-    the check grid, i.e. K <= ``lvals``.
-
-    ``prof1`` and ``prof2`` hold h_t1 and h_t2 on the grid and ``lvals``
-    holds L + 1e-9 there, the tolerance added once by the caller rather than
-    once per pair.
-    """
-    return bool(np.all(lam * (prof1 - delta * prof2) <= lvals))
-
-
-def _grid_checked(model, ranked, coeffs: dict, check_grid: int):
-    """Yield the ``HeatKernelBound`` of each calibrated pair
-    (t1, t2, delta, lambda, S_K) of ``ranked`` after its grid check, in order.
-
-    h_t on the grid is formed only for the times of the pairs checked, once
-    per time, from one Legendre table on the grid that is only as deep as
-    the deepest of those times; a time that needs more degrees extends it
-    by continuing the recurrence from its last two rows, so each degree is
-    computed once per call.  Nothing is built before the first pair is
-    asked for.
-    """
-    theta = np.linspace(0.0, np.pi, check_grid)
-    lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
-    x = np.cos(theta)
-    table = np.empty((0, check_grid))
-    prof = {}
+    coeffs = {t: _heat_coeffs(t) for t in {t for pair in pairs for t in pair}}
+    ends = legendre_all(max(map(len, coeffs.values()), default=1) - 1,
+                        np.cos([0.0, theta_max(model)]))
+    h0, hm = (np.ascontiguousarray(ends[:, j : j + 1]) for j in (0, 1))
+    at_ends = {t: (float((c @ h0[: len(c)])[0]), float((c @ hm[: len(c)])[0]))
+               for t, c in coeffs.items()}
+    ranked, rest = [], []
+    for t1, t2 in pairs:
+        (h10, h1m), (h20, h2m) = at_ends[t1], at_ends[t2]
+        delta = h1m / h2m
+        denom = h10 - delta * h20
+        lam = model.kernel_scale / denom if denom != 0 else math.inf
+        bound = (t1, t2, delta, lam, lam * (1.0 - delta))
+        (ranked if 0.0 < delta < 1.0 and 0.0 < lam < math.inf else rest).append(bound)
+    ranked.sort(key=itemgetter(4), reverse=True)
+    if ranked:
+        theta = np.linspace(0.0, np.pi, check_grid)
+        lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
+        x = np.cos(theta)
+        table, prof = np.empty((0, check_grid)), {}
     for t1, t2, delta, lam, s_k in ranked:
-        new = {t: coeffs[t] for t in (t1, t2) if t not in prof}
-        rows = max(map(len, new.values()), default=0)
-        if rows > len(table):
-            table = legendre_all(rows - 1, x, below=table)
-        prof.update(_heat_values(new, table))
-        dominated = _heat_grid_check(delta, lam, prof[t1], prof[t2], lvals)
+        for t in (t1, t2):
+            if t not in prof:
+                c = coeffs[t]
+                if len(c) > len(table):
+                    table = legendre_all(len(c) - 1, x, below=table)
+                prof[t] = c @ table[: len(c)]
+        dominated = bool(np.all(lam * (prof[t1] - delta * prof[t2]) <= lvals))
         yield HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
+    for bound in rest:
+        yield HeatKernelBound(*bound, False)
 
 
 def heat_kernel_bound(
@@ -414,12 +382,7 @@ def heat_kernel_bound(
         raise ValueError("the heat-kernel bound is formulated on the sphere")
     if not 0 < t1 < t2 < math.inf:
         raise ValueError("need 0 < t1 < t2 < inf")
-    coeffs = _heat_series((t1, t2))
-    ends = _heat_endpoints(coeffs, theta_max(model))
-    delta, lam, s_k = _heat_calibration(model.kernel_scale, ends[t1], ends[t2])
-    if not _can_dominate(delta, lam):
-        return HeatKernelBound(t1, t2, delta, lam, s_k, False)
-    return next(_grid_checked(model, [(t1, t2, delta, lam, s_k)], coeffs, check_grid))
+    return next(_heat_bounds(model, [(t1, t2)], check_grid))
 
 
 def optimize_heat_params(
@@ -429,32 +392,17 @@ def optimize_heat_params(
     the first in (t1, t2) order on a tie; None when no pair is dominated.
 
     Repeated times are dropped; a time that is not finite and positive
-    raises ValueError.  Best-first search: every pair is calibrated from
-    the endpoint values alone, the pairs that cannot dominate are dropped,
-    and the rest are checked on the grid in order of decreasing S_K (a
-    stable sort, so ties keep the pair order) until one is dominated.  That
-    is the pair, and the ``HeatKernelBound``, that checking every pair would
-    pick; only the checked pairs' times are evaluated on the grid.
+    raises ValueError.  The first dominated bound of the best-first
+    ``_heat_bounds`` is the pair, and the ``HeatKernelBound``, that checking
+    every pair would pick; only the checked pairs' times reach the grid.
     """
     if model.kind != "sphere":
         raise ValueError("the heat-kernel bound is formulated on the sphere")
     t_grid = sorted({float(t) for t in t_grid})
     if not all(0.0 < t < math.inf for t in t_grid):
         raise ValueError("heat times must be finite and > 0")
-    if not t_grid:
-        return None
-    coeffs = _heat_series(t_grid)
-    ends = _heat_endpoints(coeffs, theta_max(model))
-    scale = model.kernel_scale
-    ranked = []
-    for i, t1 in enumerate(t_grid):
-        for t2 in t_grid[i + 1:]:
-            delta, lam, s_k = _heat_calibration(scale, ends[t1], ends[t2])
-            if _can_dominate(delta, lam):
-                ranked.append((t1, t2, delta, lam, s_k))
-    ranked.sort(key=itemgetter(4), reverse=True)
-    checked = _grid_checked(model, ranked, coeffs, check_grid)
-    return next((hb for hb in checked if hb.dominated), None)
+    bounds = _heat_bounds(model, list(itertools.combinations(t_grid, 2)), check_grid)
+    return next((hb for hb in bounds if hb.dominated), None)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .optimize import AnnealSchedule
 
 SCAN_MAX_ROWS = 10_000  # most rows `cvp scan` runs; each row is a few anneals
 BOUNDS_MAX_TIMES = 1_000  # most heat times `cvp bounds` takes; it calibrates every pair
-BOUNDS_MAX_DEGREE = 1_000  # deepest heat series `cvp bounds` sums, on a 10,000-point grid
 
 
 def _dump(obj) -> str:
@@ -102,7 +101,7 @@ def cmd_certify(args) -> int:
 def _heat_grid(t_min: float, t_max: float, t_count: int) -> np.ndarray:
     """t_count geometric heat times from t_min to t_max, checked before any
     work: the pair count against BOUNDS_MAX_TIMES and the truncation degree
-    of the smallest time, the deepest, against BOUNDS_MAX_DEGREE."""
+    of the smallest time, the deepest, against the heat series' cap."""
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError("--t-min and --t-max must be finite")
     if t_min <= 0:
@@ -112,10 +111,10 @@ def _heat_grid(t_min: float, t_max: float, t_count: int) -> np.ndarray:
     if not 2 <= t_count <= BOUNDS_MAX_TIMES:
         raise ValueError(f"--t-count must lie in [2, {BOUNDS_MAX_TIMES}]")
     try:
-        analysis._heat_lmax(t_min, limit=BOUNDS_MAX_DEGREE)
+        analysis._heat_lmax(t_min)
     except ValueError:
         raise ValueError(
-            f"--t-min {t_min:g} needs more than {BOUNDS_MAX_DEGREE} Legendre degrees: "
+            f"--t-min {t_min:g} needs more than {analysis._HEAT_MAX_DEGREE} Legendre degrees: "
             "raise --t-min"
         ) from None
     return np.geomspace(t_min, t_max, t_count)

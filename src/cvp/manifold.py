@@ -186,18 +186,16 @@ def _as_batch(model: ManifoldModel, x) -> np.ndarray:
     return x[None, ...] if is_single_point(model, x) else x
 
 
-def zonal_d(tau: float, c, out=None):
+def zonal_d(tau: float, c):
     """The circle/sphere kernel D as a function of c = <x, y>.
 
     D = 2 tau^2 (1 + c) (2 - tau^2 (1 - c)), evaluated in the order
-    (1 + c) (tau^2 c + 2 - tau^2) 2 tau^2.  ``out`` is an optional result
-    buffer of c's shape and may be c itself; the annealer passes its row
-    buffer so that the hot loop does not allocate the result.
+    (1 + c) (tau^2 c + 2 - tau^2) 2 tau^2.
     """
     t2 = tau**2
     f = np.multiply(c, t2)
     f += 2.0 - t2
-    out = np.add(c, 1.0, out=out)
+    out = np.add(c, 1.0)
     out *= f
     out *= 2.0 * t2
     return out

@@ -18,14 +18,14 @@ repairs Euler-Lagrange violations directly; every k-th accepted move
 triggers a weight re-solve.  Cooling ends in a zero-temperature
 quench with geometrically shrinking move scale.
 
-Each restart keeps one annealing state (``_AnnealState``: the move engine,
-G, g = G w, w, S and the best snapshot); cooling and the quench are two
-loops over it, and the quench starts from the best snapshot on the same
-engine.  One engine serves all three kinds: D is a bilinear form in lifted
-point features, so a kernel row is one matrix-vector product and a clamp.
-The feature maps and the probe grid (``_Lift``) depend only on the model:
-each ``anneal`` call builds them once for all its restarts, and a scan
-once per tau.
+Each restart keeps one annealing state (``_AnnealState``: the points and
+their lifted features, G, g = G w, w, S and the best snapshot); cooling and
+the quench are two loops over it, and the quench starts from the best
+snapshot loaded into the same state.  One state serves all three kinds: D
+is a bilinear form in lifted point features, so a kernel row is one
+matrix-vector product and a clamp.  The feature maps and the probe grid
+(``_Lift``) depend only on the model: each ``anneal`` call builds them once
+for all its restarts, and a scan once per tau.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ _RESOLVE_EVERY = 50      # accepted moves between weight sub-solves
 _RESYNC_EVERY = 4096     # accepted moves between full recomputations
 _TIE_TOL = 1e-12
 _REDUCE_RTOL = 1e-6      # action rise a support reduction may cause, relative
+_SCAN_CERTIFY_TOL = 1e-2  # certify's tolerance and test grid for a scan row
+_SCAN_TEST_GRID = 1024
 # cap on a schedule's cooling steps (temperatures x steps x restarts); the
 # default schedule takes about 7e5
 MAX_ANNEAL_STEPS = 10**8
@@ -321,7 +323,7 @@ def _zonal_features(e, a, a2, b, c):
 class _Lift:
     """What the annealer needs of the model: the move proposal ``jitter`` and
     scale ``pos_scale``, the relocate move's probe grid with its queries
-    ``q_probe``, and the kernel row closure; the engines of one ``anneal``
+    ``q_probe``, and the kernel row closure; the restarts of one ``anneal``
     call share it, and so do the runs of a scan at one tau.
 
     D(x, y) = q(x) . F(y) in lifted features.  ``one`` maps a point to the
@@ -408,62 +410,6 @@ class _Lift:
         self.one, self.row_fn, self.jitter = one, row_fn, jitter
 
 
-class _Engine:
-    """Kernel rows for the annealing hot loop, one matmul each.
-
-    ``F`` holds the stored features of the points ``pts`` (angles on the
-    circle): a kernel row is max(0, F q(x)) and the potential on the probe
-    grid max(0, Q F^T) w, both within rounding of ``kernel_cross``, and
-    ``jitter_at`` is the lift's move proposal.  ``defer_point`` moves a
-    point without writing its features, as the annealer does for massless
-    points; ``sync`` writes them and must run before a row reads them.
-    ``reset`` moves every point and rewrites ``F`` in place by the batched
-    lift, since the row function reads it through a view.  ``l_row``
-    returns a buffer that the next call overwrites.
-    """
-
-    def __init__(self, lift, pts):
-        self.lift = lift
-        self.pts = np.array(pts, dtype=complex if lift.model.kind == "flag" else float, copy=True)
-        self.F = lift.stored(self.pts)
-        self._lift, self._store, self.jitter_at = lift.one, lift.store, lift.jitter
-        self._row_of = lift.row_fn(self.F, np.empty(len(self.F)))
-        self._deferred = set()
-        self._zero = np.zeros(len(self.F))
-        self._last = (None, None)
-
-    def reset(self, pts):
-        self.pts[:] = pts
-        self.F[:] = self.lift.stored(self.pts)
-        self._deferred.clear()
-        self._last = (None, None)
-
-    def l_row(self, x):
-        p = self._lift(x)
-        self._last = (x, p)
-        row = self._row_of(p)
-        return np.maximum(self._zero, row, out=row)
-
-    def set_point(self, i, x):
-        self.pts[i] = x
-        last, p = self._last
-        self.F[i] = self._store(p if last is x else self._lift(x))
-
-    def defer_point(self, i, x):
-        self.pts[i] = x
-        self._deferred.add(i)
-
-    def sync(self):
-        for i in self._deferred:
-            self.F[i] = self._store(self._lift(self.pts[i]))
-        self._deferred.clear()
-
-    def ell_on_probe(self, w):
-        d = self.lift.q_probe @ self.F.T
-        np.maximum(0.0, d, out=d)
-        return d @ w
-
-
 def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
     """Quasi-uniform starting configuration (packing-style seed)."""
     if model.kind == "circle":
@@ -498,54 +444,89 @@ def _pad_measure(model: ManifoldModel, meas: WeightedMeasure, m: int, seed):
 
 
 class _AnnealState:
-    """One restart's annealing state, shared by cooling and the quench: the
-    engine, the Gram G of its points, the weights w, g = G w and S = w . g
-    (kept incrementally), the probe grid's argmin of ell (None once w or a
-    weighted point moves), cooling's warm face (the support of the last
-    weight solve) and the best snapshot [S, points, weights].
+    """One restart's annealing state, shared by cooling and the quench.
+
+    It holds the points ``pts`` (angles on the circle) and their lifted
+    features ``F``, the Gram G of the points, the weights w, g = G w and
+    S = w . g (kept incrementally), the probe grid's argmin of ell (None
+    once w or a weighted point moves), cooling's warm face (the support of
+    the last weight solve) and the best snapshot [S, points, weights].  A
+    kernel row ``l_row(x)`` is max(0, F q(x)), one matmul, and the
+    potential on the probe grid max(0, Q F^T) w; both agree with
+    ``kernel_cross`` to rounding.  ``l_row`` returns a buffer that the next
+    call overwrites.
 
     A massless point's move leaves S unchanged and is always accepted;
-    cooling only writes the point (``defer_point``) and marks it stale.  Its
-    features are written before a kernel row reads them, and its row of G
-    and entry of g (``refresh``) before weight can move into it and before
-    every weight solve; meanwhile it changes neither S, nor any weighted
-    point's potential, nor the probe argmin.  ``resolve`` and ``resync``
+    cooling only writes the point (``defer_point``), and its features and
+    its row of G go stale (``deferred`` and ``stale``).  ``sync`` writes the
+    features before a kernel row reads them, and ``refresh`` its row of G
+    and entry of g before weight can move into it and before every weight
+    solve; meanwhile it changes neither S, nor any weighted point's
+    potential, nor the probe argmin.  ``load``, ``resolve`` and ``resync``
     replace w, g and G: a loop that keeps them in locals rebinds them after.
     """
 
     def __init__(self, lift, pts, w):
-        self.model = lift.model
-        self.eng = _Engine(lift, pts)
-        self.l_row = self.eng.l_row
+        self.lift, self.model = lift, lift.model
         self.diag = self.model.kernel_scale
-        self.stale = set()
+        self._one, self._store = lift.one, lift.store
+        self.deferred, self.stale = set(), set()
         self.warm = None
-        self.load(w)
-        self.best = [self.S, self.eng.pts.copy(), self.w.copy()]
+        self.load(pts, w)
+        self.best = [self.S, self.pts.copy(), self.w.copy()]
 
-    def load(self, w):
+    def load(self, pts, w):
+        """Move every point and set the weights: F by the batched lift,
+        then G, g and S from scratch."""
+        kind = complex if self.model.kind == "flag" else float
+        self.pts = np.array(pts, dtype=kind, copy=True)
+        self.F = self.lift.stored(self.pts)
+        self._zero = np.zeros(len(self.F))
+        self._row_of = self.lift.row_fn(self.F, np.empty(len(self.F)))
+        self._last = (None, None)
+        self.deferred.clear()
         self.w = np.array(w, dtype=float, copy=True)
         self.probe_k = None
         self.resync()
 
+    def l_row(self, x):
+        p = self._one(x)
+        self._last = (x, p)
+        row = self._row_of(p)
+        return np.maximum(self._zero, row, out=row)
+
+    def ell_on_probe(self, w):
+        d = self.lift.q_probe @ self.F.T
+        np.maximum(0.0, d, out=d)
+        return d @ w
+
+    def defer_point(self, i, x):
+        self.pts[i] = x
+        self.deferred.add(i)
+        self.stale.add(i)
+
+    def sync(self):
+        for i in self.deferred:
+            self.F[i] = self._store(self._one(self.pts[i]))
+        self.deferred.clear()
+
     def resync(self):
         """G, g and S recomputed from the points and weights."""
-        self.eng.sync()
-        self.G = lagrangian_matrix(self.model, self.eng.pts)
+        self.sync()
+        self.G = lagrangian_matrix(self.model, self.pts)
         self.g = self.G @ self.w
         self.S = float(self.w @ self.g)
         self.stale.clear()
 
     def snapshot(self):
         if self.S < self.best[0]:
-            self.best = [self.S, self.eng.pts.copy(), self.w.copy()]
+            self.best = [self.S, self.pts.copy(), self.w.copy()]
 
     def relocate(self, scale, rand):
         """The lightest point and a proposal near the probe grid's ell minimum."""
-        eng = self.eng
         if self.probe_k is None:
-            self.probe_k = int(eng.ell_on_probe(self.w).argmin())
-        return int(self.w.argmin()), eng.jitter_at(eng.lift.probe[self.probe_k], scale, rand)
+            self.probe_k = int(self.ell_on_probe(self.w).argmin())
+        return int(self.w.argmin()), self.lift.jitter(self.lift.probe[self.probe_k], scale, rand)
 
     def cost(self, i, x_new):
         """Point i's kernel row at x_new, its potential there and the move's dS."""
@@ -555,10 +536,13 @@ class _AnnealState:
         return row, ell, 2.0 * self.w.item(i) * (ell - self.g.item(i))
 
     def move(self, i, x_new, row, ell, dS):
-        """Accept the move priced by ``cost``."""
+        """Accept the move priced by ``cost``; the features of x_new are
+        those of the last kernel row when it was read at x_new."""
         G, g, wi = self.G, self.g, self.w.item(i)
         change = row - G[i]
-        self.eng.set_point(i, x_new)
+        self.pts[i] = x_new
+        last, p = self._last
+        self.F[i] = self._store(p if last is x_new else self._one(x_new))
         G[i, :] = row
         G[:, i] = row
         change *= wi
@@ -578,9 +562,9 @@ class _AnnealState:
         self.probe_k = None
 
     def refresh(self, idx):
-        self.eng.sync()
+        self.sync()
         for k in idx:
-            row, self.g[k], _ = self.cost(k, self.eng.pts[k])
+            row, self.g[k], _ = self.cost(k, self.pts[k])
             self.G[k, :] = row
             self.G[:, k] = row
         self.stale.difference_update(idx)
@@ -597,7 +581,7 @@ class _AnnealState:
     def exact_best(self):
         """The best of the snapshot and the end state, each at its action
         from a fresh Gram: the incremental S accumulates roundoff."""
-        self.S = float(self.w @ lagrangian_matrix(self.model, self.eng.pts) @ self.w)
+        self.S = float(self.w @ lagrangian_matrix(self.model, self.pts) @ self.w)
         kept = self.best
         self.snapshot()
         if self.best is kept:  # the end state's Gram is not the best's
@@ -609,10 +593,10 @@ class _AnnealState:
 def _cool(st: _AnnealState, sched: AnnealSchedule, rand):
     """Metropolis cooling from t_start to t_end with a weight re-solve every
     _RESOLVE_EVERY accepted moves and a resync every _RESYNC_EVERY."""
-    eng, stale, m = st.eng, st.stale, len(st.w)
-    pos_scale = eng.lift.pos_scale
-    uniform, exp, l_row, jitter_at = rand.uniform, math.exp, eng.l_row, eng.jitter_at
-    cost, move, transfer, defer_point = st.cost, st.move, st.transfer, eng.defer_point
+    stale, m = st.stale, len(st.w)
+    pos_scale = st.lift.pos_scale
+    uniform, exp, l_row, jitter_at = rand.uniform, math.exp, st.l_row, st.lift.jitter
+    cost, move, transfer, defer_point = st.cost, st.move, st.transfer, st.defer_point
     w, g, G = st.w, st.g, st.G
     moves, next_resolve, next_resync = 0, _RESOLVE_EVERY, _RESYNC_EVERY
     T = sched.t_start
@@ -637,8 +621,8 @@ def _cool(st: _AnnealState, sched: AnnealSchedule, rand):
                 else:
                     # G[i] is out of date in the columns of stale points
                     if stale:
-                        eng.sync()
-                        row = l_row(eng.pts[i])
+                        st.sync()
+                        row = l_row(st.pts[i])
                     else:
                         row = G[i]
                     gii = row[i]
@@ -663,10 +647,9 @@ def _cool(st: _AnnealState, sched: AnnealSchedule, rand):
                 else:
                     # geodesic jitter at the temperature-tied scale
                     i = int(uniform() * m)
-                    x_new = jitter_at(eng.pts[i], jit_scale, rand)
+                    x_new = jitter_at(st.pts[i], jit_scale, rand)
                 if w.item(i) == 0.0:
                     defer_point(i, x_new)
-                    stale.add(i)
                     moves += 1
                 else:
                     row, ell, dS = cost(i, x_new)
@@ -692,15 +675,15 @@ def _cool(st: _AnnealState, sched: AnnealSchedule, rand):
 def _quench(st: _AnnealState, rand):
     """Zero-temperature strict-descent refinement with geometrically
     shrinking move scale and a weight re-solve after every 120 steps."""
-    eng, m = st.eng, len(st.w)
-    pos_scale = st.eng.lift.pos_scale
+    m, jitter_at = len(st.w), st.lift.jitter
+    pos_scale = st.lift.pos_scale
     qscale = 1e-2 * pos_scale
     while qscale > 1e-10 * pos_scale:
         for _ in range(120):
             relocate = rand.uniform() >= 0.9
             if not relocate:
                 i = int(rand.uniform() * m)
-                x_new = eng.jitter_at(eng.pts[i], qscale, rand)
+                x_new = jitter_at(st.pts[i], qscale, rand)
                 if st.w.item(i) == 0.0:
                     continue  # dS = 0 is not a strict descent
             else:
@@ -716,7 +699,7 @@ def _quench(st: _AnnealState, rand):
 
 def _anneal_once(lift: _Lift, pts, w, sched: AnnealSchedule, rng):
     """One restart: cooling, then the quench from the best snapshot on the
-    same engine; returns the best [S, points, weights]."""
+    same state; returns the best [S, points, weights]."""
     st = _AnnealState(lift, pts, w)
     st.resolve(None)
     st.snapshot()
@@ -724,8 +707,7 @@ def _anneal_once(lift: _Lift, pts, w, sched: AnnealSchedule, rng):
         return st.best
     rand = _BlockedRng(rng)
     _cool(st, sched, rand)
-    st.eng.reset(st.best[1])
-    st.load(st.best[2])
+    st.load(st.best[1], st.best[2])
     _quench(st, rand)
     return st.exact_best()
 
@@ -932,8 +914,6 @@ def tau_scan(
     steps_per_temp: int | None = None,
     restarts: int | None = None,
     merge_radius: float = 1e-3,
-    certify_tol: float = 1e-2,
-    test_grid_size: int = 1024,
 ) -> list[ScanRow]:
     """One ScanRow per tau, warm-started continuation in both directions.
 
@@ -942,8 +922,9 @@ def tau_scan(
     prefer the smaller support.  The kept measure is support-reduced by
     ``_reduce_support``, merged and certified into its row, so the row's
     action may exceed the cold run's by up to 1e-6 S plus the bound that
-    ``merge_clusters`` reports.  The anneals run ``AnnealSchedule.light``
-    with the schedule options given; warm runs use one restart.
+    ``merge_clusters`` reports; rows are certified at tolerance 1e-2 on a
+    1024-point test grid.  The anneals run ``AnnealSchedule.light`` with
+    the schedule options given; warm runs use one restart.
     """
     from .analysis import certify  # deferred to avoid a module cycle
 
@@ -978,7 +959,7 @@ def tau_scan(
         model = ManifoldModel(model_kind, tau, f)
         reduced = _reduce_support(model, best[tau])
         merged = merge_clusters(model, reduced, merge_radius).measure.pruned()
-        report = certify(model, merged, test_grid_size=test_grid_size, tol=certify_tol)
+        report = certify(model, merged, test_grid_size=_SCAN_TEST_GRID, tol=_SCAN_CERTIFY_TOL)
         rows.append(ScanRow(tau=tau, m=m, action=report.action,
                             support_size_after_merge=merged.support_size,
                             classification=report.classification.value,

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -35,12 +36,9 @@ from cvp import (
     volume_action,
 )
 from cvp import analysis
-from cvp.analysis import (
-    _MC_BLOCK, _heat_endpoints, _heat_lmax, _heat_series, _heat_values, _nu0_samples,
-)
+from cvp.analysis import _MC_BLOCK, _heat_lmax, _nu0_samples
 from cvp.exact import circle_chain_minimizer, circle_chain_points
 from cvp.manifold import kernel_cross, lagrangian_profile
-from cvp.spectral import legendre_all
 
 from conftest import dense_flag_kernel
 
@@ -199,10 +197,15 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel(0.0, 1.0)
 
-    def test_truncation_tolerance(self):
-        loose = heat_kernel(0.05, 0.3, series_tol=1e-4)
-        tight = heat_kernel(0.05, 0.3, series_tol=1e-14)
-        assert loose == pytest.approx(tight, abs=1e-3)
+    def test_degree_cap(self):
+        # 3e-5 needs 1,085 degrees, past the cap of 1,000 that every entry
+        # point shares; the error comes before any Legendre table is built
+        model = ManifoldModel.sphere(1.5)
+        for call in (lambda: heat_kernel(3e-5, 0.0),
+                     lambda: heat_kernel_bound(model, 3e-5, 0.1),
+                     lambda: optimize_heat_params(model, [3e-5, 0.1, 1.0])):
+            with pytest.raises(ValueError, match="needs more than 1000 Legendre degrees"):
+                call()
 
 
 class TestHeatKernelBound:
@@ -254,24 +257,23 @@ class TestHeatKernelBound:
                 ManifoldModel.sphere(1.5), np.geomspace(2.0, 2.0, 14)
             ) is None
 
-    def test_shared_legendre_table_matches_heat_kernel(self):
-        # profiles from one table as deep as the smallest time equal the
-        # per-time path of heat_kernel, whose own table stops at its degree
-        grid = np.geomspace(0.01, 2.0, 14)
-        theta = np.linspace(0.0, np.pi, 10000)
-        coeffs = _heat_series(grid.tolist())
-        heat = _heat_values(coeffs, legendre_all(len(coeffs[0.01]) - 1, np.cos(theta)))
-        for t in grid:
-            assert np.array_equal(heat[t], heat_kernel(t, theta))
-
     @pytest.mark.parametrize("tau", [1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5])
     def test_endpoints_match_scalar_heat_kernel(self, tau):
-        # the two-point endpoint table gives the scalar path's values exactly
-        grid = np.geomspace(0.01, 2.0, 14)
-        tm = theta_max(ManifoldModel.sphere(tau))
-        ends = _heat_endpoints(_heat_series(grid.tolist()), tm)
-        for t in grid:
-            assert ends[t] == (heat_kernel(t, 0.0), heat_kernel(t, tm))
+        # the two-point endpoint table gives the values of heat_kernel(t, 0.0)
+        # and heat_kernel(t, theta_max) exactly: every bound the search
+        # yields, grid-checked or not, is the reference calibration bit for bit
+        model = ManifoldModel.sphere(tau)
+        t_grid = np.geomspace(0.01, 2.0, 14).tolist()
+        pairs = list(itertools.combinations(t_grid, 2))
+        theta = np.linspace(0.0, np.pi, 10000)
+        lvals = lagrangian_profile(model, theta) + 1e-9
+        tm = theta_max(model)
+        heat = {t: (heat_kernel(t, 0.0), heat_kernel(t, tm), heat_kernel(t, theta)) for t in t_grid}
+        bounds = list(analysis._heat_bounds(model, pairs, 10000))
+        assert sorted((hb.t1, hb.t2) for hb in bounds) == pairs
+        for hb in bounds:
+            ref = _reference_calibrated_bound(model, hb.t1, hb.t2, heat[hb.t1], heat[hb.t2], lvals)
+            assert hb == ref
 
     @pytest.mark.parametrize("tau", [1.5, 2.0, 2.5])
     def test_single_pair_matches_search(self, tau):
@@ -380,40 +382,35 @@ class TestHeatSearchOracle:
 
     def test_grid_checks_and_table_depth(self, monkeypatch):
         # the exhaustive loop checked 91, 78, 53, 42, 37, 32, 26 and 24 pairs,
-        # on a table as deep as the smallest time, 0.01; a deeper time extends
-        # the grid table, so each degree is computed once per call
-        checked, on_grid, depths, degrees = [], set(), [], []
-        check, values, table = analysis._heat_grid_check, analysis._heat_values, analysis.legendre_all
-
-        def spy_check(delta, lam, *args):
-            checked.append((delta, lam))
-            return check(delta, lam, *args)
-
-        def spy_values(coeffs, tab):
-            if tab.shape[1] > 1:  # the grid, not an endpoint column
-                on_grid.update(coeffs)
-            return values(coeffs, tab)
+        # on a table as deep as the smallest time, 0.01; the search checks the
+        # pairs it yields up to the first dominated one, and a deeper time
+        # extends the grid table, so each degree is computed once per call
+        depths, degrees = [], []
+        table = analysis.legendre_all
 
         def spy_table(lmax, x, below=None):
-            if np.size(x) > 2:
+            if np.size(x) > 2:  # the grid, not the endpoint table
                 depths.append(lmax)
                 degrees.extend(range(0 if below is None else len(below), lmax + 1))
             return table(lmax, x, below=below)
 
-        monkeypatch.setattr(analysis, "_heat_grid_check", spy_check)
-        monkeypatch.setattr(analysis, "_heat_values", spy_values)
         monkeypatch.setattr(analysis, "legendre_all", spy_table)
-        t_grid = np.geomspace(0.01, 2.0, 14)
+        t_grid = np.geomspace(0.01, 2.0, 14).tolist()
+        pairs = list(itertools.combinations(t_grid, 2))
         counts, tables = [], []
         for tau in BENCH_TAUS:
-            checked.clear()
-            on_grid.clear()
+            model = ManifoldModel.sphere(tau)
+            checked = []
+            for hb in analysis._heat_bounds(model, pairs, 10000):
+                checked.append(hb)
+                if hb.dominated:
+                    break
             depths.clear()
             degrees.clear()
-            best = optimize_heat_params(ManifoldModel.sphere(tau), t_grid)
+            best = optimize_heat_params(model, t_grid)
             counts.append(len(checked))
-            assert checked[-1] == (best.delta, best.lam)
-            assert {best.t1, best.t2} <= on_grid
+            assert checked[-1] == best
+            on_grid = {t for hb in checked for t in (hb.t1, hb.t2)}
             assert max(depths) == max(_heat_lmax(t) for t in on_grid) < _heat_lmax(0.01)
             assert degrees == list(range(max(depths) + 1))
             tables.append(depths[:])

@@ -373,7 +373,9 @@ class TestBoundsGrid:
 
     def test_cap_degree_is_the_truncation_degree(self):
         # 4e-5 sums 938 degrees and 3e-5 would need 1,085
-        assert analysis._heat_lmax(4e-5) <= 1000 < analysis._heat_lmax(3e-5)
+        assert analysis._heat_lmax(4e-5) <= 1000
+        with pytest.raises(ValueError, match="more than 1000 Legendre degrees"):
+            analysis._heat_lmax(3e-5)
 
 
 COMMANDS = "minimize,certify,bounds,scan,exact,flag-check"

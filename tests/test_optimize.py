@@ -39,8 +39,9 @@ def light(model, seed=0, **kw):
     return AnnealSchedule.light(model, seed=seed, **kw)
 
 
-def make_engine(model, pts):
-    return optimize._Engine(optimize._Lift(model), pts)
+def make_state(model, pts):
+    """An annealing state at pts with equal weights."""
+    return optimize._AnnealState(optimize._Lift(model), pts, np.full(len(pts), 1.0 / len(pts)))
 
 
 class TestSchedule:
@@ -294,28 +295,30 @@ def oracle_points(model):
 
 
 def assert_rows_match_oracles(model, pts, queries):
-    """The engine's kernel rows and probe potential against
+    """The state's kernel rows and probe potential against
     ``lagrangian_cross`` and conftest's ``pair_kernel``, before and after
-    ``set_point`` (cached from the last row and not)."""
+    ``move`` (with the features of the last row and not)."""
     tol = 1e-12 * model.kernel_scale
     w = np.random.default_rng(8).random(len(pts))
     w /= w.sum()
-    eng = make_engine(model, pts)
+    st = make_state(model, pts)
     for k, new in ((None, None), (4, queries[-1]), (5, queries[0])):
         if k is not None:
-            if k == 4:
-                eng.l_row(new)  # set_point reuses this row's features
-            eng.set_point(k, new)
+            priced = st.cost(k, new)  # move reuses this row's features
+            if k == 5:
+                priced = (priced[0].copy(), *priced[1:])
+                st.l_row(queries[1])
+            st.move(k, new, *priced)
             pts[k] = new
         for x in queries:
             oracle = [max(0.0, pair_kernel(model, x, y)) for y in pts]
-            row = eng.l_row(x)
+            row = st.l_row(x)
             assert np.max(np.abs(row - lagrangian_cross(model, x, pts)[0])) <= tol
             assert np.max(np.abs(row - oracle)) <= tol
-        ell = eng.ell_on_probe(w)
-        assert np.max(np.abs(ell - lagrangian_cross(model, eng.lift.probe, pts) @ w)) <= tol
-        for j in range(0, len(eng.lift.probe), 16):
-            oracle = sum(wi * max(0.0, pair_kernel(model, eng.lift.probe[j], y))
+        ell = st.ell_on_probe(w)
+        assert np.max(np.abs(ell - lagrangian_cross(model, st.lift.probe, pts) @ w)) <= tol
+        for j in range(0, len(st.lift.probe), 16):
+            oracle = sum(wi * max(0.0, pair_kernel(model, st.lift.probe[j], y))
                          for wi, y in zip(w, pts))
             assert abs(ell[j] - oracle) <= tol
 
@@ -332,14 +335,14 @@ class TestEngines:
         w = np.random.default_rng(6).random(9)
         w /= w.sum()
         tol = 1e-12 * model.kernel_scale
-        eng = make_engine(model, pts)
-        assert np.max(np.abs(eng.l_row(x) - lagrangian_cross(model, x, pts)[0])) <= tol
-        ell = lagrangian_cross(model, eng.lift.probe, pts) @ w
-        assert np.max(np.abs(eng.ell_on_probe(w) - ell)) <= tol
-        eng.set_point(2, x)
+        st = make_state(model, pts)
+        assert np.max(np.abs(st.l_row(x) - lagrangian_cross(model, x, pts)[0])) <= tol
+        ell = lagrangian_cross(model, st.lift.probe, pts) @ w
+        assert np.max(np.abs(st.ell_on_probe(w) - ell)) <= tol
+        st.move(2, x, *st.cost(2, x))
         pts[2] = x
-        assert np.array_equal(eng.pts, pts)
-        assert np.max(np.abs(eng.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
+        assert np.array_equal(st.pts, pts)
+        assert np.max(np.abs(st.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
 
     @pytest.mark.parametrize("model", LIFT_MODELS, ids=lambda m: f"{m.kind}{m.f or ''}-{m.tau}")
     def test_lifted_rows_match_the_oracles(self, model):
@@ -385,10 +388,10 @@ class TestEngines:
         # the two normalize differently (np.vdot and a reciprocal against
         # np.linalg.norm and a division), so they agree to 4e-16, not bitwise
         model = ManifoldModel.flag(f, 2.0)
-        eng = make_engine(model, sample_uniform(model, 4, seed=3))
+        lift = optimize._Lift(model)
         mine = optimize._BlockedRng(np.random.default_rng(1))
         ref = optimize._BlockedRng(np.random.default_rng(1))
-        x = eng.pts[0]
+        x = sample_uniform(model, 1, seed=3)[0]
         for k in range(600):
             scale = 10.0 ** -(k % 11)
             n = ref.normals(4 * f)
@@ -400,7 +403,7 @@ class TestEngines:
             if abs(c) > np.linalg.norm(v):
                 v = v - np.vdot(u, v) * u
             v = v / np.linalg.norm(v)
-            x = eng.jitter_at(x, scale, mine)
+            x = lift.jitter(x, scale, mine)
             assert np.max(np.abs(x - np.stack([u, v]))) <= 4e-16
             assert abs(np.linalg.norm(x[0]) - 1.0) <= 1e-15
             assert abs(np.linalg.norm(x[1]) - 1.0) <= 1e-15
@@ -410,15 +413,15 @@ class TestEngines:
         # the Python-float proposal against v / np.linalg.norm(v) on the same
         # draws, to 2 ulp of each coordinate
         model = ManifoldModel.sphere(1.2)
-        eng = make_engine(model, sample_uniform(model, 4, seed=3))
+        lift = optimize._Lift(model)
         mine = optimize._BlockedRng(np.random.default_rng(2))
         ref = optimize._BlockedRng(np.random.default_rng(2))
-        x = eng.pts[0]
+        x = sample_uniform(model, 1, seed=3)[0]
         for k in range(600):
             scale = 10.0 ** -(k % 11)
             v = x + scale * ref.normals(3)
             expected = v / np.linalg.norm(v)
-            x = np.array(eng.jitter_at(x, scale, mine))
+            x = np.array(lift.jitter(x, scale, mine))
             assert np.all(np.abs(x - expected) <= 2.0 * np.spacing(np.abs(expected)))
 
 
@@ -451,46 +454,47 @@ class TestBlockedRng:
                 assert type(v) is float and v == ref.normals(1).item(0)
 
 
-def watch_engines(model, monkeypatch):
-    """Capture the annealer's engines and check, at every weight solve, that
-    its Gram is the Lagrangian matrix of the current engine's points, and, at
+def watch_states(model, monkeypatch):
+    """Capture the annealer's states and check, at every weight solve, that
+    its Gram is the Lagrangian matrix of the current state's points, and, at
     every weight solve and every kernel row of a support point (refresh and
     consolidation), that its stored features are the lift of its points.
-    At the reset to the best snapshot before the quench, the features and
-    the rows must be bitwise those of an engine built at the new points.
-    Returns [worst Gram error, resets]."""
-    engines, worst = [], [0.0, 0]
-    engine, simplex_qp = optimize._Engine, optimize._simplex_qp
+    After every load (at construction and of the best snapshot before the
+    quench), the features, the Gram and the rows must be bitwise those of a
+    state built at the new points.  Returns [worst Gram error, loads]."""
+    states, worst = [], [0.0, 0]
+    state, simplex_qp = optimize._AnnealState, optimize._simplex_qp
     tol = 1e-12 * model.kernel_scale
 
-    def assert_fresh(eng):
-        assert np.max(np.abs(eng.F - eng.lift.stored(eng.pts))) <= tol
+    def assert_fresh(st):
+        assert np.max(np.abs(st.F - st.lift.stored(st.pts))) <= tol
 
-    class Watched(engine):
-        def __init__(self, lift, pts):
-            super().__init__(lift, pts)
-            engines.append(self)
+    class Watched(state):
+        def __init__(self, lift, pts, w):
+            super().__init__(lift, pts, w)
+            states.append(self)
 
         def l_row(self, x):
             if any(np.array_equal(x, p) for p in self.pts):
                 assert_fresh(self)
             return super().l_row(x)
 
-        def reset(self, pts):
-            super().reset(pts)
-            fresh = engine(self.lift, pts)
+        def load(self, pts, w):
+            super().load(pts, w)
+            fresh = state(self.lift, pts, w)
             assert np.array_equal(self.pts, fresh.pts) and np.array_equal(self.F, fresh.F)
+            assert np.array_equal(self.G, fresh.G)
             x = self.lift.probe[0]
             assert np.array_equal(super().l_row(x), fresh.l_row(x))
             worst[1] += 1
 
     def checked(G, warm_free=None):
-        exact = lagrangian_matrix(model, engines[-1].pts)
+        exact = lagrangian_matrix(model, states[-1].pts)
         worst[0] = max(worst[0], float(np.max(np.abs(G - exact))))
-        assert_fresh(engines[-1])
+        assert_fresh(states[-1])
         return simplex_qp(G, warm_free)
 
-    monkeypatch.setattr(optimize, "_Engine", Watched)
+    monkeypatch.setattr(optimize, "_AnnealState", Watched)
     monkeypatch.setattr(optimize, "_simplex_qp", checked)
     return worst
 
@@ -508,19 +512,20 @@ class TestLazyRows:
     )
     def test_every_weight_solve_sees_the_exact_gram(self, model, m, monkeypatch):
         # massless points defer their features and Gram rows; each weight
-        # solve must still see the Lagrangian matrix of the engine's current
+        # solve must still see the Lagrangian matrix of the state's current
         # points, and every row read must see their current features
-        worst = watch_engines(model, monkeypatch)
+        worst = watch_states(model, monkeypatch)
         anneal(model, m, light(model))
         assert worst[0] <= 1e-12 * model.kernel_scale
-        assert worst[1] == light(model).restarts  # one quench reset per restart
+        # one load at construction and one before the quench per restart
+        assert worst[1] == 2 * light(model).restarts
 
     def test_deferred_features_unwritten_fail_the_check(self, monkeypatch):
         # without the write before read, a row or a weight solve sees the
         # features of a massless point's old position
         model = ManifoldModel.flag(3, 2.0)
-        watch_engines(model, monkeypatch)
-        monkeypatch.setattr(optimize._Engine, "sync", lambda self: None)
+        watch_states(model, monkeypatch)
+        monkeypatch.setattr(optimize._AnnealState, "sync", lambda self: None)
         with pytest.raises(AssertionError):
             anneal(model, 16, light(model))
 
@@ -537,18 +542,19 @@ class TestBuildCounts:
             return counted
 
         monkeypatch.setattr(optimize, "probe_grid", spy("probe", optimize.probe_grid))
-        monkeypatch.setattr(optimize._Engine, "__init__", spy("engine", optimize._Engine.__init__))
+        init = optimize._AnnealState.__init__
+        monkeypatch.setattr(optimize._AnnealState, "__init__", spy("state", init))
         return counts
 
     @pytest.mark.parametrize(
         "model", [ManifoldModel.circle(3.0), ManifoldModel.flag(3, 2.0)], ids=["circle", "flag"])
-    def test_maps_once_per_call_and_one_engine_per_restart(self, model, monkeypatch):
+    def test_maps_once_per_call_and_one_state_per_restart(self, model, monkeypatch):
         # the probe grid and its queries depend only on the model, the flag's
-        # C only on f; the quench resets its restart's engine instead of
-        # building one
+        # C only on f; the quench loads the best snapshot into its restart's
+        # state instead of building one
         counts = self.spy_builds(monkeypatch)
         anneal(model, 6, light(model, steps_per_temp=5, restarts=2))
-        assert (counts["probe"], counts["engine"]) == (1, 2)
+        assert (counts["probe"], counts["state"]) == (1, 2)
 
     def test_coupling_built_once_per_f(self):
         manifold._flag_coupling.cache_clear()
@@ -564,7 +570,7 @@ class TestBuildCounts:
     def test_one_lift_per_tau_in_a_scan(self, monkeypatch):
         # the cold and the warm run at one tau share its lift
         counts = self.spy_builds(monkeypatch)
-        tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=2, test_grid_size=64)
+        tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=2)
         assert counts["probe"] == 2
 
 
