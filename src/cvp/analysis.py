@@ -250,7 +250,8 @@ def flag_gt_threshold(f: int) -> float:
 
 
 _HEAT_SERIES_TOL = 1e-12
-_HEAT_MAX_DEGREE = 1_000  # deepest heat series summed; on a 10,000-point grid its table is 80 MB
+_HEAT_MAX_DEGREE = 1_000  # deepest heat series summed; on the check grid its table is 80 MB
+_HEAT_CHECK_GRID = 10_000  # angles over [0, pi] on which K <= L is checked
 
 
 def _heat_lmax(t: float) -> int:
@@ -311,7 +312,7 @@ class HeatKernelBound:
         }
 
 
-def _heat_bounds(model: ManifoldModel, pairs, check_grid: int):
+def _heat_bounds(model: ManifoldModel, pairs):
     """Yield the ``HeatKernelBound`` of every pair (t1, t2) of ``pairs``:
     the pairs that can dominate best-first, grid-checked, then the others,
     unchecked and not dominated.
@@ -323,13 +324,13 @@ def _heat_bounds(model: ManifoldModel, pairs, check_grid: int):
     ``heat_kernel(t, 0.0)`` and ``heat_kernel(t, theta_max)`` bit for bit.
     A pair can dominate when 0 < delta < 1 and 0 < lambda < inf; those come
     by decreasing S_K (a stable sort: ties keep the order of ``pairs``),
-    ``dominated`` set when K <= L + 1e-9 on ``check_grid`` points over
-    [0, pi].  h_t on the grid is formed once per checked time, from one
-    Legendre table only as deep as the deepest of those times, extended by
-    ``legendre_all(..., below=)`` when a time needs more, so each degree is
-    computed once per call; a row of the recurrence does not depend on
-    where it stops, so the profiles are ``heat_kernel``'s bit for bit.  The
-    grid is not built before the first checked pair is asked for.
+    ``dominated`` set when K <= L + 1e-9 on the ``_HEAT_CHECK_GRID`` =
+    10,000 angles over [0, pi].  h_t on the grid is formed once per checked
+    time, from one Legendre table only as deep as the deepest of those
+    times, extended by ``legendre_all(..., below=)`` when a time needs more,
+    so each degree is computed once per call; a row of the recurrence does
+    not depend on where it stops, so the profiles are ``heat_kernel``'s bit
+    for bit.  The grid is not built before the first checked pair is asked for.
     """
     coeffs = {t: _heat_coeffs(t) for t in {t for pair in pairs for t in pair}}
     ends = legendre_all(max(map(len, coeffs.values()), default=1) - 1,
@@ -347,10 +348,10 @@ def _heat_bounds(model: ManifoldModel, pairs, check_grid: int):
         (ranked if 0.0 < delta < 1.0 and 0.0 < lam < math.inf else rest).append(bound)
     ranked.sort(key=itemgetter(4), reverse=True)
     if ranked:
-        theta = np.linspace(0.0, np.pi, check_grid)
+        theta = np.linspace(0.0, np.pi, _HEAT_CHECK_GRID)
         lvals = lagrangian_profile(model, theta) + 1e-9  # K <= L to 1e-9, added once
         x = np.cos(theta)
-        table, prof = np.empty((0, check_grid)), {}
+        table, prof = np.empty((0, _HEAT_CHECK_GRID)), {}
     for t1, t2, delta, lam, s_k in ranked:
         for t in (t1, t2):
             if t not in prof:
@@ -364,14 +365,12 @@ def _heat_bounds(model: ManifoldModel, pairs, check_grid: int):
         yield HeatKernelBound(*bound, False)
 
 
-def heat_kernel_bound(
-    model: ManifoldModel, t1: float, t2: float, check_grid: int = 10000
-) -> HeatKernelBound:
+def heat_kernel_bound(model: ManifoldModel, t1: float, t2: float) -> HeatKernelBound:
     """Lower bound from K = lambda (h_t1 - delta h_t2) calibrated so that
     K(0) = L(0) and K(theta_max) = 0.
 
-    ``dominated`` records whether K <= L holds on a check grid over [0, pi]
-    (tolerance 1e-9), with 0 < delta < 1 and 0 < lambda < inf; S_K =
+    ``dominated`` records whether K <= L holds on 10,000 angles over
+    [0, pi] (tolerance 1e-9), with 0 < delta < 1 and 0 < lambda < inf; S_K =
     lambda (1 - delta) is a certified lower bound only in that case.
     Positivity of the spectral coefficients
     lambda (exp(-t1 l(l+1)) - delta exp(-t2 l(l+1))) holds by construction
@@ -382,12 +381,10 @@ def heat_kernel_bound(
         raise ValueError("the heat-kernel bound is formulated on the sphere")
     if not 0 < t1 < t2 < math.inf:
         raise ValueError("need 0 < t1 < t2 < inf")
-    return next(_heat_bounds(model, [(t1, t2)], check_grid))
+    return next(_heat_bounds(model, [(t1, t2)]))
 
 
-def optimize_heat_params(
-    model: ManifoldModel, t_grid, check_grid: int = 10000
-) -> HeatKernelBound | None:
+def optimize_heat_params(model: ManifoldModel, t_grid) -> HeatKernelBound | None:
     """The dominated (t1 < t2) pair of the grid times with the largest S_K,
     the first in (t1, t2) order on a tie; None when no pair is dominated.
 
@@ -401,7 +398,7 @@ def optimize_heat_params(
     t_grid = sorted({float(t) for t in t_grid})
     if not all(0.0 < t < math.inf for t in t_grid):
         raise ValueError("heat times must be finite and > 0")
-    bounds = _heat_bounds(model, list(itertools.combinations(t_grid, 2)), check_grid)
+    bounds = _heat_bounds(model, list(itertools.combinations(t_grid, 2)))
     return next((hb for hb in bounds if hb.dominated), None)
 
 
@@ -409,18 +406,23 @@ def optimize_heat_params(
 # upper bounds and packings
 
 
+def _unit_rows(pts, what: str) -> np.ndarray:
+    """pts normalized, when each row is a 3-vector within 1e-6 of unit norm."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"{what} must be an array of unit 3-vectors")
+    norms = np.linalg.norm(pts, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        raise ValueError(f"{what} points must be unit vectors within 1e-6")
+    return pts / norms[:, None]
+
+
 def tammes_upper_bound(model: ManifoldModel, packing) -> float:
     """Action of the equal-weight measure on a packing (an upper bound for
     the minimal action; the caller minimizes over ingested packings)."""
     if model.kind != "sphere":
         raise ValueError("packing bounds are formulated on the sphere")
-    pts = np.asarray(packing, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("packing must be an array of unit 3-vectors")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("packing points must be unit vectors within 1e-6")
-    pts = pts / norms[:, None]
+    pts = _unit_rows(packing, "packing")
     k = len(pts)
     return action(model, WeightedMeasure(pts, np.full(k, 1.0 / k)))
 
@@ -445,11 +447,7 @@ def load_packing(path) -> np.ndarray:
             pts.append(vec)
     if not pts:
         raise ValueError(f"{path}: empty packing")
-    arr = np.asarray(pts, dtype=float)
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError(f"{path}: points must be unit vectors within 1e-6")
-    return arr / norms[:, None]
+    return _unit_rows(pts, f"{path}:")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +591,6 @@ def bounds_report(
     packings=(),
     best_found: float | None = None,
     t_grid=None,
-    check_grid: int = 10000,
 ) -> BoundsReport:
     """Assemble all closed-form bounds at one tau (sphere)."""
     if model.kind != "sphere":
@@ -607,7 +604,7 @@ def bounds_report(
     return BoundsReport(
         tau=model.tau,
         nu0=nu0_lower_bound(model),
-        heat=optimize_heat_params(model, t_grid, check_grid),
+        heat=optimize_heat_params(model, t_grid),
         volume_upper=volume_action(model),
         tammes_upper=tammes,
         best_found=best_found,

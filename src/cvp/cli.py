@@ -80,7 +80,7 @@ def cmd_minimize(args) -> int:
     model = _model_from_args(args)
     sched = AnnealSchedule.default(model, seed=args.seed, **_schedule_overrides(args))
     meas = optimize.anneal(model, args.m, sched)
-    merged = optimize.merge_clusters(model, meas, args.merge_radius).measure.pruned()
+    merged = optimize.merge_clusters(model, meas, args.merge_radius).measure
     measure_doc = measure_to_dict(model, merged)
     cert_doc = _certificate_payload(model, merged, args.tol, args.test_grid)
     if args.out_measure is not None:
@@ -180,31 +180,15 @@ def cmd_scan(args) -> int:
 def cmd_exact(args) -> int:
     if args.construction == "chain":
         chain = exact.circle_chain_minimizer(args.tau, force=args.force)
-        model = ManifoldModel.circle(args.tau)
-        payload = {
-            "m0": chain.m0,
-            "gamma": chain.gamma,
-            "action": chain.action,
-            "measure": measure_to_dict(model, chain.measure),
-            "certificate": _certificate_payload(model, chain.measure, args.tol, args.test_grid),
-        }
+        model, meas = ManifoldModel.circle(args.tau), chain.measure
+        payload = {"m0": chain.m0, "gamma": chain.gamma, "action": chain.action}
     elif args.construction == "uniform":
-        model = ManifoldModel.circle(args.tau)
-        meas = exact.circle_uniform(args.m)
-        payload = {
-            "action": action(model, meas),
-            "measure": measure_to_dict(model, meas),
-            "certificate": _certificate_payload(model, meas, args.tol, args.test_grid),
-        }
+        model, meas = ManifoldModel.circle(args.tau), exact.circle_uniform(args.m)
+        payload = {"action": action(model, meas)}
     elif args.construction == "octahedron":
-        model = ManifoldModel.sphere(args.tau)
-        meas = exact.octahedron()
-        payload = {
-            "action": action(model, meas),
-            "nu0": analysis.spectral_closed_form(model).nu0,
-            "measure": measure_to_dict(model, meas),
-            "certificate": _certificate_payload(model, meas, args.tol, args.test_grid),
-        }
+        model, meas = ManifoldModel.sphere(args.tau), exact.octahedron()
+        payload = {"action": action(model, meas),
+                   "nu0": analysis.spectral_closed_form(model).nu0}
     else:  # density
         model = ManifoldModel.sphere(args.tau)
         dm = exact.three_band_density()
@@ -220,6 +204,9 @@ def cmd_exact(args) -> int:
             "nu0": nu0,
             "action_minus_nu0": act - nu0,
         }
+    if args.construction != "density":
+        payload["measure"] = measure_to_dict(model, meas)
+        payload["certificate"] = _certificate_payload(model, meas, args.tol, args.test_grid)
     _write_or_print(_dump(payload), args.output)
     return 0
 

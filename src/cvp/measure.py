@@ -155,9 +155,10 @@ def quadrature_grid(model: ManifoldModel, resolution: int | None = None,
         panels = np.array([-1.0, 1.0])
     else:
         cuts = np.asarray(breakpoints, float)
-        if not np.all(np.isfinite(cuts)):
-            raise ValueError("breakpoints must be finite")
-        panels = np.unique(np.concatenate([[-1.0, 1.0], cuts]))
+        if cuts.ndim != 1 or not np.all(np.isfinite(cuts)):
+            raise ValueError("breakpoints must be a 1-d list of finite values")
+        # a sorted set, not np.unique, which loads numpy.ma on its first call
+        panels = np.array(sorted({-1.0, 1.0, *cuts.tolist()}))
         if panels[0] < -1.0 or panels[-1] > 1.0:
             raise ValueError("breakpoints must lie in [-1, 1]")
     order = max(12, int(np.ceil(n / (len(panels) - 1))))

@@ -43,6 +43,7 @@ import numpy as np
 # solve on small systems; a singular system gives NaNs
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
+from . import analysis
 from .manifold import (
     ManifoldModel,
     _flag_coupling,
@@ -58,7 +59,6 @@ from .manifold import (
     zonal_d,
 )
 from .measure import WeightedMeasure, action, probe_grid
-from .spectral import fibonacci_sphere
 
 _RESOLVE_EVERY = 50      # accepted moves between weight sub-solves
 _RESYNC_EVERY = 4096     # accepted moves between full recomputations
@@ -259,55 +259,43 @@ _PROBE_SIZE = {"circle": 192, "sphere": 256, "flag": 96}
 _PROBE_SEED = 7
 
 
-def _uniform_slices(rng, block):
-    """A block of 16384 uniforms as Python floats, 1024 at a time; the next
-    block is drawn only when the last float of this one has been taken."""
+def _float_slices(draw, block):
+    """Slices of 1024 draws as Python floats: block's, then those of each
+    next block ``draw(16384)``, drawn when a float past the last is asked for."""
     while True:
         for s in range(0, 16384, 1024):
             yield block[s : s + 1024].tolist()
-        block = rng.random(16384)
+        block = draw(16384)
 
 
 class _BlockedRng:
     """Pre-drawn uniform/normal blocks; one Generator call per ~16k draws.
 
-    ``uniform()`` returns the next uniform as a Python float, ``normal()``
-    the next normal, the value ``normals(1)`` would hold, as a Python float.
-    Both convert 1024 draws at a time, which keeps the Python floats small
-    next to the block.
+    ``uniform()`` returns the next uniform as a Python float.  Normals are
+    read either as Python floats by ``normal()`` or as array slices by
+    ``normals(k)``; both start on the normal block drawn after the first
+    uniform block, so a kind reads through one of the two, never both (the
+    circle through ``normal()``, the sphere and the flag through
+    ``normals(k)``).  The floats are converted 1024 draws at a time, which
+    keeps them small next to the block.
     """
 
-    __slots__ = ("rng", "uniform", "_n", "_nl", "_nl_at", "_in")
+    __slots__ = ("rng", "uniform", "normal", "_n", "_in")
 
     def __init__(self, rng):
         self.rng = rng
         first = rng.random(16384)
-        self.uniform = itertools.chain.from_iterable(_uniform_slices(rng, first)).__next__
-        self._n = rng.standard_normal(16384)
-        self._nl, self._nl_at = [], 0  # _n[_nl_at : _nl_at + 1024] as Python floats
-        self._in = 0
-
-    def _refill(self, k):
-        self._n = self.rng.standard_normal(max(16384, k))
-        self._nl = []
-        self._in = 0
+        self.uniform = itertools.chain.from_iterable(_float_slices(rng.random, first)).__next__
+        self._n, self._in = rng.standard_normal(16384), 0
+        self.normal = itertools.chain.from_iterable(
+            _float_slices(rng.standard_normal, self._n)).__next__
 
     def normals(self, k: int):
         if self._in + k > self._n.shape[0]:
-            self._refill(k)
+            self._n, self._in = self.rng.standard_normal(max(16384, k)), 0
         v = self._n[self._in : self._in + k]
         self._in += k
         return v
-
-    def normal(self) -> float:
-        if self._in >= self._n.shape[0]:
-            self._refill(1)
-        i = self._in
-        j = i - self._nl_at
-        if not 0 <= j < len(self._nl):
-            self._nl, self._nl_at, j = self._n[i : i + 1024].tolist(), i, 0
-        self._in = i + 1
-        return self._nl[j]
 
 
 def _zonal_features(e, a, a2, b, c):
@@ -411,18 +399,13 @@ class _Lift:
 
 
 def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
-    """Quasi-uniform starting configuration (packing-style seed)."""
-    if model.kind == "circle":
-        return 2.0 * np.pi * np.arange(m) / m
-    if model.kind == "sphere":
-        if m == 6:
-            return np.vstack([np.eye(3), -np.eye(3)])
-        if m == 12:
-            from .exact import icosahedron  # deferred: exact imports this module
+    """Quasi-uniform start (packing-style seed): the octahedron or the
+    icosahedron for 6 or 12 sphere points, else the probe grid."""
+    if model.kind == "sphere" and m in (6, 12):
+        from . import exact  # deferred: exact imports this module
 
-            return icosahedron().points
-        return fibonacci_sphere(m)
-    return sample_uniform(model, m, seed=11)
+        return (exact.octahedron() if m == 6 else exact.icosahedron()).points
+    return probe_grid(model, m, seed=11)
 
 
 def _pad_measure(model: ManifoldModel, meas: WeightedMeasure, m: int, seed):
@@ -926,8 +909,6 @@ def tau_scan(
     1024-point test grid.  The anneals run ``AnnealSchedule.light`` with
     the schedule options given; warm runs use one restart.
     """
-    from .analysis import certify  # deferred to avoid a module cycle
-
     tau_grid = [float(t) for t in tau_grid]
     if sorted(tau_grid) != tau_grid:
         raise ValueError("tau_grid must be ascending")
@@ -958,8 +939,9 @@ def tau_scan(
     for tau in tau_grid:
         model = ManifoldModel(model_kind, tau, f)
         reduced = _reduce_support(model, best[tau])
-        merged = merge_clusters(model, reduced, merge_radius).measure.pruned()
-        report = certify(model, merged, test_grid_size=_SCAN_TEST_GRID, tol=_SCAN_CERTIFY_TOL)
+        merged = merge_clusters(model, reduced, merge_radius).measure
+        report = analysis.certify(model, merged, test_grid_size=_SCAN_TEST_GRID,
+                                  tol=_SCAN_CERTIFY_TOL)
         rows.append(ScanRow(tau=tau, m=m, action=report.action,
                             support_size_after_merge=merged.support_size,
                             classification=report.classification.value,
@@ -968,22 +950,13 @@ def tau_scan(
 
 
 def write_scan_csv(rows: list[ScanRow], fh) -> None:
-    """CSV columns: tau,m,action,support_size,classification,el_residual."""
-    owned = isinstance(fh, (str, bytes))
-    out = open(fh, "w", newline="") if owned else fh
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["tau", "m", "action", "support_size", "classification", "el_residual"]
-        )
-        for r in rows:
-            writer.writerow(
-                [repr(r.tau), r.m, repr(r.action), r.support_size_after_merge,
-                 r.classification, repr(r.el_residual)]
-            )
-    finally:
-        if owned:
-            out.close()
+    """Write the rows to the text handle fh as CSV, columns
+    tau,m,action,support_size,classification,el_residual."""
+    writer = csv.writer(fh)
+    writer.writerow(["tau", "m", "action", "support_size", "classification", "el_residual"])
+    for r in rows:
+        writer.writerow([repr(r.tau), r.m, repr(r.action), r.support_size_after_merge,
+                         r.classification, repr(r.el_residual)])
 
 
 def scan_csv_string(rows: list[ScanRow]) -> str:

@@ -211,7 +211,7 @@ class TestHeatKernel:
 class TestHeatKernelBound:
     def test_construction_identities(self):
         model = ManifoldModel.sphere(2.0)
-        hb = heat_kernel_bound(model, 0.1, 0.3, check_grid=2000)
+        hb = heat_kernel_bound(model, 0.1, 0.3)
         tm = theta_max(model)
         k0 = hb.lam * (heat_kernel(0.1, 0.0) - hb.delta * heat_kernel(0.3, 0.0))
         ktm = hb.lam * (heat_kernel(0.1, tm) - hb.delta * heat_kernel(0.3, tm))
@@ -222,7 +222,7 @@ class TestHeatKernelBound:
 
     def test_spectral_coefficients_nonnegative(self):
         model = ManifoldModel.sphere(2.0)
-        hb = heat_kernel_bound(model, 0.1, 0.3, check_grid=500)
+        hb = heat_kernel_bound(model, 0.1, 0.3)
         ell = np.arange(101)
         coeffs = hb.lam * (
             np.exp(-hb.t1 * ell * (ell + 1)) - hb.delta * np.exp(-hb.t2 * ell * (ell + 1))
@@ -238,7 +238,7 @@ class TestHeatKernelBound:
 
     def test_grid_search(self):
         model = ManifoldModel.sphere(2.0)
-        best = optimize_heat_params(model, np.geomspace(0.01, 2.0, 10), check_grid=2000)
+        best = optimize_heat_params(model, np.geomspace(0.01, 2.0, 10))
         assert best is not None and best.dominated
         assert best.s_k > 0
         # S_K below the packing and volume upper bounds
@@ -269,7 +269,7 @@ class TestHeatKernelBound:
         lvals = lagrangian_profile(model, theta) + 1e-9
         tm = theta_max(model)
         heat = {t: (heat_kernel(t, 0.0), heat_kernel(t, tm), heat_kernel(t, theta)) for t in t_grid}
-        bounds = list(analysis._heat_bounds(model, pairs, 10000))
+        bounds = list(analysis._heat_bounds(model, pairs))
         assert sorted((hb.t1, hb.t2) for hb in bounds) == pairs
         for hb in bounds:
             ref = _reference_calibrated_bound(model, hb.t1, hb.t2, heat[hb.t1], heat[hb.t2], lvals)
@@ -284,7 +284,7 @@ class TestHeatKernelBound:
 
     def test_weak_coupling_bound_vs_nu0(self):
         model = ManifoldModel.sphere(1.1)
-        best = optimize_heat_params(model, np.geomspace(0.02, 2.0, 8), check_grid=1000)
+        best = optimize_heat_params(model, np.geomspace(0.02, 2.0, 8))
         nu0 = nu0_lower_bound(model)
         assert nu0.valid
         if best is not None:
@@ -367,8 +367,8 @@ class TestHeatSearchOracle:
         for tau, t_min, t_max, count in _random_heat_cases(120):
             model = ManifoldModel.sphere(tau)
             t_grid = np.geomspace(t_min, t_max, count)
-            ref, _ = _reference_heat_search(model, t_grid, check_grid=600)
-            assert optimize_heat_params(model, t_grid, check_grid=600) == ref
+            ref, _ = _reference_heat_search(model, t_grid)
+            assert optimize_heat_params(model, t_grid) == ref
             found += ref is not None
         assert 0 < found < 120  # both outcomes occur among the cases
 
@@ -401,7 +401,7 @@ class TestHeatSearchOracle:
         for tau in BENCH_TAUS:
             model = ManifoldModel.sphere(tau)
             checked = []
-            for hb in analysis._heat_bounds(model, pairs, 10000):
+            for hb in analysis._heat_bounds(model, pairs):
                 checked.append(hb)
                 if hb.dominated:
                     break
@@ -435,6 +435,15 @@ class TestTammes:
         assert tammes_upper_bound(model, E1[None, :]) == pytest.approx(
             model.kernel_scale, rel=1e-12
         )
+
+    @pytest.mark.parametrize("packing, message", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.1, 0.0]], "unit vectors within 1e-6"),
+        ([[1.0, 0.0]], "array of unit 3-vectors"),
+        ([1.0, 0.0, 0.0], "array of unit 3-vectors"),
+    ], ids=["non-unit", "two-coordinates", "one-point-unstacked"])
+    def test_rejects_non_unit_points_and_wrong_shapes(self, packing, message):
+        with pytest.raises(ValueError, match=message):
+            tammes_upper_bound(ManifoldModel.sphere(1.4), packing)
 
     def test_packing_files_load(self):
         import importlib.resources as res
@@ -590,7 +599,6 @@ class TestBoundsReport:
             model,
             packings=[octahedron().points, icosahedron().points],
             t_grid=np.geomspace(0.02, 1.0, 8),
-            check_grid=2000,
         )
         assert rep.nu0.value == pytest.approx(2.25) and rep.nu0.valid
         assert rep.volume_upper == pytest.approx(4 - 4 / (3 * 2.25), rel=1e-12)
@@ -598,7 +606,7 @@ class TestBoundsReport:
 
     def test_bounds_touch_at_tau_one(self):
         model = ManifoldModel.sphere(1.0)
-        rep = bounds_report(model, t_grid=[], check_grid=100)
+        rep = bounds_report(model, t_grid=[])
         assert rep.volume_upper == pytest.approx(rep.nu0.value, rel=1e-12)
         assert rep.volume_upper == pytest.approx(8 / 3, rel=1e-12)
 

@@ -312,8 +312,10 @@ class TestScanGrid:
 
 
 class TestBoundsGrid:
-    """The heat-time grid is checked before any work; these tests never build a
-    large table, because a call of ``bounds_report`` fails them."""
+    """The heat-time grid is checked before any work; a call of
+    ``bounds_report`` fails these tests, except where one hands valid grids to
+    the real report: its (4e-5, 2.0) pair builds the 938-degree table of
+    `cvp bounds --t-min 4e-5` on the 10,000 check angles, about 76 MB."""
 
     real_report = staticmethod(analysis.bounds_report)
 
@@ -362,9 +364,9 @@ class TestBoundsGrid:
     def test_valid_grids_reach_the_report(self, capsys, monkeypatch, argv, grid):
         seen = []
 
-        def report(model, t_grid, **kwargs):  # on a small check grid
+        def report(model, t_grid, **kwargs):
             seen.append(t_grid)
-            return self.real_report(model, t_grid=t_grid, check_grid=100, **kwargs)
+            return self.real_report(model, t_grid=t_grid, **kwargs)
 
         monkeypatch.setattr(analysis, "bounds_report", report)
         code, _, err = self.bounds(capsys, *argv)
@@ -544,3 +546,23 @@ class TestEntryPoint:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["action"] == pytest.approx(2.9952, abs=1e-10)
+
+    def test_density_leaves_numpy_ma_unloaded(self):
+        # np.unique loads numpy.ma, about 1.7 MB of module objects, on its
+        # first call; the density's panel edges come from a sorted set
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import cvp
+
+        source_root = Path(cvp.__file__).resolve().parent.parent
+        env = {"PATH": "/usr/bin", "CVP_THREADS": "1", "PYTHONPATH": str(source_root)}
+        code = ("import contextlib, io, sys\n"
+                "import cvp.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cvp.cli.main(['exact', 'density', '--tau', '1.001'])\n"
+                "print(code, 'numpy.ma' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert (res.returncode, res.stdout) == (0, "0 False\n")

@@ -309,6 +309,16 @@ class TestStackedFlagTraces:
         strided = wide[..., ::2]
         assert_matches_dense(ManifoldModel.flag(f, 1.5), strided[:8], strided)
 
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_batch_features_stack_the_single_point_ones(self, f):
+        # the batch's one bincount sums each point's bins in the single
+        # point's order, so a batch is bitwise its points' features stacked
+        model = ManifoldModel.flag(f, 1.7)
+        xi = manifold._flag_xi(manifold._flag_lift(f, 1.7), sample_uniform(model, 16, seed=f))
+        coupling = manifold._flag_coupling(f)
+        single = np.stack([manifold._flag_features(coupling, x) for x in xi])
+        assert np.array_equal(manifold._flag_features(coupling, xi), single)
+
     def test_large_f_builds_no_dense_coupling(self):
         # C has f^8 entries, 134 MB of doubles at f = 8, of which 27,504 are
         # nonzero: building C and the basis, a Gram and the merge distance

@@ -441,17 +441,16 @@ class TestBlockedRng:
         assert np.array_equal(rand.normals(2), n1[:2])
         assert [rand.uniform() for _ in range(16383)] == u1[1:].tolist()
 
-    def test_normal_is_normals_one(self):
-        # normal() reads the normals stream as Python floats, in turn with
-        # normals(k) and across block refills
+    def test_normal_reads_the_normal_blocks(self):
+        # normal() gives the generator's 16384-normal blocks, drawn after the
+        # one uniform block, as Python floats and across block refills
         rand = optimize._BlockedRng(np.random.default_rng(9))
-        ref = optimize._BlockedRng(np.random.default_rng(9))
-        for k in range(40000):
-            if k % 7 == 3:
-                assert np.array_equal(rand.normals(5), ref.normals(5))
-            else:
-                v = rand.normal()
-                assert type(v) is float and v == ref.normals(1).item(0)
+        ref = np.random.default_rng(9)
+        ref.random(16384)
+        blocks = np.concatenate([ref.standard_normal(16384) for _ in range(3)])
+        got = [rand.normal() for _ in range(40000)]
+        assert all(type(v) is float for v in got)
+        assert got == blocks[:40000].tolist()
 
 
 def watch_states(model, monkeypatch):
@@ -541,7 +540,7 @@ class TestBuildCounts:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(optimize, "probe_grid", spy("probe", optimize.probe_grid))
+        monkeypatch.setattr(optimize, "_Lift", spy("lift", optimize._Lift))
         init = optimize._AnnealState.__init__
         monkeypatch.setattr(optimize._AnnealState, "__init__", spy("state", init))
         return counts
@@ -554,7 +553,7 @@ class TestBuildCounts:
         # state instead of building one
         counts = self.spy_builds(monkeypatch)
         anneal(model, 6, light(model, steps_per_temp=5, restarts=2))
-        assert (counts["probe"], counts["state"]) == (1, 2)
+        assert (counts["lift"], counts["state"]) == (1, 2)
 
     def test_coupling_built_once_per_f(self):
         manifold._flag_coupling.cache_clear()
@@ -571,7 +570,7 @@ class TestBuildCounts:
         # the cold and the warm run at one tau share its lift
         counts = self.spy_builds(monkeypatch)
         tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=2)
-        assert counts["probe"] == 2
+        assert counts["lift"] == 2
 
 
 class TestAnnealPins:

@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from cvp import ManifoldModel, analysis
+from cvp import ManifoldModel, analysis, optimize
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,5 +39,20 @@ def test_bounds_report_calls_the_heat_search_through_the_module(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "optimize_heat_params", spy)
-    analysis.bounds_report(ManifoldModel.sphere(1.5), check_grid=100)
+    analysis.bounds_report(ManifoldModel.sphere(1.5))
     assert calls == [1.5]
+
+
+def test_tau_scan_certifies_through_the_module(monkeypatch):
+    # the span around certify counts a scan's rows only if tau_scan looks the
+    # name up in cvp.analysis at call time
+    calls = []
+    certify = analysis.certify
+
+    def spy(model, *args, **kwargs):
+        calls.append(model.tau)
+        return certify(model, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "certify", spy)
+    optimize.tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=1)
+    assert calls == [1.7, 1.72]
