@@ -102,6 +102,8 @@ def certify(
     """
     if test_grid_size < 1:
         raise ValueError("test_grid_size must be >= 1")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0 (got {tol!r})")
     scale = model.kernel_scale
     w = m.weights
     kmat = kernel_matrix(model, m.points)

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid configuration or violated hypothesis,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -36,35 +37,10 @@ def _write_or_print(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _model_from_args(args) -> ManifoldModel:
-    if args.manifold == "flag":
-        if args.f is None:
-            raise ValueError("--f is required for the flag manifold")
-        return ManifoldModel.flag(args.f, args.tau)
-    if getattr(args, "f", None) is not None:
-        raise ValueError("--f is only valid for the flag manifold")
-    return ManifoldModel(args.manifold, args.tau)
-
-
 def _schedule_overrides(args) -> dict:
     """The schedule options given on the command line; the rest keep their defaults."""
     names = ("t_start", "t_end", "cooling", "steps_per_temp", "restarts")
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
-
-
-def _add_model_args(p, manifolds=("circle", "sphere", "flag")):
-    p.add_argument("--manifold", required=True, choices=manifolds)
-    p.add_argument("--tau", required=True, type=float)
-    p.add_argument("--f", type=int, default=None, help="flag manifold dimension")
-
-
-def _add_schedule_args(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-start", dest="t_start", type=float, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--cooling", type=float, default=None)
-    p.add_argument("--steps-per-temp", dest="steps_per_temp", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
 
 
 def _certificate_payload(model, meas, tol, grid_size) -> dict:
@@ -77,7 +53,7 @@ def _certificate_payload(model, meas, tol, grid_size) -> dict:
 
 
 def cmd_minimize(args) -> int:
-    model = _model_from_args(args)
+    model = ManifoldModel(args.manifold, args.tau, args.f)
     sched = AnnealSchedule.default(model, seed=args.seed, **_schedule_overrides(args))
     meas = optimize.anneal(model, args.m, sched)
     merged = optimize.merge_clusters(model, meas, args.merge_radius).measure
@@ -172,8 +148,9 @@ def cmd_scan(args) -> int:
         merge_radius=args.merge_radius,
         **_schedule_overrides(args),
     )
-    text = optimize.scan_csv_string(rows)
-    _write_or_print(text, args.output)
+    buf = io.StringIO()
+    optimize.write_scan_csv(rows, buf)
+    _write_or_print(buf.getvalue(), args.output)
     return 0
 
 
@@ -232,9 +209,16 @@ def cmd_flag_check(args) -> int:
 
 
 def _minimize_args(p):
-    _add_model_args(p)
+    p.add_argument("--manifold", required=True, choices=("circle", "sphere", "flag"))
+    p.add_argument("--tau", required=True, type=float)
+    p.add_argument("--f", type=int, default=None, help="flag manifold dimension")
     p.add_argument("--m", required=True, type=int, help="number of support points")
-    _add_schedule_args(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t-start", dest="t_start", type=float, default=None)
+    p.add_argument("--t-end", dest="t_end", type=float, default=None)
+    p.add_argument("--cooling", type=float, default=None)
+    p.add_argument("--steps-per-temp", dest="steps_per_temp", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--merge-radius", dest="merge_radius", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-2, help="certification tolerance")
     p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)

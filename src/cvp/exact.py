@@ -134,9 +134,8 @@ def icosahedron() -> WeightedMeasure:
     return WeightedMeasure(pts, np.full(12, 1.0 / 12.0))
 
 
-# cos(theta) band edges and values of the three-band cap density; the bands
-# are (0.8, 1], (0.2, 0.4) and (-0.7, -0.5) with values 5/3, 35/9, 40/9
-_BAND_EDGES = (-0.7, -0.5, 0.2, 0.4, 0.8)
+# cos(theta) bands and values of the three-band cap density; the bands are
+# (0.8, 1], (0.2, 0.4) and (-0.7, -0.5) with values 5/3, 35/9, 40/9
 _BAND_VALUES = {(-0.7, -0.5): 40.0 / 9.0, (0.2, 0.4): 35.0 / 9.0, (0.8, 1.0): 5.0 / 3.0}
 
 
@@ -147,7 +146,8 @@ def three_band_density() -> DensityMeasure:
     small enough that the whole support is pairwise non-spacelike it is a
     generically timelike minimizer with action nu0.
     """
-    grid = quadrature_grid(ManifoldModel.sphere(1.0), 240, breakpoints=_BAND_EDGES)
+    edges = [edge for band in _BAND_VALUES for edge in band]
+    grid = quadrature_grid(ManifoldModel.sphere(1.0), 240, breakpoints=edges)
     values = np.zeros_like(grid.nodes)
     for (lo, hi), val in _BAND_VALUES.items():
         values[(grid.nodes > lo) & (grid.nodes < hi)] = val

@@ -332,18 +332,11 @@ def lagrangian_matrix(model: ManifoldModel, points) -> np.ndarray:
     return np.maximum(0.0, kernel_matrix(model, points))
 
 
-def _flag_canonical_order(x, y):
-    """Deterministic argument order so scalar evaluation is exactly symmetric."""
-    kx = tuple(np.concatenate([x.real.ravel(), x.imag.ravel()]))
-    ky = tuple(np.concatenate([y.real.ravel(), y.imag.ravel()]))
-    return (x, y) if kx <= ky else (y, x)
-
-
 def d_kernel(model: ManifoldModel, x, y) -> float:
     """The kernel D at a single pair of points.
 
-    Symmetric in (x, y) with a fixed evaluation order, so swapping the
-    arguments returns the identical float.
+    The off-diagonal entry of ``kernel_matrix`` on the pair, whose
+    symmetrization makes swapping the arguments return the identical float.
     """
     if model.kind == "circle":
         x, y = float(x), float(y)
@@ -355,8 +348,7 @@ def d_kernel(model: ManifoldModel, x, y) -> float:
     elif model.kind == "flag":
         if x.shape != (2, model.f) or y.shape != (2, model.f):
             raise ValueError(f"flag points must have shape (2, {model.f})")
-        x, y = _flag_canonical_order(x, y)
-    return float(kernel_cross(model, x, y)[0, 0])
+    return float(kernel_matrix(model, np.stack([x, y]))[0, 1])
 
 
 def lagrangian(model: ManifoldModel, x, y) -> float:

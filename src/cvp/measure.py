@@ -38,13 +38,13 @@ from .manifold import (
 )
 from .spectral import (
     fibonacci_sphere,
-    legendre_all,
     legendre_band_integrals,
     panel_gauss_legendre,
 )
 
 _WEIGHT_TOL = 1e-12
 _DENSITY_TOL = 1e-8
+_DENSITY_LMAX = 480  # Legendre degree at which density_action truncates its series
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,29 +242,24 @@ def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
 
 
 def _zonal_legendre_moments(dm: DensityMeasure, lmax: int) -> np.ndarray:
-    """fhat_l = int f(x) P_l(cos theta_x) dmu, exact for per-panel constants."""
-    grid = dm.grid
-    panels = grid.panels
+    """fhat_l = int f(x) P_l(cos theta_x) dmu, l = 0 .. lmax, exact from the
+    band integrals of P_l; the density must be constant on each panel."""
+    panels = dm.grid.panels
     per_panel = dm.values.reshape(len(panels) - 1, -1)
-    if np.max(np.abs(per_panel - per_panel[:, :1])) <= 1e-13:
-        # piecewise-constant density: use exact antiderivative integrals
-        bands = legendre_band_integrals(lmax, panels)
-        out = np.zeros(lmax + 1)
-        for k in range(len(panels) - 1):
-            out += per_panel[k, 0] * 0.5 * bands[k]
-        return out
-    p = legendre_all(lmax, grid.nodes)
-    return p @ (grid.weights * dm.values)
+    if np.max(np.abs(per_panel - per_panel[:, :1])) > 1e-13:
+        raise ValueError("the density must be constant on each panel of its grid")
+    bands = legendre_band_integrals(lmax, panels)
+    return sum(v * 0.5 * band for v, band in zip(per_panel[:, 0], bands))
 
 
-def density_action(model: ManifoldModel, dm: DensityMeasure, lmax: int = 480) -> float:
-    """Action of a zonal sphere density d(rho) = f d(mu), as
-    sum_l c_l fhat_l^2; this covers the volume measure and the banded
-    constructions used here."""
+def density_action(model: ManifoldModel, dm: DensityMeasure) -> float:
+    """Action of a zonal sphere density d(rho) = f d(mu), constant on each
+    panel of its grid, as sum_l c_l fhat_l^2 up to degree 480; this covers
+    the volume measure and the banded constructions used here."""
     if model.kind != "sphere":
         raise ValueError("density measures are supported on the sphere only")
-    cl = _lagrangian_legendre_coeffs(model, lmax)
-    fl = _zonal_legendre_moments(dm, lmax)
+    cl = _lagrangian_legendre_coeffs(model, _DENSITY_LMAX)
+    fl = _zonal_legendre_moments(dm, _DENSITY_LMAX)
     return float(cl @ (fl * fl))
 
 

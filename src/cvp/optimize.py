@@ -25,14 +25,13 @@ snapshot loaded into the same state.  One state serves all three kinds: D
 is a bilinear form in lifted point features, so a kernel row is one
 matrix-vector product and a clamp.  The feature maps and the probe grid
 (``_Lift``) depend only on the model: each ``anneal`` call builds them once
-for all its restarts, and a scan once per tau.
+for all its restarts.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -312,7 +311,7 @@ class _Lift:
     """What the annealer needs of the model: the move proposal ``jitter`` and
     scale ``pos_scale``, the relocate move's probe grid with its queries
     ``q_probe``, and the kernel row closure; the restarts of one ``anneal``
-    call share it, and so do the runs of a scan at one tau.
+    call share it.
 
     D(x, y) = q(x) . F(y) in lifted features.  ``one`` maps a point to the
     coordinates both are read from, ``store`` maps those to F, ``stored`` a
@@ -709,16 +708,11 @@ def anneal(
     The returned action never exceeds that of any initial configuration;
     ties between restarts go to the lowest restart index.
     """
-    if sched is None:
-        sched = AnnealSchedule.default(model)
-    return _anneal(_Lift(model), m, sched, init)
-
-
-def _anneal(lift: _Lift, m: int, sched: AnnealSchedule, init) -> WeightedMeasure:
-    """``anneal`` on a built lift, which the runs of a scan at one tau share."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    model = lift.model
+    if sched is None:
+        sched = AnnealSchedule.default(model)
+    lift = _Lift(model)
     results = []
     for r in range(sched.restarts):
         w = np.full(m, 1.0 / m)
@@ -816,7 +810,7 @@ def merge_clusters(model: ManifoldModel, m: WeightedMeasure, radius: float) -> M
     manifold.  The reported bound 2 * Lip(L) * sum_i w_i dist_i dominates
     the actual action change.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
     if radius == 0 or len(m) <= 1:
         return MergeResult(m, 0.0, 0.0)
@@ -922,17 +916,15 @@ def tau_scan(
         return AnnealSchedule.light(model, seed, **{**given, **warm})
 
     best: dict[float, WeightedMeasure] = {}
-    lifts: dict[float, _Lift] = {}  # one per tau, shared by its cold and warm runs
     for direction in (1, -1):
         prev = None
         for tau in tau_grid[::direction]:
-            model = ManifoldModel(model_kind, tau, f)  # schedules before the lift
+            model = ManifoldModel(model_kind, tau, f)  # schedules before any anneal
             runs = [] if tau in best else [(make_sched(model), None)]
             if prev is not None:
                 runs.append((make_sched(model, restarts=1), prev))
-            lift = lifts[tau] = lifts.get(tau) or _Lift(model)
             cands = [best[tau]] if tau in best else []
-            cands += [_anneal(lift, m, sched, init) for sched, init in runs]
+            cands += [anneal(model, m, sched, init) for sched, init in runs]
             best[tau] = prev = min(cands, key=lambda c: (action(model, c), c.support_size))
 
     rows = []
@@ -957,9 +949,3 @@ def write_scan_csv(rows: list[ScanRow], fh) -> None:
     for r in rows:
         writer.writerow([repr(r.tau), r.m, repr(r.action), r.support_size_after_merge,
                          r.classification, repr(r.el_residual)])
-
-
-def scan_csv_string(rows: list[ScanRow]) -> str:
-    buf = io.StringIO()
-    write_scan_csv(rows, buf)
-    return buf.getvalue()

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from cvp import action, analysis, load_measure, optimize
+from cvp import ManifoldModel, action, analysis, load_measure, measure_to_dict, optimize
 from cvp.cli import build_parser, main
+from cvp.exact import octahedron
 
 LIGHT = ["--cooling", "0.88", "--steps-per-temp", "30", "--restarts", "2"]
+QUICK = ["--restarts", "1", "--cooling", "0.5", "--steps-per-temp", "2"]
 
 
 def run(capsys, *argv):
@@ -74,7 +76,7 @@ class TestBadInput:
         def no_anneal(*args, **kwargs):
             raise AssertionError("an anneal started")
 
-        for name in ("anneal", "_anneal", "_Lift"):
+        for name in ("anneal", "_Lift"):
             monkeypatch.setattr(optimize, name, no_anneal)
         code, out, err = run(capsys, *argv, *option)
         assert_rejected(code, out, err, "Metropolis steps")
@@ -86,6 +88,43 @@ class TestBadInput:
     def test_empty_test_grid_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--test-grid", "0")
         assert_rejected(code, out, err, "--test-grid must be >= 1")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("command", ["minimize", "exact", "certify"])
+    def test_tolerance_that_certifies_nothing_exit_2(self, capsys, tmp_path, command, tol):
+        # a NaN or negative tol failed every check and an infinite one passed
+        # every check: the exact octahedron read singular_candidate at nan
+        mfile = tmp_path / "octahedron.json"
+        mfile.write_text(json.dumps(measure_to_dict(ManifoldModel.sphere(1.2), octahedron())))
+        argv = {
+            "minimize": ["minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3", *QUICK],
+            "exact": ["exact", "octahedron", "--tau", "1.2"],
+            "certify": ["certify", "--measure", str(mfile)],
+        }[command]
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert_rejected(code, out, err, "tol must be finite and >= 0")
+
+    def test_nan_merge_radius_exit_2(self, capsys):
+        # a NaN radius merged nothing and exited 0
+        code, out, err = run(
+            capsys, "minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3", *QUICK,
+            "--merge-radius", "nan",
+        )
+        assert_rejected(code, out, err, "radius must be >= 0")
+
+    @pytest.mark.parametrize("command", ["minimize", "scan"])
+    @pytest.mark.parametrize("model_args, message", [
+        (["--manifold", "flag"], "flag manifold requires f >= 3"),
+        (["--manifold", "circle", "--f", "3"], "f is only meaningful for the flag manifold"),
+    ], ids=["flag-without-f", "circle-with-f"])
+    def test_model_messages_shared(self, capsys, command, model_args, message):
+        argv = {
+            "minimize": ["minimize", "--tau", "2.0", "--m", "3", *QUICK],
+            "scan": ["scan", "--tau-min", "2.0", "--tau-max", "2.0", "--tau-step", "0.1",
+                     "--m", "3", *QUICK],
+        }[command]
+        code, out, err = run(capsys, *argv, *model_args)
+        assert_rejected(code, out, err, message)
 
 
 class TestMinimize:

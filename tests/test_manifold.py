@@ -176,6 +176,16 @@ class TestKernelProperties:
             assert d_kernel(model, x, y) == d_kernel(model, y, x)
 
     @pytest.mark.parametrize(
+        "model", [ManifoldModel.circle(1.7), ManifoldModel.sphere(2.5)], ids=["circle", "sphere"])
+    def test_zonal_scalar_is_the_cross_entry(self, model):
+        # d_kernel reads kernel_matrix, whose symmetrization leaves a zonal
+        # pair's value as kernel_cross gives it
+        xs = sample_uniform(model, 200, seed=13)
+        ys = sample_uniform(model, 200, seed=14)
+        for x, y in zip(xs, ys):
+            assert d_kernel(model, x, y) == kernel_cross(model, x, y)[0, 0]
+
+    @pytest.mark.parametrize(
         "model",
         [
             ManifoldModel.circle(2.2),

@@ -24,7 +24,7 @@ from cvp import (
     volume_action,
 )
 from cvp.manifold import kernel_cross, zonal_d
-from cvp.measure import _lagrangian_legendre_coeffs
+from cvp.measure import _lagrangian_legendre_coeffs, _zonal_legendre_moments
 from cvp.spectral import legendre_all
 
 from conftest import brute_action, brute_potentials
@@ -226,9 +226,18 @@ class TestDensityMeasure:
     def test_truncation_converged(self):
         model = ManifoldModel.sphere(1.7)
         dm = uniform_density(model)
-        a1 = density_action(model, dm, lmax=240)
-        a2 = density_action(model, dm, lmax=480)
+        fl = _zonal_legendre_moments(dm, 240)
+        a1 = float(_lagrangian_legendre_coeffs(model, 240) @ (fl * fl))
+        a2 = density_action(model, dm)
         assert a1 == pytest.approx(a2, abs=1e-10)
+
+    def test_density_not_constant_per_panel_rejected(self):
+        # on the 200-node rule the quadrature moments of 1 + 0.3 cos(theta)
+        # alias at high degree: its action was off by up to 3.7e-6
+        model = ManifoldModel.sphere(2.0)
+        grid = quadrature_grid(model)
+        with pytest.raises(ValueError, match="constant on each panel"):
+            density_action(model, DensityMeasure(grid, 1.0 + 0.3 * grid.nodes))
 
 
 def _gauss_lagrangian_coeffs(model, lmax):

@@ -541,6 +541,7 @@ class TestBuildCounts:
             return counted
 
         monkeypatch.setattr(optimize, "_Lift", spy("lift", optimize._Lift))
+        monkeypatch.setattr(optimize, "anneal", spy("anneal", optimize.anneal))
         init = optimize._AnnealState.__init__
         monkeypatch.setattr(optimize._AnnealState, "__init__", spy("state", init))
         return counts
@@ -566,11 +567,12 @@ class TestBuildCounts:
         nu0_monte_carlo(ManifoldModel.flag(3, 1.5), 100, seed=0)
         assert manifold._flag_coupling.cache_info().misses == 3
 
-    def test_one_lift_per_tau_in_a_scan(self, monkeypatch):
-        # the cold and the warm run at one tau share its lift
+    def test_one_lift_per_anneal_call_in_a_scan(self, monkeypatch):
+        # a cold run at each tau and a warm run from each neighbour, each
+        # building its own lift
         counts = self.spy_builds(monkeypatch)
         tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=2)
-        assert counts["lift"] == 2
+        assert (counts["anneal"], counts["lift"]) == (4, 4)
 
 
 class TestAnnealPins:
@@ -660,7 +662,6 @@ class TestReduceSupport:
             raise AssertionError("support reduction must not anneal")
 
         monkeypatch.setattr(optimize, "anneal", no_anneal)
-        monkeypatch.setattr(optimize, "_anneal", no_anneal)
         model, meas = chain
         out = _reduce_support(model, meas)
         assert out.support_size == 10

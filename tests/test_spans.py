@@ -56,3 +56,18 @@ def test_tau_scan_certifies_through_the_module(monkeypatch):
     monkeypatch.setattr(analysis, "certify", spy)
     optimize.tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=1)
     assert calls == [1.7, 1.72]
+
+
+def test_tau_scan_anneals_through_the_module(monkeypatch):
+    # the span around anneal counts a scan's anneals only if tau_scan looks
+    # the name up in cvp.optimize at call time
+    calls = []
+    anneal = optimize.anneal
+
+    def spy(model, *args, **kwargs):
+        calls.append(model.tau)
+        return anneal(model, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "anneal", spy)
+    optimize.tau_scan("circle", [1.7, 1.72], 6, steps_per_temp=5, restarts=1)
+    assert calls == [1.7, 1.72, 1.72, 1.7]  # cold, cold, warm up, warm down
