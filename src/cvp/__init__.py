@@ -12,6 +12,7 @@ setup below.
 """
 
 import os as _os
+from types import ModuleType as _ModuleType
 
 _cap = _os.environ.get("CVP_THREADS")
 if _cap:
@@ -25,9 +26,7 @@ if _cap:
 del _os, _cap
 
 from .manifold import (
-    Causality,
     ManifoldModel,
-    causal_relation,
     d_kernel,
     flag_point,
     lagrangian,
@@ -41,13 +40,10 @@ from .measure import (
     action,
     density_action,
     kernel_potential,
-    lagrangian_potential,
     load_measure,
     measure_from_dict,
     measure_to_dict,
     quadrature_grid,
-    save_measure,
-    uniform_density,
     volume_action,
 )
 from .optimize import (
@@ -56,7 +52,6 @@ from .optimize import (
     ScanRow,
     anneal,
     merge_clusters,
-    optimal_weights,
     optimal_weights_info,
     tau_scan,
     write_scan_csv,
@@ -72,9 +67,6 @@ from .analysis import (
     flag_gt_threshold,
     gram_min_eigenvalue,
     gt_obstruction_conflict,
-    heat_kernel,
-    heat_kernel_bound,
-    kernel_eigenvalues_by_quadrature,
     load_packing,
     nu0_lower_bound,
     nu0_monte_carlo,
@@ -84,7 +76,6 @@ from .analysis import (
 )
 from .exact import (
     ChainMinimizer,
-    circle_chain_measure,
     circle_chain_minimizer,
     circle_m0,
     circle_tau_m,
@@ -95,5 +86,6 @@ from .exact import (
     three_band_density,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

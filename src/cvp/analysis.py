@@ -36,7 +36,6 @@ from .manifold import (
     lagrangian_matrix,
     lagrangian_profile,
     theta_max,
-    zonal_d,
 )
 from .measure import WeightedMeasure, action, probe_grid, volume_action
 from .spectral import legendre_all, real_sphere_harmonics
@@ -184,31 +183,6 @@ def spectral_closed_form(model: ManifoldModel) -> SpectralEigenvalues:
     return SpectralEigenvalues(nu0, None, None)
 
 
-def kernel_eigenvalues_by_quadrature(model: ManifoldModel) -> tuple[float, float, float]:
-    """(nu0, nu1, nu2) by numerically integrating D against the eigenbasis.
-
-    Guards the hard-coded closed forms: circle Fourier modes on a uniform
-    grid (exact for trigonometric polynomials), sphere Legendre modes by
-    Gauss-Legendre (exact for polynomials in cos theta).
-    """
-    tau = model.tau
-    if model.kind == "circle":
-        n = 4096
-        t = 2.0 * np.pi * np.arange(n) / n
-        d = zonal_d(tau, np.cos(t))
-        nu0 = float(np.mean(d))
-        nu1 = float(np.mean(d * np.cos(t)))
-        nu2 = float(np.mean(d * np.cos(2 * t)))
-        return nu0, nu1, nu2
-    if model.kind == "sphere":
-        x, wq = np.polynomial.legendre.leggauss(64)
-        d = zonal_d(tau, x)
-        p = legendre_all(2, x)
-        vals = 0.5 * (p @ (wq * d))
-        return float(vals[0]), float(vals[1]), float(vals[2])
-    raise ValueError("no closed-form eigenbasis on the flag manifold")
-
-
 @dataclass(frozen=True)
 class Nu0Bound:
     value: float
@@ -272,26 +246,11 @@ def _heat_lmax(t: float) -> int:
 
 
 def _heat_coeffs(t: float) -> np.ndarray:
-    """Legendre coefficients (2l+1) exp(-t l (l+1)) of h_t, l = 0 .. its
-    truncation degree."""
+    """Legendre coefficients (2l+1) exp(-t l (l+1)) of the heat kernel h_t,
+    l = 0 .. its truncation degree: h_t(theta) = sum_l c_l P_l(cos theta),
+    whose double integral against the uniform measure is 1."""
     ell = np.arange(_heat_lmax(t) + 1)
     return (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
-
-
-def heat_kernel(t: float, theta):
-    """h_t(theta) = sum_l (2l+1) exp(-t l (l+1)) P_l(cos theta).
-
-    Normalized so the double integral against the uniform measure is 1;
-    truncated once the term bound (2l+1) exp(-t l (l+1)) drops below
-    1e-12.  ValueError when that takes more than 1,000 degrees (t below
-    about 3.5e-5).
-    """
-    if not 0 < t < math.inf:
-        raise ValueError("t must be finite and > 0")
-    c = _heat_coeffs(t)
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = c @ legendre_all(len(c) - 1, np.cos(theta_arr))
-    return float(vals[0]) if np.ndim(theta) == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -321,9 +280,11 @@ def _heat_bounds(model: ManifoldModel, pairs):
 
     Each pair is calibrated from endpoint values alone: K = lambda (h_t1 -
     delta h_t2) with K(0) = L(0) and K(theta_max) = 0, S_K = lambda (1 -
-    delta), and lambda = inf when singular.  The endpoints come from one
-    two-point Legendre table whose columns are made contiguous, so they are
-    ``heat_kernel(t, 0.0)`` and ``heat_kernel(t, theta_max)`` bit for bit.
+    delta), and lambda = inf when singular.  h_t at an angle is c @
+    legendre_all(len(c) - 1, cos theta), c = ``_heat_coeffs(t)``.  The
+    endpoints come from one two-point Legendre table whose columns are made
+    contiguous, so they are that product at the single angle 0 or
+    theta_max bit for bit.
     A pair can dominate when 0 < delta < 1 and 0 < lambda < inf; those come
     by decreasing S_K (a stable sort: ties keep the order of ``pairs``),
     ``dominated`` set when K <= L + 1e-9 on the ``_HEAT_CHECK_GRID`` =
@@ -331,8 +292,9 @@ def _heat_bounds(model: ManifoldModel, pairs):
     time, from one Legendre table only as deep as the deepest of those
     times, extended by ``legendre_all(..., below=)`` when a time needs more,
     so each degree is computed once per call; a row of the recurrence does
-    not depend on where it stops, so the profiles are ``heat_kernel``'s bit
-    for bit.  The grid is not built before the first checked pair is asked for.
+    not depend on where it stops, so the profiles are that product on the
+    grid bit for bit.  The grid is not built before the first checked pair
+    is asked for.
     """
     coeffs = {t: _heat_coeffs(t) for t in {t for pair in pairs for t in pair}}
     ends = legendre_all(max(map(len, coeffs.values()), default=1) - 1,
@@ -365,25 +327,6 @@ def _heat_bounds(model: ManifoldModel, pairs):
         yield HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
     for bound in rest:
         yield HeatKernelBound(*bound, False)
-
-
-def heat_kernel_bound(model: ManifoldModel, t1: float, t2: float) -> HeatKernelBound:
-    """Lower bound from K = lambda (h_t1 - delta h_t2) calibrated so that
-    K(0) = L(0) and K(theta_max) = 0.
-
-    ``dominated`` records whether K <= L holds on 10,000 angles over
-    [0, pi] (tolerance 1e-9), with 0 < delta < 1 and 0 < lambda < inf; S_K =
-    lambda (1 - delta) is a certified lower bound only in that case.
-    Positivity of the spectral coefficients
-    lambda (exp(-t1 l(l+1)) - delta exp(-t2 l(l+1))) holds by construction
-    when delta < 1 and t1 < t2.  The grid is not read when the calibration
-    cannot dominate.
-    """
-    if model.kind != "sphere":
-        raise ValueError("the heat-kernel bound is formulated on the sphere")
-    if not 0 < t1 < t2 < math.inf:
-        raise ValueError("need 0 < t1 < t2 < inf")
-    return next(_heat_bounds(model, [(t1, t2)]))
 
 
 def optimize_heat_params(model: ManifoldModel, t_grid) -> HeatKernelBound | None:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, exact, measure as measure_mod, optimize
-from .manifold import TAU_MAX, ManifoldModel
+from .manifold import TAU_MAX, ManifoldModel, kernel_matrix
 from .measure import action, density_action, measure_to_dict
 from .optimize import AnnealSchedule
 
@@ -191,8 +191,6 @@ def cmd_exact(args) -> int:
 def cmd_flag_check(args) -> int:
     witness = exact.flag_negative_witness(args.f, args.tau, args.eps)
     model = ManifoldModel.flag(args.f, args.tau)
-    from .manifold import kernel_matrix
-
     kernel_gram = kernel_matrix(model, witness.points)
     payload = {
         "f": args.f,

@@ -1,16 +1,18 @@
 """Closed-form constructions, used both as verified outputs and as oracles.
 
-Circle, tau > sqrt(2): the minimizer support is a chain of m0 points with
-consecutive gaps exactly theta_max, where m0 is the smallest integer with
-m0 >= 2 pi / theta_max.  Writing gamma = 2 pi - (m0 - 1) theta_max for the
-closing gap, the optimal weights and the minimal action are
+Circle, tau > tau_d = sqrt(3 + sqrt(10)): the minimizer support is a chain
+of m0 points with consecutive gaps exactly theta_max, where m0 is the
+smallest integer with m0 >= 2 pi / theta_max.  Writing gamma = 2 pi -
+(m0 - 1) theta_max for the closing gap, the optimal weights and the
+minimal action are
 
     w_1 = w_m0 = lam / (L(0) + L(gamma)),   w_i = lam / L(0) otherwise,
     lam = L(0) (L(0) + L(gamma)) / ((m0-2)(L(0)+L(gamma)) + 2 L(0)),
 
-with the action equal to lam.  The theorem behind the construction assumes
-tau > tau_d = sqrt(3 + sqrt(10)); numerically the same chain is observed
-to minimize down to sqrt(2), which ``force`` exposes.
+with the action equal to lam.  The chain is proved minimal only above
+tau_d.  Below it ``force`` builds the same chain without claiming that it
+is minimal, and it is not always: at tau = 1.68 a five-point measure with
+two half gaps has a smaller action.
 
 Sphere: the octahedron (equal weights 1/6) realizes the minimal action
 nu0 = 4 tau^2 - 4 tau^4 / 3 for tau <= sqrt(2); a three-band piecewise
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import TAU_MAX, ManifoldModel, flag_point, lagrangian, theta_max
-from .measure import DensityMeasure, WeightedMeasure, action, quadrature_grid
-from .optimize import optimal_weights
+from .measure import DensityMeasure, WeightedMeasure, quadrature_grid
 
 CIRCLE_TAU_D = math.sqrt(3.0 + math.sqrt(10.0))
 
@@ -80,21 +81,13 @@ def circle_chain_points(tau: float, k: int) -> np.ndarray:
     return (tm * np.arange(k)) % (2.0 * np.pi)
 
 
-def circle_chain_measure(model: ManifoldModel, k: int) -> WeightedMeasure:
-    """Chain of length k with KKT weights from the weight sub-solve (at
-    tau = 3 they match the closed-form minimizer's to 1e-10)."""
-    if model.kind != "circle":
-        raise ValueError("chains live on the circle")
-    pts = circle_chain_points(model.tau, k)
-    return WeightedMeasure(pts, optimal_weights(model, pts))
-
-
 def circle_chain_minimizer(tau: float, force: bool = False) -> ChainMinimizer:
     """The closed-form minimizer for tau > tau_d = sqrt(3 + sqrt(10)).
 
-    Refuses below tau_d unless ``force`` is set (the construction is
-    numerically observed to remain minimal down to sqrt(2), but the
-    theorem's hypothesis is tau > tau_d).
+    Refuses below tau_d unless ``force`` is set, which builds the same
+    chain and action without claiming that they are minimal: the chain is
+    proved minimal only above tau_d, and below it a different measure can
+    have a smaller action.
     """
     if not tau > CIRCLE_TAU_D and not force:
         raise ValueError(

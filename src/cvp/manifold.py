@@ -28,17 +28,11 @@ L = max(0, D); the sign of D defines the causal relation of two points.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Relative tolerance (times the kernel scale 8 tau^2) below which D is
-# declared lightlike; the kernel scale grows with tau, so a fixed absolute
-# cutoff would misclassify at large coupling.
-LIGHTLIKE_RTOL = 1e-12
 
 # Orthonormality drift above which flag pairs are re-orthonormalized on
 # construction.
@@ -50,12 +44,6 @@ _FLAG_DRIFT = 1e-12
 # tau = 1e3 about 1e-10 for the zonal kernel and up to 1.3e-10 on coincident
 # flag pairs, while beyond 1/sqrt(eps) the zonal 2 is lost.
 TAU_MAX = 1e3
-
-
-class Causality(enum.Enum):
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-    SPACELIKE = "spacelike"
 
 
 @dataclass(frozen=True)
@@ -324,10 +312,6 @@ def kernel_matrix(model: ManifoldModel, points) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def lagrangian_cross(model: ManifoldModel, xs, ys) -> np.ndarray:
-    return np.maximum(0.0, kernel_cross(model, xs, ys))
-
-
 def lagrangian_matrix(model: ManifoldModel, points) -> np.ndarray:
     return np.maximum(0.0, kernel_matrix(model, points))
 
@@ -361,19 +345,6 @@ def lagrangian_profile(model: ManifoldModel, theta) -> np.ndarray:
     if model.kind == "flag":
         raise ValueError("the flag kernel is not a function of one angle")
     return np.maximum(0.0, zonal_d(model.tau, np.cos(np.asarray(theta, dtype=float))))
-
-
-def causal_relation(model: ManifoldModel, x, y, tol: float = LIGHTLIKE_RTOL) -> Causality:
-    """Classify a pair as timelike/lightlike/spacelike by the sign of D.
-
-    ``tol`` is relative: |D| <= tol * 8 tau^2 counts as lightlike.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    d = d_kernel(model, x, y)
-    if abs(d) <= tol * model.kernel_scale:
-        return Causality.LIGHTLIKE
-    return Causality.TIMELIKE if d > 0 else Causality.SPACELIKE
 
 
 def _haar_flag_pairs(rng, n: int, f: int):

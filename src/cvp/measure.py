@@ -30,7 +30,6 @@ from .manifold import (
     ManifoldModel,
     is_single_point,
     kernel_cross,
-    lagrangian_cross,
     lagrangian_matrix,
     sample_uniform,
     theta_max,
@@ -89,19 +88,11 @@ def action(model: ManifoldModel, m: WeightedMeasure) -> float:
     return float(m.weights @ g @ m.weights)
 
 
-def _potential(cross, model: ManifoldModel, m: WeightedMeasure, x):
-    vals = cross(model, x, m.points) @ m.weights
-    return float(vals[0]) if is_single_point(model, x) else vals
-
-
-def lagrangian_potential(model: ManifoldModel, m: WeightedMeasure, x):
-    """ell(x) = sum_i w_i L(x, x_i); vectorized over a batch of x."""
-    return _potential(lagrangian_cross, model, m, x)
-
-
 def kernel_potential(model: ManifoldModel, m: WeightedMeasure, x):
-    """d(x) = sum_i w_i D(x, x_i), without clamping."""
-    return _potential(kernel_cross, model, m, x)
+    """d(x) = sum_i w_i D(x, x_i), without clamping; vectorized over a
+    batch of x."""
+    vals = kernel_cross(model, x, m.points) @ m.weights
+    return float(vals[0]) if is_single_point(model, x) else vals
 
 
 def probe_grid(model: ManifoldModel, n: int, seed) -> np.ndarray:
@@ -136,19 +127,19 @@ class QuadratureGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def quadrature_grid(model: ManifoldModel, resolution: int | None = None,
+def quadrature_grid(model: ManifoldModel, resolution: int,
                     breakpoints=None) -> QuadratureGrid:
     """The zonal quadrature rule on the sphere.
 
-    ``resolution`` is the cos(theta) order (default 200), spread over the
-    panels with at least 12 nodes each.  ``breakpoints`` lists cos(theta)
-    values where the panels are split, making piecewise integrands exactly
-    integrable per panel.
+    ``resolution`` is the cos(theta) order, spread over the panels with at
+    least 12 nodes each.  ``breakpoints`` lists cos(theta) values where the
+    panels are split, making piecewise integrands exactly integrable per
+    panel.
     """
     if model.kind != "sphere":
         raise ValueError("quadrature grids exist for the sphere only; "
                          "flag integrals use Monte Carlo")
-    n = 200 if resolution is None else int(resolution)
+    n = int(resolution)
     if n < 1:
         raise ValueError("resolution must be >= 1")
     if breakpoints is None:
@@ -186,11 +177,6 @@ class DensityMeasure:
         total = self.grid.integrate(v)
         if abs(total - 1.0) > _DENSITY_TOL:
             raise ValueError(f"density mass {total} is not 1 within 1e-8")
-
-
-def uniform_density(model: ManifoldModel) -> DensityMeasure:
-    grid = quadrature_grid(model)
-    return DensityMeasure(grid, np.ones_like(grid.weights))
 
 
 def volume_action(model: ManifoldModel) -> float:
@@ -308,12 +294,6 @@ def measure_from_dict(d: dict) -> tuple[ManifoldModel, WeightedMeasure]:
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed {kind} measure: {exc!r}") from exc
     return model, WeightedMeasure(validate_points(model, points), weights)
-
-
-def save_measure(path, model: ManifoldModel, m: WeightedMeasure) -> None:
-    with open(path, "w") as fh:
-        json.dump(measure_to_dict(model, m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_measure(path) -> tuple[ManifoldModel, WeightedMeasure]:

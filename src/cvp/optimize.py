@@ -43,6 +43,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from . import analysis
+from .exact import icosahedron, octahedron
 from .manifold import (
     ManifoldModel,
     _flag_coupling,
@@ -240,13 +241,9 @@ def _simplex_qp(G: np.ndarray, warm_free=None) -> WeightSolve:
 
 
 def optimal_weights_info(model: ManifoldModel, points) -> WeightSolve:
+    """The weight solve at a KKT point of the action for fixed support
+    points; the Gram may be indefinite, so it need not minimize the action."""
     return _simplex_qp(lagrangian_matrix(model, points))
-
-
-def optimal_weights(model: ManifoldModel, points) -> np.ndarray:
-    """Weights at a KKT point of the action for fixed support points; the
-    Gram may be indefinite, so they need not minimize the action."""
-    return optimal_weights_info(model, points).weights
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +398,7 @@ def _structured_start(model: ManifoldModel, m: int) -> np.ndarray:
     """Quasi-uniform start (packing-style seed): the octahedron or the
     icosahedron for 6 or 12 sphere points, else the probe grid."""
     if model.kind == "sphere" and m in (6, 12):
-        from . import exact  # deferred: exact imports this module
-
-        return (exact.octahedron() if m == 6 else exact.icosahedron()).points
+        return (octahedron() if m == 6 else icosahedron()).points
     return probe_grid(model, m, seed=11)
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cvp import ManifoldModel
+from cvp import ManifoldModel, WeightedMeasure, optimal_weights_info
+from cvp.exact import circle_chain_points
 
 
 def dense_flag_matrix(tau, x):
@@ -44,6 +45,14 @@ def brute_potentials(model, meas, x):
     ell = sum(w * max(0.0, d) for w, d in zip(meas.weights, dees))
     dee = sum(w * d for w, d in zip(meas.weights, dees))
     return ell, dee
+
+
+def circle_chain_measure(model, k):
+    """Chain of k circle points with gaps theta_max and KKT weights from the
+    weight sub-solve (at tau = 3 they match the closed-form minimizer's to
+    1e-10)."""
+    pts = circle_chain_points(model.tau, k)
+    return WeightedMeasure(pts, optimal_weights_info(model, pts).weights)
 
 
 def stqp_enumerate(G):

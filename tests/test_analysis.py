@@ -18,9 +18,6 @@ from cvp import (
     flag_gt_threshold,
     gram_min_eigenvalue,
     gt_obstruction_conflict,
-    heat_kernel,
-    heat_kernel_bound,
-    kernel_eigenvalues_by_quadrature,
     lagrangian,
     load_packing,
     nu0_lower_bound,
@@ -38,11 +35,44 @@ from cvp import (
 from cvp import analysis
 from cvp.analysis import _MC_BLOCK, _heat_lmax, _nu0_samples
 from cvp.exact import circle_chain_minimizer, circle_chain_points
-from cvp.manifold import kernel_cross, lagrangian_profile
+from cvp.manifold import kernel_cross, lagrangian_profile, zonal_d
+from cvp.spectral import legendre_all
 
 from conftest import dense_flag_kernel
 
 E1 = np.array([1.0, 0.0, 0.0])
+
+
+def kernel_eigenvalues_by_quadrature(model):
+    """(nu0, nu1, nu2) by numerically integrating D against the eigenbasis.
+
+    Guards the hard-coded closed forms: circle Fourier modes on a uniform
+    grid (exact for trigonometric polynomials), sphere Legendre modes by
+    Gauss-Legendre (exact for polynomials in cos theta).
+    """
+    tau = model.tau
+    if model.kind == "circle":
+        n = 4096
+        t = 2.0 * np.pi * np.arange(n) / n
+        d = zonal_d(tau, np.cos(t))
+        return tuple(float(np.mean(d * np.cos(k * t))) for k in range(3))
+    x, wq = np.polynomial.legendre.leggauss(64)
+    vals = 0.5 * (legendre_all(2, x) @ (wq * zonal_d(tau, x)))
+    return float(vals[0]), float(vals[1]), float(vals[2])
+
+
+def heat_kernel(t, theta):
+    """h_t(theta) = sum_l (2l+1) exp(-t l (l+1)) P_l(cos theta), with its
+    own truncation: the series stops at the first l whose term bound
+    (2l+1) exp(-t l (l+1)) is below 1e-12.  The reference for the heat
+    search, which must reproduce these values bit for bit."""
+    lmax = 0
+    while (2 * lmax + 1) * math.exp(-t * lmax * (lmax + 1)) >= 1e-12:
+        lmax += 1
+    ell = np.arange(lmax + 1)
+    coeffs = (2 * ell + 1) * np.exp(-t * ell * (ell + 1))
+    vals = coeffs @ legendre_all(lmax, np.cos(np.atleast_1d(np.asarray(theta, dtype=float))))
+    return float(vals[0]) if np.ndim(theta) == 0 else vals
 
 
 class TestCertify:
@@ -193,25 +223,19 @@ class TestHeatKernel:
         assert heat_kernel(0.2, 0.0) > heat_kernel(0.2, math.pi)
         assert heat_kernel(0.2, 0.7) == pytest.approx(brute(0.2, 0.7, 40), abs=1e-10)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            heat_kernel(0.0, 1.0)
-
     def test_degree_cap(self):
-        # 3e-5 needs 1,085 degrees, past the cap of 1,000 that every entry
-        # point shares; the error comes before any Legendre table is built
+        # 3e-5 needs 1,085 degrees, past the cap of 1,000; the error comes
+        # before any Legendre table is built
         model = ManifoldModel.sphere(1.5)
-        for call in (lambda: heat_kernel(3e-5, 0.0),
-                     lambda: heat_kernel_bound(model, 3e-5, 0.1),
-                     lambda: optimize_heat_params(model, [3e-5, 0.1, 1.0])):
-            with pytest.raises(ValueError, match="needs more than 1000 Legendre degrees"):
-                call()
+        with pytest.raises(ValueError, match="needs more than 1000 Legendre degrees"):
+            optimize_heat_params(model, [3e-5, 0.1, 1.0])
 
 
 class TestHeatKernelBound:
     def test_construction_identities(self):
         model = ManifoldModel.sphere(2.0)
-        hb = heat_kernel_bound(model, 0.1, 0.3)
+        hb = optimize_heat_params(model, [0.1, 0.3])
+        assert hb is not None and (hb.t1, hb.t2) == (0.1, 0.3)
         tm = theta_max(model)
         k0 = hb.lam * (heat_kernel(0.1, 0.0) - hb.delta * heat_kernel(0.3, 0.0))
         ktm = hb.lam * (heat_kernel(0.1, tm) - hb.delta * heat_kernel(0.3, tm))
@@ -222,7 +246,8 @@ class TestHeatKernelBound:
 
     def test_spectral_coefficients_nonnegative(self):
         model = ManifoldModel.sphere(2.0)
-        hb = heat_kernel_bound(model, 0.1, 0.3)
+        hb = optimize_heat_params(model, [0.1, 0.3])
+        assert hb is not None
         ell = np.arange(101)
         coeffs = hb.lam * (
             np.exp(-hb.t1 * ell * (ell + 1)) - hb.delta * np.exp(-hb.t2 * ell * (ell + 1))
@@ -230,11 +255,8 @@ class TestHeatKernelBound:
         assert np.all(coeffs >= 0)
 
     def test_domain_errors(self):
-        model = ManifoldModel.sphere(2.0)
-        with pytest.raises(ValueError):
-            heat_kernel_bound(model, 0.3, 0.1)
-        with pytest.raises(ValueError):
-            heat_kernel_bound(ManifoldModel.circle(2.0), 0.1, 0.3)
+        with pytest.raises(ValueError, match="on the sphere"):
+            optimize_heat_params(ManifoldModel.circle(2.0), [0.1, 0.3])
 
     def test_grid_search(self):
         model = ManifoldModel.sphere(2.0)
@@ -280,7 +302,7 @@ class TestHeatKernelBound:
         model = ManifoldModel.sphere(tau)
         best = optimize_heat_params(model, np.geomspace(0.01, 2.0, 14))
         assert best is not None
-        assert heat_kernel_bound(model, best.t1, best.t2) == best
+        assert optimize_heat_params(model, [best.t1, best.t2]) == best
 
     def test_weak_coupling_bound_vs_nu0(self):
         model = ManifoldModel.sphere(1.1)
@@ -297,8 +319,6 @@ class TestHeatKernelBound:
         model = ManifoldModel.sphere(1.5)
         with pytest.raises(ValueError, match="finite and > 0"):
             optimize_heat_params(model, times)
-        with pytest.raises(ValueError, match="need 0 < t1 < t2 < inf"):
-            heat_kernel_bound(model, *times)
 
 
 def _reference_calibrated_bound(model, t1, t2, h1, h2, lvals, floor=-math.inf):

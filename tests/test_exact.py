@@ -7,9 +7,9 @@ import pytest
 from cvp import (
     Classification,
     ManifoldModel,
+    WeightedMeasure,
     action,
     certify,
-    circle_chain_measure,
     circle_chain_minimizer,
     circle_m0,
     circle_tau_m,
@@ -20,6 +20,7 @@ from cvp import (
     icosahedron,
     lagrangian,
     octahedron,
+    optimal_weights_info,
     spectral_closed_form,
     theta_max,
     three_band_density,
@@ -27,7 +28,7 @@ from cvp import (
 from cvp.exact import CIRCLE_TAU_D, circle_chain_points
 from cvp.manifold import kernel_matrix
 
-from conftest import dense_flag_kernel
+from conftest import brute_action, circle_chain_measure, dense_flag_kernel
 
 
 def chain_action_oracle(tau):
@@ -106,6 +107,22 @@ class TestChainMinimizer:
         forced = circle_chain_minimizer(2.0, force=True)
         assert forced.m0 == 6
         assert forced.action == pytest.approx(chain_action_oracle(2.0)[2], abs=1e-12)
+
+    def test_forced_chain_not_minimal_below_tau_d(self):
+        # at tau = 1.68 < tau_d, five points with gaps theta_max (three
+        # times) and two halves of the rest beat the forced 5-chain
+        tau = 1.68
+        model = ManifoldModel.circle(tau)
+        tm = theta_max(model)
+        r = 2 * math.pi - 3 * tm
+        pts = np.cumsum([0.0, tm, tm, tm, r / 2])
+        other = WeightedMeasure(pts, optimal_weights_info(model, pts).weights)
+        forced = circle_chain_minimizer(tau, force=True)
+        a_other = brute_action(model, other)
+        a_chain = brute_action(model, forced.measure)
+        assert a_other == pytest.approx(4.660945, abs=1e-6)
+        assert a_chain == pytest.approx(4.661388, abs=1e-6)
+        assert a_other < a_chain - 1e-4
 
     def test_shorter_chains_lose(self):
         tau = 3.0

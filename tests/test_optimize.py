@@ -15,7 +15,6 @@ from cvp import (
     circle_uniform,
     merge_clusters,
     octahedron,
-    optimal_weights,
     optimal_weights_info,
     sample_uniform,
     tau_scan,
@@ -23,8 +22,8 @@ from cvp import (
     write_scan_csv,
 )
 from cvp import manifold, nu0_monte_carlo, optimize
-from cvp.exact import circle_chain_measure, circle_chain_minimizer, circle_m0
-from cvp.manifold import flag_point, lagrangian_cross, lagrangian_matrix
+from cvp.exact import circle_chain_minimizer, circle_m0
+from cvp.manifold import flag_point, kernel_cross, lagrangian_matrix
 from cvp.optimize import (
     ScanRow,
     _qp_max_iter,
@@ -32,7 +31,7 @@ from cvp.optimize import (
     _simplex_qp,
 )
 
-from conftest import pair_kernel, stqp_enumerate
+from conftest import circle_chain_measure, pair_kernel, stqp_enumerate
 
 
 def light(model, seed=0, **kw):
@@ -100,13 +99,13 @@ class TestOptimalWeights:
         tau = 3.0
         model = ManifoldModel.circle(tau)
         chain = circle_chain_minimizer(tau)
-        w = optimal_weights(model, chain.measure.points)
+        w = optimal_weights_info(model, chain.measure.points).weights
         assert np.max(np.abs(w - chain.measure.weights)) < 1e-10
 
     def test_spacelike_points_uniform(self):
         model = ManifoldModel.sphere(2.5)  # theta_max < pi/2
         pts = np.vstack([np.eye(3), -np.eye(3)])
-        w = optimal_weights(model, pts)
+        w = optimal_weights_info(model, pts).weights
         assert np.max(np.abs(w - 1 / 6)) < 1e-12
 
     def test_coincident_points_degenerate(self):
@@ -127,7 +126,7 @@ class TestOptimalWeights:
     def test_simplex_feasibility_exact(self):
         model = ManifoldModel.circle(2.4)
         pts = sample_uniform(model, 15, seed=4)
-        w = optimal_weights(model, pts)
+        w = optimal_weights_info(model, pts).weights
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -296,7 +295,7 @@ def oracle_points(model):
 
 def assert_rows_match_oracles(model, pts, queries):
     """The state's kernel rows and probe potential against
-    ``lagrangian_cross`` and conftest's ``pair_kernel``, before and after
+    max(0, ``kernel_cross``) and conftest's ``pair_kernel``, before and after
     ``move`` (with the features of the last row and not)."""
     tol = 1e-12 * model.kernel_scale
     w = np.random.default_rng(8).random(len(pts))
@@ -313,10 +312,11 @@ def assert_rows_match_oracles(model, pts, queries):
         for x in queries:
             oracle = [max(0.0, pair_kernel(model, x, y)) for y in pts]
             row = st.l_row(x)
-            assert np.max(np.abs(row - lagrangian_cross(model, x, pts)[0])) <= tol
+            assert np.max(np.abs(row - np.maximum(0.0, kernel_cross(model, x, pts))[0])) <= tol
             assert np.max(np.abs(row - oracle)) <= tol
         ell = st.ell_on_probe(w)
-        assert np.max(np.abs(ell - lagrangian_cross(model, st.lift.probe, pts) @ w)) <= tol
+        ell_cross = np.maximum(0.0, kernel_cross(model, st.lift.probe, pts)) @ w
+        assert np.max(np.abs(ell - ell_cross)) <= tol
         for j in range(0, len(st.lift.probe), 16):
             oracle = sum(wi * max(0.0, pair_kernel(model, st.lift.probe[j], y))
                          for wi, y in zip(w, pts))
@@ -336,13 +336,13 @@ class TestEngines:
         w /= w.sum()
         tol = 1e-12 * model.kernel_scale
         st = make_state(model, pts)
-        assert np.max(np.abs(st.l_row(x) - lagrangian_cross(model, x, pts)[0])) <= tol
-        ell = lagrangian_cross(model, st.lift.probe, pts) @ w
+        assert np.max(np.abs(st.l_row(x) - np.maximum(0.0, kernel_cross(model, x, pts))[0])) <= tol
+        ell = np.maximum(0.0, kernel_cross(model, st.lift.probe, pts)) @ w
         assert np.max(np.abs(st.ell_on_probe(w) - ell)) <= tol
         st.move(2, x, *st.cost(2, x))
         pts[2] = x
         assert np.array_equal(st.pts, pts)
-        assert np.max(np.abs(st.l_row(y) - lagrangian_cross(model, y, pts)[0])) <= tol
+        assert np.max(np.abs(st.l_row(y) - np.maximum(0.0, kernel_cross(model, y, pts))[0])) <= tol
 
     @pytest.mark.parametrize("model", LIFT_MODELS, ids=lambda m: f"{m.kind}{m.f or ''}-{m.tau}")
     def test_lifted_rows_match_the_oracles(self, model):
@@ -356,7 +356,7 @@ class TestEngines:
             monkeypatch.setattr(optimize, "_zonal_features",
                                 lambda e, a, a2, b, c: features(e, a, a, b, c))
         else:
-            # the one C, which kernel_cross and lagrangian_cross read too, so
+            # the one C, which kernel_cross reads too, so
             # the mutation must fail through conftest's pair_kernel
             model = ManifoldModel.flag(3, 2.0)
             flag_coupling = manifold._flag_coupling
