@@ -35,7 +35,6 @@ from .manifold import (
 )
 from .measure import (
     DensityMeasure,
-    QuadratureGrid,
     WeightedMeasure,
     action,
     density_action,
@@ -43,7 +42,6 @@ from .measure import (
     load_measure,
     measure_from_dict,
     measure_to_dict,
-    quadrature_grid,
     volume_action,
 )
 from .optimize import (

@@ -357,7 +357,7 @@ def _unit_rows(pts, what: str) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"{what} must be an array of unit 3-vectors")
     norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN norm fails here too
         raise ValueError(f"{what} points must be unit vectors within 1e-6")
     return pts / norms[:, None]
 

@@ -169,14 +169,13 @@ def cmd_exact(args) -> int:
     else:  # density
         model = ManifoldModel.sphere(args.tau)
         dm = exact.three_band_density()
-        cosn, cw, f = dm.grid.nodes, dm.grid.weights, dm.values
-        p2 = 0.5 * (3.0 * cosn**2 - 1.0)
+        mass, moment_cos, moment_p2 = measure_mod._zonal_legendre_moments(dm, 2).tolist()
         act = density_action(model, dm)
         nu0 = analysis.spectral_closed_form(model).nu0
         payload = {
-            "mass": float(cw @ f),
-            "moment_cos": float(cw @ (f * cosn)),
-            "moment_p2": float(cw @ (f * p2)),
+            "mass": mass,
+            "moment_cos": moment_cos,
+            "moment_p2": moment_p2,
             "action": act,
             "nu0": nu0,
             "action_minus_nu0": act - nu0,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import TAU_MAX, ManifoldModel, flag_point, lagrangian, theta_max
-from .measure import DensityMeasure, WeightedMeasure, quadrature_grid
+from .measure import DensityMeasure, WeightedMeasure
 
 CIRCLE_TAU_D = math.sqrt(3.0 + math.sqrt(10.0))
 
@@ -127,24 +127,19 @@ def icosahedron() -> WeightedMeasure:
     return WeightedMeasure(pts, np.full(12, 1.0 / 12.0))
 
 
-# cos(theta) bands and values of the three-band cap density; the bands are
-# (0.8, 1], (0.2, 0.4) and (-0.7, -0.5) with values 5/3, 35/9, 40/9
-_BAND_VALUES = {(-0.7, -0.5): 40.0 / 9.0, (0.2, 0.4): 35.0 / 9.0, (0.8, 1.0): 5.0 / 3.0}
-
-
 def three_band_density() -> DensityMeasure:
-    """Piecewise-constant zonal density supported on three spherical bands.
+    """Zonal density supported on three spherical bands: the values 5/3,
+    35/9 and 40/9 on the cos(theta) bands (0.8, 1], (0.2, 0.4) and
+    (-0.7, -0.5), zero on the bands between them.
 
     Its total mass is 1 and its l = 1, 2 moments vanish, so for couplings
     small enough that the whole support is pairwise non-spacelike it is a
     generically timelike minimizer with action nu0.
     """
-    edges = [edge for band in _BAND_VALUES for edge in band]
-    grid = quadrature_grid(ManifoldModel.sphere(1.0), 240, breakpoints=edges)
-    values = np.zeros_like(grid.nodes)
-    for (lo, hi), val in _BAND_VALUES.items():
-        values[(grid.nodes > lo) & (grid.nodes < hi)] = val
-    return DensityMeasure(grid, values)
+    return DensityMeasure(
+        [-1.0, -0.7, -0.5, 0.2, 0.4, 0.8, 1.0],
+        [0.0, 40.0 / 9.0, 0.0, 35.0 / 9.0, 0.0, 5.0 / 3.0],
+    )
 
 
 @dataclass(frozen=True)

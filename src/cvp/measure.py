@@ -3,8 +3,8 @@
 Two measure representations are used: ``WeightedMeasure`` (support points
 with non-negative weights summing to one, the optimization variable) and
 ``DensityMeasure`` (a zonal sphere density against the homogenizer, one
-value per node of a cos(theta) quadrature rule).  The action of a weighted
-measure is the double sum
+value per cos(theta) band).  The action of a weighted measure is the
+double sum
 
     S = sum_ij w_i w_j L(x_i, x_j),
 
@@ -35,11 +35,7 @@ from .manifold import (
     theta_max,
     validate_points,
 )
-from .spectral import (
-    fibonacci_sphere,
-    legendre_band_integrals,
-    panel_gauss_legendre,
-)
+from .spectral import fibonacci_sphere, legendre_band_integrals
 
 _WEIGHT_TOL = 1e-12
 _DENSITY_TOL = 1e-8
@@ -106,75 +102,34 @@ def probe_grid(model: ManifoldModel, n: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quadrature grids and densities
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """A zonal quadrature rule against the normalized uniform sphere measure.
-
-    ``nodes`` are per-panel Gauss-Legendre nodes in c = cos(theta) and
-    ``weights`` their dc/2, which sum to 1, so ``integrate`` gives the sphere
-    mean of a function of cos(theta) alone.  ``panels`` are the cos(theta)
-    panel edges, from -1 to 1.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    panels: np.ndarray
-
-    def integrate(self, values) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-
-def quadrature_grid(model: ManifoldModel, resolution: int,
-                    breakpoints=None) -> QuadratureGrid:
-    """The zonal quadrature rule on the sphere.
-
-    ``resolution`` is the cos(theta) order, spread over the panels with at
-    least 12 nodes each.  ``breakpoints`` lists cos(theta) values where the
-    panels are split, making piecewise integrands exactly integrable per
-    panel.
-    """
-    if model.kind != "sphere":
-        raise ValueError("quadrature grids exist for the sphere only; "
-                         "flag integrals use Monte Carlo")
-    n = int(resolution)
-    if n < 1:
-        raise ValueError("resolution must be >= 1")
-    if breakpoints is None:
-        panels = np.array([-1.0, 1.0])
-    else:
-        cuts = np.asarray(breakpoints, float)
-        if cuts.ndim != 1 or not np.all(np.isfinite(cuts)):
-            raise ValueError("breakpoints must be a 1-d list of finite values")
-        # a sorted set, not np.unique, which loads numpy.ma on its first call
-        panels = np.array(sorted({-1.0, 1.0, *cuts.tolist()}))
-        if panels[0] < -1.0 or panels[-1] > 1.0:
-            raise ValueError("breakpoints must lie in [-1, 1]")
-    order = max(12, int(np.ceil(n / (len(panels) - 1))))
-    c, cw = panel_gauss_legendre(panels, order)
-    return QuadratureGrid(c, cw / 2.0, panels)
+# zonal densities
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMeasure:
-    """A non-negative zonal density on the sphere against the homogenizer:
-    one value per cos(theta) node of its grid."""
+    """A non-negative zonal density on the sphere against the homogenizer,
+    constant on each cos(theta) band: ``values[k]`` on
+    [edges[k], edges[k + 1]].  The edges rise strictly from -1 to 1, and the
+    mass sum_k values[k] (edges[k + 1] - edges[k]) / 2 is 1."""
 
-    grid: QuadratureGrid
+    edges: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        e = np.asarray(self.edges, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
-        if v.shape != self.grid.nodes.shape:
-            raise ValueError("values must match the grid nodes")
+        rising = e.ndim == 1 and len(e) > 1 and np.all(e[1:] > e[:-1])
+        if not rising or e[0] != -1.0 or e[-1] != 1.0:
+            raise ValueError("band edges must rise strictly from -1 to 1")
+        if v.shape != (len(e) - 1,):
+            raise ValueError("values must hold one value per band")
         if not np.all(np.isfinite(v)):
             raise ValueError("density values must be finite")
         if np.any(v < -_DENSITY_TOL):
             raise ValueError("density values must be non-negative")
-        total = self.grid.integrate(v)
+        total = 0.5 * float(v @ (e[1:] - e[:-1]))
         if abs(total - 1.0) > _DENSITY_TOL:
             raise ValueError(f"density mass {total} is not 1 within 1e-8")
 
@@ -215,9 +170,7 @@ def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
     over [c_k, 1], in closed form: the exact band integrals of P_l up to
     degree lmax + 2, multiplied by c twice through the three-term recurrence.
     """
-    ckink = max(-1.0, 1.0 - 2.0 / model.tau**2)
-    if ckink >= 1.0:
-        return np.zeros(lmax + 1)
+    ckink = 1.0 - 2.0 / model.tau**2  # in [-1, 1) for tau in [1, TAU_MAX]
     t2 = model.tau**2
     p0 = legendre_band_integrals(lmax + 2, [ckink, 1.0])[0]
     p1 = _times_c(p0)
@@ -229,19 +182,14 @@ def _lagrangian_legendre_coeffs(model: ManifoldModel, lmax: int) -> np.ndarray:
 
 def _zonal_legendre_moments(dm: DensityMeasure, lmax: int) -> np.ndarray:
     """fhat_l = int f(x) P_l(cos theta_x) dmu, l = 0 .. lmax, exact from the
-    band integrals of P_l; the density must be constant on each panel."""
-    panels = dm.grid.panels
-    per_panel = dm.values.reshape(len(panels) - 1, -1)
-    if np.max(np.abs(per_panel - per_panel[:, :1])) > 1e-13:
-        raise ValueError("the density must be constant on each panel of its grid")
-    bands = legendre_band_integrals(lmax, panels)
-    return sum(v * 0.5 * band for v, band in zip(per_panel[:, 0], bands))
+    band integrals of P_l."""
+    bands = legendre_band_integrals(lmax, dm.edges)
+    return sum(v * 0.5 * band for v, band in zip(dm.values, bands))
 
 
 def density_action(model: ManifoldModel, dm: DensityMeasure) -> float:
-    """Action of a zonal sphere density d(rho) = f d(mu), constant on each
-    panel of its grid, as sum_l c_l fhat_l^2 up to degree 480; this covers
-    the volume measure and the banded constructions used here."""
+    """Action of a banded zonal sphere density d(rho) = f d(mu) as
+    sum_l c_l fhat_l^2 up to degree 480."""
     if model.kind != "sphere":
         raise ValueError("density measures are supported on the sphere only")
     cl = _lagrangian_legendre_coeffs(model, _DENSITY_LMAX)

@@ -81,23 +81,6 @@ def legendre_band_integrals(lmax: int, edges) -> np.ndarray:
     return out
 
 
-def panel_gauss_legendre(panels, order: int):
-    """Gauss-Legendre nodes/weights on each interval of a sorted breakpoint list.
-
-    Returns flat (nodes, weights) with sum(weights) = total length; exactness
-    holds per panel for integrands of polynomial degree <= 2*order - 1.
-    """
-    panels = np.asarray(panels, dtype=float)
-    if panels.ndim != 1 or len(panels) < 2 or np.any(np.diff(panels) <= 0):
-        raise ValueError("panels must be a strictly increasing 1-d breakpoint list")
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(panels[:-1], panels[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n quasi-uniform points on S^2 (golden-angle spiral)."""
     i = np.arange(n)
@@ -109,11 +92,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 
 def real_sphere_harmonics(points: np.ndarray) -> np.ndarray:
-    """Orthonormal real spherical harmonics for l = 1, 2, shape (8, n).
+    """Real spherical harmonics for l = 1, 2, shape (8, n).
 
-    Normalized against the probability measure dmu = dA / (4 pi), i.e.
-    int Y_a Y_b dmu = delta_ab / ... with int Y^2 dA = 1; only the
-    vanishing of the integrals matters for moment residuals.
+    They are orthonormal against the area measure dA: int Y_a Y_b dA =
+    delta_ab.  Against the probability measure dmu = dA / (4 pi) their Gram
+    is int Y_a Y_b dmu = delta_ab / (4 pi); only the vanishing of the
+    integrals matters for moment residuals.
     """
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     c1 = np.sqrt(3.0 / (4.0 * np.pi))

@@ -55,6 +55,18 @@ def circle_chain_measure(model, k):
     return WeightedMeasure(pts, optimal_weights_info(model, pts).weights)
 
 
+def band_gauss_rule(dm, order):
+    """Independent quadrature for a banded zonal density: ``order``
+    Gauss-Legendre nodes in cos(theta) per band, their weights dc/2 and the
+    density's value at each node; exact per band for polynomials in
+    cos(theta) of degree at most 2 order - 1."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, hi = dm.edges[:-1, None], dm.edges[1:, None]
+    nodes = (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel()
+    weights = (0.25 * (hi - lo) * w).ravel()
+    return nodes, weights, np.repeat(dm.values, order)
+
+
 def stqp_enumerate(G):
     """Independent oracle: (value, weights) of the global minimum of
     w^T G w over the probability simplex, by enumerating the faces, n <= 12.

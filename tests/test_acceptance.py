@@ -39,6 +39,8 @@ from cvp.exact import circle_chain_minimizer
 from cvp.manifold import kernel_matrix
 from cvp.spectral import real_sphere_harmonics
 
+from conftest import band_gauss_rule
+
 
 def check(criterion, ok, detail):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}  {detail}")
@@ -154,19 +156,19 @@ def test_criterion_3_sphere_timelike_phase(sphere_runs):
 def test_criterion_4_banded_density():
     model = ManifoldModel.sphere(1.001)
     dm = three_band_density()
-    grid = dm.grid
-    mass = grid.integrate(dm.values)
-    # the zonal rule times a ring of 8 uniform phi nodes, which integrates
-    # cos(m phi) and sin(m phi) exactly for |m| <= 2
+    cosn, cw, f = band_gauss_rule(dm, 40)
+    mass = float(cw @ f)
+    # the per-band rule times a ring of 8 uniform phi nodes, which
+    # integrates cos(m phi) and sin(m phi) exactly for |m| <= 2
     phi = 2.0 * np.pi * np.arange(8) / 8
-    s = np.sqrt(1.0 - grid.nodes**2)
+    s = np.sqrt(1.0 - cosn**2)
     nodes = np.column_stack([
         np.outer(s, np.cos(phi)).ravel(),
         np.outer(s, np.sin(phi)).ravel(),
-        np.repeat(grid.nodes, 8),
+        np.repeat(cosn, 8),
     ])
     ylm = real_sphere_harmonics(nodes)
-    moments = np.abs(ylm @ np.repeat(grid.weights * dm.values / 8, 8))
+    moments = np.abs(ylm @ np.repeat(cw * f / 8, 8))
     act = density_action(model, dm)
     nu0 = spectral_closed_form(model).nu0
     ok = (

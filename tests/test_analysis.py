@@ -25,7 +25,6 @@ from cvp import (
     octahedron,
     icosahedron,
     optimize_heat_params,
-    quadrature_grid,
     sample_uniform,
     spectral_closed_form,
     tammes_upper_bound,
@@ -204,10 +203,10 @@ class TestHeatKernel:
         assert heat_kernel(50.0, 1.234) == pytest.approx(1.0, abs=1e-12)
 
     def test_integral_is_one(self):
-        g = quadrature_grid(ManifoldModel.sphere(1.0), 200)
-        theta = np.arccos(np.clip(g.nodes, -1, 1))
-        vals = heat_kernel(0.1, theta)
-        assert g.integrate(vals) == pytest.approx(1.0, abs=1e-8)
+        # 200-node Gauss-Legendre in cos(theta), weights dc/2
+        c, w = np.polynomial.legendre.leggauss(200)
+        vals = heat_kernel(0.1, np.arccos(c))
+        assert (w / 2) @ vals == pytest.approx(1.0, abs=1e-8)
 
     def test_peak_at_zero(self):
         # brute-force partial sums as the oracle
@@ -460,7 +459,8 @@ class TestTammes:
         ([[1.0, 0.0, 0.0], [0.0, 1.1, 0.0]], "unit vectors within 1e-6"),
         ([[1.0, 0.0]], "array of unit 3-vectors"),
         ([1.0, 0.0, 0.0], "array of unit 3-vectors"),
-    ], ids=["non-unit", "two-coordinates", "one-point-unstacked"])
+        ([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], "unit vectors within 1e-6"),
+    ], ids=["non-unit", "two-coordinates", "one-point-unstacked", "nan"])
     def test_rejects_non_unit_points_and_wrong_shapes(self, packing, message):
         with pytest.raises(ValueError, match=message):
             tammes_upper_bound(ManifoldModel.sphere(1.4), packing)
@@ -481,6 +481,9 @@ class TestTammes:
         with pytest.raises(ValueError):
             load_packing(p)
         p.write_text("2.0 0.0 0.0\n")
+        with pytest.raises(ValueError):
+            load_packing(p)
+        p.write_text("nan 0 0\n1 0 0\n0 1 0\n")
         with pytest.raises(ValueError):
             load_packing(p)
         p.write_text("# only comments\n")

@@ -8,7 +8,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC = [
     "AnnealSchedule", "BoundsReport", "CertificateReport", "ChainMinimizer",
     "Classification", "DensityMeasure", "HeatKernelBound", "ManifoldModel",
-    "MergeResult", "QuadratureGrid", "ScanRow", "WeightedMeasure", "action",
+    "MergeResult", "ScanRow", "WeightedMeasure", "action",
     "anneal", "antipodal_obstruction", "bounds_report", "certify",
     "circle_chain_minimizer", "circle_m0", "circle_tau_m", "circle_uniform",
     "d_kernel", "density_action", "flag_gt_threshold", "flag_negative_witness",
@@ -16,7 +16,7 @@ PUBLIC = [
     "icosahedron", "kernel_potential", "lagrangian", "load_measure",
     "load_packing", "measure_from_dict", "measure_to_dict", "merge_clusters",
     "nu0_lower_bound", "nu0_monte_carlo", "octahedron", "optimal_weights_info",
-    "optimize_heat_params", "quadrature_grid", "sample_uniform",
+    "optimize_heat_params", "sample_uniform",
     "spectral_closed_form", "tammes_upper_bound", "tau_scan", "theta_max",
     "three_band_density", "volume_action", "write_scan_csv",
 ]
@@ -25,7 +25,7 @@ PUBLIC = [
 def test_public_names_are_pinned():
     # the submodules are importable as cvp.<module> but not exported
     assert sorted(cvp.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 50
+    assert len(PUBLIC) == 48
 
 
 def test_readme_api_block_uses_public_names():

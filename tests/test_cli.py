@@ -277,6 +277,13 @@ class TestBounds:
         )
         assert code == 3
 
+    def test_nan_packing_coordinate_exit_2(self, capsys, tmp_path):
+        # a NaN norm fails every comparison, so it must not pass the unit-norm check
+        p = tmp_path / "nan.txt"
+        p.write_text("nan 0 0\n1 0 0\n0 1 0\n")
+        code, out, err = run(capsys, "bounds", "--tau", "1.5", "--packing", str(p))
+        assert_rejected(code, out, err, "unit vectors within 1e-6")
+
 
 class TestScan:
     def test_csv_output(self, capsys, tmp_path):
@@ -588,7 +595,8 @@ class TestEntryPoint:
 
     def test_density_leaves_numpy_ma_unloaded(self):
         # np.unique loads numpy.ma, about 1.7 MB of module objects, on its
-        # first call; the density's panel edges come from a sorted set
+        # first call, and a Gauss-Legendre rule loads numpy.polynomial; the
+        # density is its band edges and values and needs neither
         import subprocess
         import sys
         from pathlib import Path
@@ -601,7 +609,7 @@ class TestEntryPoint:
                 "import cvp.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    code = cvp.cli.main(['exact', 'density', '--tau', '1.001'])\n"
-                "print(code, 'numpy.ma' in sys.modules)\n")
+                "print(code, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env)
-        assert (res.returncode, res.stdout) == (0, "0 False\n")
+        assert (res.returncode, res.stdout) == (0, "0 False False\n")

@@ -28,7 +28,7 @@ from cvp import (
 from cvp.exact import CIRCLE_TAU_D, circle_chain_points
 from cvp.manifold import kernel_matrix
 
-from conftest import brute_action, circle_chain_measure, dense_flag_kernel
+from conftest import band_gauss_rule, brute_action, circle_chain_measure, dense_flag_kernel
 
 
 def chain_action_oracle(tau):
@@ -213,13 +213,11 @@ class TestThreeBandDensity:
         assert mass == pytest.approx(1.0, abs=1e-15)
         assert mom1 == pytest.approx(0.0, abs=1e-15)
         assert mom2 == pytest.approx(0.0, abs=1e-15)
-        dm = three_band_density()
-        grid = dm.grid
-        cosn = grid.nodes
-        assert grid.integrate(dm.values) == pytest.approx(mass, abs=1e-12)
-        assert grid.integrate(dm.values * cosn) == pytest.approx(mom1, abs=1e-12)
+        cosn, cw, f = band_gauss_rule(three_band_density(), 40)
+        assert cw @ f == pytest.approx(mass, abs=1e-12)
+        assert cw @ (f * cosn) == pytest.approx(mom1, abs=1e-12)
         p2 = 0.5 * (3 * cosn**2 - 1)
-        assert grid.integrate(dm.values * p2) == pytest.approx(mom2, abs=1e-12)
+        assert cw @ (f * p2) == pytest.approx(mom2, abs=1e-12)
 
     def test_action_is_nu0_in_validity_range(self):
         model = ManifoldModel.sphere(1.001)
@@ -235,13 +233,8 @@ class TestThreeBandDensity:
         assert density_action(model, dm) > spectral_closed_form(model).nu0 + 1e-4
 
     def test_memory_is_the_cos_theta_rule(self):
-        # the density and its action hold arrays of the 240-node rule and
-        # the Legendre tables, not a grid over the whole sphere; numpy
-        # imports numpy.ma (np.unique) and numpy.polynomial on first use,
-        # and those modules are not the density's memory
-        import numpy.ma  # noqa: F401
-        import numpy.polynomial  # noqa: F401
-
+        # the density and its action hold its seven band edges and the
+        # Legendre tables, not a grid over the whole sphere
         tracemalloc.start()
         try:
             density_action(ManifoldModel.sphere(1.001), three_band_density())

@@ -16,7 +16,6 @@ from cvp import (
     measure_from_dict,
     measure_to_dict,
     octahedron,
-    quadrature_grid,
     sample_uniform,
     volume_action,
 )
@@ -34,10 +33,9 @@ def ell_potential(model, m, xs):
     return np.maximum(0.0, kernel_cross(model, xs, m.points)) @ m.weights
 
 
-def uniform_density(model):
-    """The volume measure as a density, 1 on the 200-node zonal rule."""
-    grid = quadrature_grid(model, 200)
-    return DensityMeasure(grid, np.ones_like(grid.weights))
+def uniform_density():
+    """The volume measure as a density: 1 on the one band [-1, 1]."""
+    return DensityMeasure([-1.0, 1.0], [1.0])
 
 
 class TestWeightedMeasure:
@@ -146,72 +144,54 @@ class TestPotentials:
 
 
 class TestQuadratureGrid:
-    def test_total_mass(self):
-        g = quadrature_grid(ManifoldModel.sphere(1.0), 60)
-        assert g.integrate(np.ones_like(g.weights)) == pytest.approx(1.0, abs=1e-13)
-
-    def test_odd_moment_vanishes(self):
-        g = quadrature_grid(ManifoldModel.sphere(1.0), 200)
-        assert abs(g.integrate(g.nodes)) < 1e-12
-
     def test_kernel_integral_is_nu0(self):
-        # D about the pole e3 at the points (sin(theta), 0, cos(theta)) of
-        # the rule; nu0 is rotation-invariant, so the pole stands for any point
+        # D about the pole e3 at the points (sin(theta), 0, cos(theta)) of a
+        # 200-node Gauss-Legendre rule in cos(theta), weights dc/2; nu0 is
+        # rotation-invariant, so the pole stands for any point
         model = ManifoldModel.sphere(1.5)
-        g = quadrature_grid(model, 200)
-        ring = np.column_stack([np.sqrt(1.0 - g.nodes**2), np.zeros_like(g.nodes), g.nodes])
+        c, w = np.polynomial.legendre.leggauss(200)
+        ring = np.column_stack([np.sqrt(1.0 - c**2), np.zeros_like(c), c])
         vals = kernel_cross(model, np.array([[0.0, 0.0, 1.0]]), ring)[0]
-        assert g.integrate(vals) == pytest.approx(2.25, abs=1e-8)
-
-    @pytest.mark.parametrize("kind", ["circle", "flag"])
-    def test_flag_unsupported(self, kind, flag32):
-        model = flag32 if kind == "flag" else ManifoldModel.circle(1.0)
-        with pytest.raises(ValueError):
-            quadrature_grid(model, 10)
-
-    def test_breakpoints_split_panels(self):
-        g = quadrature_grid(ManifoldModel.sphere(1.0), 60, breakpoints=[0.0])
-        assert g.panels.tolist() == [-1.0, 0.0, 1.0]
-        step = g.integrate(np.where(g.nodes > 0, 1.0, 0.0))
-        assert step == pytest.approx(0.5, abs=1e-14)
-
-    def test_non_finite_breakpoints_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            quadrature_grid(ManifoldModel.sphere(1.0), 60, breakpoints=[0.0, np.nan])
-
-    @pytest.mark.parametrize("resolution", [0, -5])
-    def test_resolution_below_one_rejected(self, resolution):
-        with pytest.raises(ValueError, match="resolution"):
-            quadrature_grid(ManifoldModel.sphere(1.0), resolution)
+        assert (w / 2) @ vals == pytest.approx(2.25, abs=1e-8)
 
 
 class TestDensityMeasure:
     def test_validation(self):
-        g = quadrature_grid(ManifoldModel.sphere(1.0), 40)
-        with pytest.raises(ValueError):
-            DensityMeasure(g, -np.ones_like(g.weights))
-        with pytest.raises(ValueError):
-            DensityMeasure(g, 2.0 * np.ones_like(g.weights))
+        bad = [
+            ([-1.0, 1.0], [-1.0], "non-negative"),
+            ([-1.0, 1.0], [2.0], "mass"),
+            # the wrong value count
+            ([-1.0, 0.0, 1.0], [1.0], "one value per band"),
+            ([-1.0, 0.0, 1.0], [[1.0, 1.0]], "one value per band"),
+            # edges not from -1 to 1
+            ([-0.5, 0.5, 1.0], [1.0, 1.0], "rise strictly from -1 to 1"),
+            ([-1.0, 0.0, 0.5], [1.0, 1.0], "rise strictly from -1 to 1"),
+            ([-1.0], [], "rise strictly from -1 to 1"),
+            # edges that do not rise
+            ([-1.0, 0.5, 0.0, 1.0], [1.0, 1.0, 1.0], "rise strictly from -1 to 1"),
+            ([-1.0, 0.0, 0.0, 1.0], [1.0, 5.0, 1.0], "rise strictly from -1 to 1"),
+            ([-1.0, np.nan, 1.0], [1.0, 1.0], "rise strictly from -1 to 1"),
+        ]
+        for edges, values, message in bad:
+            with pytest.raises(ValueError, match=message):
+                DensityMeasure(edges, values)
 
     def test_non_finite_values_rejected(self):
         # a NaN passes the sign and mass tests: every comparison with it is false
-        g = quadrature_grid(ManifoldModel.sphere(1.0), 40)
-        v = np.ones_like(g.weights)
-        v[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            DensityMeasure(g, v)
+            DensityMeasure([-1.0, 0.0, 1.0], [1.0, np.nan])
 
     @pytest.mark.parametrize("tau", [1.0, 1.5, 2.0, 3.0])
     def test_uniform_matches_closed_form(self, tau):
         model = ManifoldModel.sphere(tau)
-        dm = uniform_density(model)
+        dm = uniform_density()
         assert density_action(model, dm) == pytest.approx(
             4 - 4 / (3 * tau**2), abs=1e-6
         )
 
     def test_uniform_tau2_value(self):
         model = ManifoldModel.sphere(2.0)
-        assert density_action(model, uniform_density(model)) == pytest.approx(
+        assert density_action(model, uniform_density()) == pytest.approx(
             11.0 / 3.0, abs=1e-6
         )
 
@@ -227,25 +207,15 @@ class TestDensityMeasure:
             want = 0.5 * tm * (w @ dvals) / np.pi
             assert volume_action(model) == pytest.approx(want, rel=1e-12)
             with pytest.raises(ValueError):
-                uniform_density(model)
-            with pytest.raises(ValueError):
-                density_action(model, uniform_density(ManifoldModel.sphere(tau)))
+                density_action(model, uniform_density())
 
     def test_truncation_converged(self):
         model = ManifoldModel.sphere(1.7)
-        dm = uniform_density(model)
+        dm = uniform_density()
         fl = _zonal_legendre_moments(dm, 240)
         a1 = float(_lagrangian_legendre_coeffs(model, 240) @ (fl * fl))
         a2 = density_action(model, dm)
         assert a1 == pytest.approx(a2, abs=1e-10)
-
-    def test_density_not_constant_per_panel_rejected(self):
-        # on the 200-node rule the quadrature moments of 1 + 0.3 cos(theta)
-        # alias at high degree: its action was off by up to 3.7e-6
-        model = ManifoldModel.sphere(2.0)
-        grid = quadrature_grid(model, 200)
-        with pytest.raises(ValueError, match="constant on each panel"):
-            density_action(model, DensityMeasure(grid, 1.0 + 0.3 * grid.nodes))
 
 
 def _gauss_lagrangian_coeffs(model, lmax):
