@@ -274,9 +274,8 @@ class HeatKernelBound:
 
 
 def _heat_bounds(model: ManifoldModel, pairs):
-    """Yield the ``HeatKernelBound`` of every pair (t1, t2) of ``pairs``:
-    the pairs that can dominate best-first, grid-checked, then the others,
-    unchecked and not dominated.
+    """Yield the ``HeatKernelBound`` of every pair (t1, t2) of ``pairs``
+    that can dominate, best-first and grid-checked.
 
     Each pair is calibrated from endpoint values alone: K = lambda (h_t1 -
     delta h_t2) with K(0) = L(0) and K(theta_max) = 0, S_K = lambda (1 -
@@ -302,14 +301,14 @@ def _heat_bounds(model: ManifoldModel, pairs):
     h0, hm = (np.ascontiguousarray(ends[:, j : j + 1]) for j in (0, 1))
     at_ends = {t: (float((c @ h0[: len(c)])[0]), float((c @ hm[: len(c)])[0]))
                for t, c in coeffs.items()}
-    ranked, rest = [], []
+    ranked = []
     for t1, t2 in pairs:
         (h10, h1m), (h20, h2m) = at_ends[t1], at_ends[t2]
         delta = h1m / h2m
         denom = h10 - delta * h20
         lam = model.kernel_scale / denom if denom != 0 else math.inf
-        bound = (t1, t2, delta, lam, lam * (1.0 - delta))
-        (ranked if 0.0 < delta < 1.0 and 0.0 < lam < math.inf else rest).append(bound)
+        if 0.0 < delta < 1.0 and 0.0 < lam < math.inf:
+            ranked.append((t1, t2, delta, lam, lam * (1.0 - delta)))
     ranked.sort(key=itemgetter(4), reverse=True)
     if ranked:
         theta = np.linspace(0.0, np.pi, _HEAT_CHECK_GRID)
@@ -325,8 +324,6 @@ def _heat_bounds(model: ManifoldModel, pairs):
                 prof[t] = c @ table[: len(c)]
         dominated = bool(np.all(lam * (prof[t1] - delta * prof[t2]) <= lvals))
         yield HeatKernelBound(t1, t2, delta, lam, s_k, dominated)
-    for bound in rest:
-        yield HeatKernelBound(*bound, False)
 
 
 def optimize_heat_params(model: ManifoldModel, t_grid) -> HeatKernelBound | None:

@@ -164,21 +164,22 @@ def cmd_exact(args) -> int:
         payload = {"action": action(model, meas)}
     elif args.construction == "octahedron":
         model, meas = ManifoldModel.sphere(args.tau), exact.octahedron()
-        payload = {"action": action(model, meas),
-                   "nu0": analysis.spectral_closed_form(model).nu0}
+        nu0 = analysis.nu0_lower_bound(model)
+        payload = {"action": action(model, meas), "nu0": nu0.value, "nu0_valid": nu0.valid}
     else:  # density
         model = ManifoldModel.sphere(args.tau)
         dm = exact.three_band_density()
         mass, moment_cos, moment_p2 = measure_mod._zonal_legendre_moments(dm, 2).tolist()
         act = density_action(model, dm)
-        nu0 = analysis.spectral_closed_form(model).nu0
+        nu0 = analysis.nu0_lower_bound(model)
         payload = {
             "mass": mass,
             "moment_cos": moment_cos,
             "moment_p2": moment_p2,
             "action": act,
-            "nu0": nu0,
-            "action_minus_nu0": act - nu0,
+            "nu0": nu0.value,
+            "nu0_valid": nu0.valid,
+            "action_minus_nu0": act - nu0.value,
         }
     if args.construction != "density":
         payload["measure"] = measure_to_dict(model, meas)

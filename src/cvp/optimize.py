@@ -51,7 +51,6 @@ from .manifold import (
     _flag_lift,
     _flag_outer,
     _flag_xi,
-    flag_point,
     lagrangian_matrix,
     sample_uniform,
     theta_max,
@@ -730,15 +729,16 @@ def anneal(
 
 
 def _distance_matrix(model: ManifoldModel, pts) -> np.ndarray:
+    """Pairwise geodesic angles (circle/sphere) or scaled chordal distances
+    (flag), read off differences, so coincident points are 0 apart exactly."""
     if model.kind != "flag":
         e = unit_vectors(model, pts)
-        return np.arccos(np.clip(e @ e.T, -1.0, 1.0))
+        chord = np.linalg.norm(e[:, None] - e[None], axis=-1)
+        return 2.0 * np.arcsin(np.minimum(1.0, chord / 2.0))
     # flag: chordal Frobenius distance scaled to match small geodesic angles;
-    # the lift's basis is orthonormal, so Tr(xy) = xi(x) . xi(y)
-    tau = model.tau
-    xi = _flag_xi(_flag_lift(model.f, tau), pts)
-    chord_sq = np.maximum(0.0, 2.0 * (2.0 + 2.0 * tau**2 - xi @ xi.T))
-    return np.sqrt(chord_sq) / (np.sqrt(2.0) * tau)
+    # the lift's basis is orthonormal, so |X - Y| = |xi(x) - xi(y)|
+    xi = _flag_xi(_flag_lift(model.f, model.tau), pts)
+    return np.linalg.norm(xi[:, None] - xi[None], axis=-1) / (np.sqrt(2.0) * model.tau)
 
 
 def kernel_lipschitz(model: ManifoldModel) -> float:
@@ -749,47 +749,6 @@ def kernel_lipschitz(model: ManifoldModel) -> float:
     return 8.0 * np.sqrt(2.0) * tau * (1.0 + tau) ** 3
 
 
-def _cluster_components(dist: np.ndarray, radius: float) -> list[list[int]]:
-    n = len(dist)
-    adj = dist <= radius
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        stack, comp = [i], []
-        seen[i] = True
-        while stack:
-            j = stack.pop()
-            comp.append(j)
-            nbrs = np.flatnonzero(adj[j] & ~seen)
-            seen[nbrs] = True
-            stack.extend(nbrs.tolist())
-        comps.append(sorted(comp))
-    return comps
-
-
-def _cluster_centroid(model: ManifoldModel, pts, w):
-    if model.kind != "flag":
-        vec = w @ unit_vectors(model, pts)
-        norm = np.linalg.norm(vec)
-        if norm < 1e-14:
-            return pts[0]
-        if model.kind == "circle":
-            return float(np.arctan2(vec[1], vec[0]) % (2.0 * np.pi))
-        return vec / norm
-    # phase-align the pairs to the heaviest member before averaging
-    ref = pts[np.argmax(w)]
-    usum = np.zeros(model.f, dtype=complex)
-    vsum = np.zeros(model.f, dtype=complex)
-    for wi, p in zip(w, pts):
-        pu = np.vdot(ref[0], p[0])
-        pv = np.vdot(ref[1], p[1])
-        usum += wi * p[0] * (np.exp(-1j * np.angle(pu)) if abs(pu) > 0 else 1.0)
-        vsum += wi * p[1] * (np.exp(-1j * np.angle(pv)) if abs(pv) > 0 else 1.0)
-    return flag_point(usum, vsum)
-
-
 @dataclass(frozen=True)
 class MergeResult:
     measure: WeightedMeasure
@@ -798,38 +757,39 @@ class MergeResult:
 
 
 def merge_clusters(model: ManifoldModel, m: WeightedMeasure, radius: float) -> MergeResult:
-    """Merge support points within geodesic distance ``radius``.
+    """Merge support points within distance ``radius`` by moving weight.
 
-    Clusters are single-linkage components; each is replaced by its
-    weight-summed, weighted-centroid representative re-projected to the
-    manifold.  The reported bound 2 * Lip(L) * sum_i w_i dist_i dominates
-    the actual action change.
+    The points are visited by decreasing weight, the lower index first on a
+    tie.  A point within ``radius`` of a point already kept hands its whole
+    weight to the heaviest such point, the first kept in visit order;
+    otherwise it is kept.  So every point of the merged measure is an input
+    point bit for bit (after an anneal, a point the annealer optimized);
+    kept points are pairwise farther apart than ``radius``; and no weight
+    moves farther than ``radius``.  The merged measure is the kept points in
+    input order; with no two points within ``radius``, or radius 0, it is
+    ``m`` itself.  The reported bound 2 * Lip(L) * sum_i w_i dist(i,
+    receiver of i) dominates the actual action change.
     """
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
-    if radius == 0 or len(m) <= 1:
+    if radius == 0:
         return MergeResult(m, 0.0, 0.0)
     dist = _distance_matrix(model, m.points)
-    comps = _cluster_components(dist, radius)
-    if len(comps) == len(m):
+    close = dist <= radius
+    np.fill_diagonal(close, False)
+    if not close.any():
         return MergeResult(m, 0.0, 0.0)
-    new_pts, new_w, moved = [], [], 0.0
-    for comp in comps:
-        w = m.weights[comp]
-        pts = m.points[comp]
-        if len(comp) == 1:
-            new_pts.append(pts[0])
-            new_w.append(float(w[0]))
-            continue
-        total = float(w.sum())
-        centroid = _cluster_centroid(model, pts, w / total)
-        sub = _distance_matrix(model, np.concatenate([pts, [centroid]], axis=0))
-        moved += float(np.sum(w * sub[:-1, -1]))
-        new_pts.append(centroid)
-        new_w.append(total)
-    new_w = np.asarray(new_w)
-    merged = WeightedMeasure(np.array(new_pts), new_w / new_w.sum())
+    receiver = np.arange(len(m))
+    kept = []  # in visit order, so the first close one is the heaviest
+    for i in np.argsort(-m.weights, kind="stable"):
+        receiver[i] = next((k for k in kept if close[i, k]), i)
+        if receiver[i] == i:
+            kept.append(i)
+    keep = receiver == np.arange(len(m))
+    w = np.bincount(receiver, m.weights, minlength=len(m))[keep]
+    merged = WeightedMeasure(m.points[keep], w / w.sum())
     delta = action(model, merged) - action(model, m)
+    moved = float(m.weights @ dist[np.arange(len(m)), receiver])
     bound = 2.0 * kernel_lipschitz(model) * moved
     return MergeResult(merged, delta, bound)
 

@@ -282,7 +282,8 @@ class TestHeatKernelBound:
     def test_endpoints_match_scalar_heat_kernel(self, tau):
         # the two-point endpoint table gives the values of heat_kernel(t, 0.0)
         # and heat_kernel(t, theta_max) exactly: every bound the search
-        # yields, grid-checked or not, is the reference calibration bit for bit
+        # yields is the reference calibration bit for bit, and it yields
+        # exactly the pairs that can dominate, 0 < delta < 1 and 0 < lambda < inf
         model = ManifoldModel.sphere(tau)
         t_grid = np.geomspace(0.01, 2.0, 14).tolist()
         pairs = list(itertools.combinations(t_grid, 2))
@@ -290,11 +291,13 @@ class TestHeatKernelBound:
         lvals = lagrangian_profile(model, theta) + 1e-9
         tm = theta_max(model)
         heat = {t: (heat_kernel(t, 0.0), heat_kernel(t, tm), heat_kernel(t, theta)) for t in t_grid}
+        refs = {(t1, t2): _reference_calibrated_bound(model, t1, t2, heat[t1], heat[t2], lvals)
+                for t1, t2 in pairs}
         bounds = list(analysis._heat_bounds(model, pairs))
-        assert sorted((hb.t1, hb.t2) for hb in bounds) == pairs
         for hb in bounds:
-            ref = _reference_calibrated_bound(model, hb.t1, hb.t2, heat[hb.t1], heat[hb.t2], lvals)
-            assert hb == ref
+            assert hb == refs[hb.t1, hb.t2]
+        assert sorted((hb.t1, hb.t2) for hb in bounds) == [
+            pair for pair, ref in refs.items() if 0.0 < ref.delta < 1.0 and 0.0 < ref.lam < math.inf]
 
     @pytest.mark.parametrize("tau", [1.5, 2.0, 2.5])
     def test_single_pair_matches_search(self, tau):

@@ -531,6 +531,17 @@ class TestExact:
         assert abs(doc["moment_p2"]) < 1e-8
         assert abs(doc["action_minus_nu0"]) < 1e-6
 
+    @pytest.mark.parametrize("construction", ["density", "octahedron"])
+    @pytest.mark.parametrize("tau, valid", [("2", False), ("1.001", True)])
+    def test_nu0_validity_marked(self, capsys, construction, tau, valid):
+        # nu0 bounds S_min only while the kernel operator is PSD, tau <= sqrt3
+        # on the sphere; the payload says so, as `bounds` does
+        code, out, _ = run(capsys, "exact", construction, "--tau", tau)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["nu0_valid"] is valid
+        assert doc["nu0"] == analysis.nu0_lower_bound(ManifoldModel.sphere(float(tau))).value
+
     def test_density_integrals_match_band_arithmetic(self, capsys):
         # oracle: exact 1-d integrals of the piecewise-constant profile
         from cvp import ManifoldModel, density_action, three_band_density

@@ -26,6 +26,7 @@ from cvp.exact import circle_chain_minimizer, circle_m0
 from cvp.manifold import flag_point, kernel_cross, lagrangian_matrix
 from cvp.optimize import (
     ScanRow,
+    _distance_matrix,
     _qp_max_iter,
     _reduce_support,
     _simplex_qp,
@@ -201,7 +202,66 @@ class TestSimplexQP:
                 assert sol.kkt_residual == max(res_eq, res_in)
 
 
+MERGE_MODELS = [ManifoldModel.circle(1.3), ManifoldModel.sphere(1.2), ManifoldModel.flag(3, 2.0)]
+
+
+def near_copies(model, pts, scale, seed):
+    """pts moved by about ``scale`` each, back on the manifold."""
+    rng = np.random.default_rng(seed)
+    noise = scale * rng.standard_normal(np.shape(pts))
+    if model.kind == "circle":
+        return (pts + noise) % (2 * np.pi)
+    if model.kind == "sphere":
+        moved = pts + noise
+        return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    noise = noise + 1j * scale * rng.standard_normal(np.shape(pts))
+    return np.stack([flag_point(*(x + dx)) for x, dx in zip(pts, noise)])
+
+
 class TestMergeClusters:
+    @pytest.mark.parametrize("model", MERGE_MODELS, ids=lambda m: m.kind)
+    def test_exact_duplicates_merge(self, model):
+        # a point listed twice is 0 from its copy, not 1.5e-8 as through
+        # arccos(e . e) or the flag's Tr(xy), so a tiny radius merges it
+        pts = sample_uniform(model, 8, seed=1)
+        m = WeightedMeasure(np.concatenate([pts, pts]), np.full(16, 1 / 16))
+        res = merge_clusters(model, m, 1e-9)
+        assert np.array_equal(res.measure.points, pts)
+        assert np.array_equal(res.measure.weights, np.full(8, 1 / 8))
+        assert res.action_delta_bound == 0.0
+        assert abs(res.action_delta) <= 1e-12
+
+    @pytest.mark.parametrize("model", MERGE_MODELS, ids=lambda m: m.kind)
+    def test_merged_points_are_input_rows(self, model):
+        # weight moves, points do not: each merged point is an input point
+        # bit for bit, and the kept points are pairwise farther than radius
+        radius = 1e-2
+        pts = sample_uniform(model, 8, seed=2)
+        rows = np.concatenate([pts, near_copies(model, pts, 1e-3, 3),
+                               near_copies(model, pts[:4], 1e-3, 4)])
+        w = np.random.default_rng(5).dirichlet(np.ones(len(rows)))
+        m = WeightedMeasure(rows, w)
+        res = merge_clusters(model, m, radius)
+        assert len(res.measure) == 8
+        for p in res.measure.points:
+            assert any(np.array_equal(p, row) for row in rows)
+        dist = _distance_matrix(model, res.measure.points)
+        assert np.all(dist[~np.eye(8, dtype=bool)] > radius)
+        assert abs(res.action_delta) <= res.action_delta_bound + 1e-12
+
+    @pytest.mark.parametrize("pts, w, kept, kept_w", [
+        # A - B - C with d(A, B), d(B, C) <= r < d(A, C), A heaviest: single
+        # linkage would chain all three into one cluster 1.6 r wide
+        ([0.0, 0.8, 1.6], [0.5, 0.2, 0.3], [0.0, 1.6], [0.7, 0.3]),
+        # B is within r of A and of C and hands its weight to C, the heavier
+        ([0.0, -0.8, 0.8], [0.2, 0.3, 0.5], [-0.8, 0.8], [0.3, 0.7]),
+    ], ids=["chain", "heaviest-receives"])
+    def test_weight_goes_to_heaviest_kept(self, circle13, pts, w, kept, kept_w):
+        r = 0.05
+        res = merge_clusters(circle13, WeightedMeasure(r * np.array(pts), np.array(w)), r)
+        assert np.array_equal(res.measure.points, r * np.array(kept))
+        assert np.allclose(res.measure.weights, kept_w, rtol=0, atol=1e-15)
+
     def test_doublets_merge_to_six(self):
         model = ManifoldModel.sphere(1.2)
         base = octahedron().points
