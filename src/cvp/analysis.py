@@ -20,7 +20,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -407,35 +407,56 @@ class MonteCarloEstimate:
 
 
 def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
-    """Sample mean of D(x, y) over n i.i.d. Haar pairs of flag points.
+    """Sample mean of D(x, y) over n i.i.d. Haar pairs of flag points;
+    n must be an integer >= 2, else ValueError.
 
     D is unitarily invariant, D(Ux, Uy) = D(x, y), so for independent Haar
     x and y, D(x, y) has the law of D(x0, y) at the fixed point
-    x0 = (e1, e2).  Each sample therefore draws one Haar point y = (u, v).
-    X0 lives in the top-left 2 x 2 block, so D(x0, y) is the f = 2 kernel
-    between diag(1+tau, 1-tau) and (u_1, u_2; v_1, v_2): eta . W eta in the
-    f = 2 lift (``manifold._flag_lift``), W = C (xi0 (x) xi0) as a 4 x 4
-    matrix.  The normals come from ``SFC64(seed)``, numpy's fastest
-    generator for them, so the estimate is deterministic per seed; the
-    standard error comes from the sample variance.
+    x0 = (e1, e2).  A Haar point (u, v) is Gram-Schmidt on two complex
+    Gaussian vectors z and y (``_haar_flag_pairs``).  D(x0, .) and the
+    Gaussian law are both unchanged by the phases of u and of v, by
+    diag(e^{ia}, e^{ib}) on coordinates 1 and 2 and by any unitary of the
+    tail coordinates 3..f.  So each sample is the kernel at x0 on the
+    representative pair
+
+        z = (|z_1|, |z_2|, |z_t|, 0, ...),   y = (|y_1|, y_2, w, s, 0, ...),
+
+    drawn with its exact law: |z_1|^2, |z_2|^2 and |y_1|^2 / 2 standard
+    exponentials, |z_t|^2 a standard Gamma(f - 2), y_2 and
+    w = <z_t / |z_t|, y_t> complex normals a + ib (a, b standard normal),
+    and s^2 / 2 a standard Gamma(f - 3), absent at f = 3.  (A complex
+    normal's |.|^2 is twice an exponential; z's entries all drop that
+    factor, which Gram-Schmidt divides out.)  That is 8 draws per sample at
+    f = 3 and 9 at any f >= 4, where the whole pair takes 4f normals.
+
+    Gram-Schmidt on the representative pair is a closed form, and X0 lives
+    in the top-left 2 x 2 block, so a sample is the f = 2 kernel between
+    diag(1+tau, 1-tau) and (u_1, u_2; v_1, v_2): eta . W eta in the f = 2
+    lift (``manifold._flag_lift``), W = C (xi0 (x) xi0) as a 4 x 4 matrix.
+    It agrees with the kernel at x0 on the representative pair to rounding,
+    not bit for bit.  The draws come from ``SFC64(seed)``, so the estimate
+    is deterministic per seed; the standard error comes from the sample
+    variance.
 
     The samples are drawn in blocks of ``_MC_BLOCK`` = 8192 (the last one
-    shorter), each block one ``standard_normal`` draw of shape (4, f, k)
-    into a buffer allocated once per call, read as Re u, Im u, Re v, Im v
-    with coordinate j's k values contiguous.  Only the real view of the
-    four coordinates above is formed, by Gram-Schmidt as in
-    ``_haar_flag_pairs`` in real arithmetic, so a sample agrees with the
-    kernel at x0 on the pair (u, v) of the block's columns to rounding, not
-    bit for bit.  The working set is one block and its products plus 8
-    bytes per sample.
+    shorter) into a buffer allocated once per call.  A block of k samples
+    reads from the stream, in order: standard exponentials (3, k) for
+    |z_1|^2, |z_2|^2, |y_1|^2 / 2; standard normals (4, k) for Re y_2,
+    Im y_2, Re w, Im w; Gamma(f - 2) (k,) for |z_t|^2; and for f >= 4
+    Gamma(f - 3) (k,) for s^2 / 2.  The working set is one block and its
+    products plus 8 bytes per sample.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    vals = _nu0_samples(model.f, model.tau, n, seed)
+    try:
+        count = index(n)
+    except TypeError:
+        count = None
+    if count is None or count < 2:
+        raise ValueError(f"n must be an integer >= 2 (got n={n!r})")
+    vals = _nu0_samples(model.f, model.tau, count, seed)
     return MonteCarloEstimate(
-        float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+        float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(count))
     )
 
 
@@ -445,38 +466,42 @@ def _nu0_samples(f: int, tau: float, n: int, seed) -> np.ndarray:
     W = _flag_features(_flag_coupling(2), _flag_xi(pairs, np.eye(2, dtype=complex))).reshape(4, 4)
     rng = np.random.Generator(np.random.SFC64(seed))
     size = min(n, _MC_BLOCK)
-    # flat buffers, so that the short last block is a contiguous prefix too
-    normals = np.empty(4 * f * size)
-    sums = np.empty(4 * size)
-    scratch = np.empty(size)
+    width = 8 if f == 3 else 9  # draws per sample
+    # flat, so that the short last block is a contiguous prefix too
+    draws = np.empty(width * size)
+    # the f = 2 real view Re u_1, Im u_1, Re u_2, Im u_2, then v, as rows; u is
+    # real, so the rows Im u_1 and Im u_2 stay 0
+    r = np.empty((8, size))
+    r[[1, 3]] = 0.0
     vals = np.empty(n)
     for lo in range(0, n, _MC_BLOCK):
         k = min(_MC_BLOCK, n - lo)
-        block = normals[: 4 * f * k].reshape(4, f, k)
-        rng.standard_normal(out=block)
-        acc = sums[: 4 * k].reshape(4, k)
-        acc.fill(0.0)
-        uu, vv, sr, si = acc  # |u|^2, |v|^2, Re <u, v>, Im <u, v>
-        t = scratch[:k]
-        for a, b, c, d in block.transpose(1, 0, 2):  # Re u_j, Im u_j, Re v_j, Im v_j
-            for s, x, y in ((uu, a, a), (uu, b, b), (vv, c, c), (vv, d, d),
-                            (sr, a, c), (sr, b, d), (si, a, d)):
-                s += np.multiply(x, y, out=t)
-            si -= np.multiply(b, c, out=t)
-        cr, ci = sr / uu, si / uu  # <u, v> / |u|^2
-        nu = np.sqrt(uu)
-        nv = np.sqrt(vv - (sr * cr + si * ci))
-        ur, ui, vr, vi = block
-        for j in (0, 1):  # in place, v first: it reads u before u is normalized
-            vr[j] -= cr * ur[j] - ci * ui[j]
-            vi[j] -= cr * ui[j] + ci * ur[j]
-            block[2:, j] /= nv
-            block[:2, j] /= nu
-        # the f = 2 real view (Re u_1, Im u_1, Re u_2, Im u_2, then v) as rows, in
-        # chunks: a whole block's pair products are 3 MB of fresh temporaries
+        block = draws[: width * k].reshape(width, k)
+        rng.standard_exponential(out=block[:3])
+        rng.standard_normal(out=block[3:7])
+        rng.standard_gamma(f - 2, out=block[7])
+        if f > 3:
+            rng.standard_gamma(f - 3, out=block[8])
+        zz1, zz2, yy1, p, q, wr, wi, zzt = block[:8]  # |z_1|^2, ..., y_2 = p + iq
+        yy1 *= 2.0
+        yy = yy1 + p * p + q * q + wr * wr + wi * wi  # |y|^2
+        if f > 3:
+            yy += 2.0 * block[8]
+        zz = zz1 + zz2 + zzt  # |z|^2
+        z1, z2, zt, y1 = np.sqrt([zz1, zz2, zzt, yy1])
+        cr = (z1 * y1 + z2 * p + zt * wr) / zz  # c = <z, y> / |z|^2
+        ci = (z2 * q + zt * wi) / zz
+        nz = np.sqrt(zz)
+        nv = np.sqrt(yy - (cr * cr + ci * ci) * zz)  # |y - c z|
+        np.divide(z1, nz, out=r[0, :k])
+        np.divide(z2, nz, out=r[2, :k])
+        np.divide(y1 - cr * z1, nv, out=r[4, :k])
+        np.divide(-ci * z1, nv, out=r[5, :k])
+        np.divide(p - cr * z2, nv, out=r[6, :k])
+        np.divide(q - ci * z2, nv, out=r[7, :k])
+        # lifted in chunks: a whole block's pair products are 1 MB of fresh temporaries
         for c in range(0, k, _MC_LIFT):
-            r = block[[0, 1, 0, 1, 2, 3, 2, 3], [0, 0, 1, 1, 0, 0, 1, 1], c : c + _MC_LIFT]
-            eta = _flag_xi_real(pairs, r)
+            eta = _flag_xi_real(pairs, r[:, c : min(k, c + _MC_LIFT)])
             np.einsum("ij,ij->i", eta @ W, eta, out=vals[lo + c : lo + min(k, c + _MC_LIFT)])
     return vals
 

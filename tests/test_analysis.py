@@ -34,7 +34,7 @@ from cvp import (
 from cvp import analysis
 from cvp.analysis import _MC_BLOCK, _heat_lmax, _nu0_samples
 from cvp.exact import circle_chain_minimizer, circle_chain_points
-from cvp.manifold import kernel_cross, lagrangian_profile, zonal_d
+from cvp.manifold import _haar_flag_pairs, kernel_cross, lagrangian_profile, zonal_d
 from cvp.spectral import legendre_all
 
 from conftest import dense_flag_kernel
@@ -510,19 +510,62 @@ def X0(f):
     return np.eye(f, dtype=complex)[None, :2]
 
 
-def block_pairs(rng, k, f):
-    """The k Haar pairs, shape (k, 2, f), of one Monte Carlo block: a
-    (4, f, k) draw transposed to Re u, Im u, Re v, Im v of shape (k, f),
-    then complex Gram-Schmidt, written out here as an oracle."""
-    ur, ui, vr, vi = rng.standard_normal((4, f, k)).transpose(0, 2, 1)
-    u, v = ur + 1j * ui, vr + 1j * vi
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v -= np.sum(u.conj() * v, axis=1, keepdims=True) * u
+def gram_schmidt(z, y):
+    """Flag pairs (k, 2, f) from two batches of complex vectors (k, f)."""
+    u = z / np.linalg.norm(z, axis=1, keepdims=True)
+    v = y - np.sum(u.conj() * y, axis=1, keepdims=True) * u
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return np.stack([u, v], axis=1)
 
 
-MC_PIN = "8787b17abafa95417bcc028906b3f961e75994877717dd8fd4e487e7a18235c5"
+def block_draws(rng, k, f):
+    """One Monte Carlo block's draws of k samples, in stream order: (3, k)
+    exponentials, (4, k) normals, Gamma(f - 2) and, for f >= 4,
+    Gamma(f - 3), each drawn by its own call."""
+    draws = [rng.standard_exponential((3, k)), rng.standard_normal((4, k)),
+             rng.standard_gamma(f - 2, k)]
+    return draws + [rng.standard_gamma(f - 3, k)] * (f > 3)
+
+
+def representative_pairs(rng, k, f):
+    """The k representative Haar pairs (k, 2, f) of one Monte Carlo block:
+    its draws read as z = (|z_1|, |z_2|, |z_t|, 0, ...) and
+    y = (|y_1|, y_2, w, s, 0, ...), then complex Gram-Schmidt, written out
+    here as an oracle."""
+    (zz1, zz2, yy1), (p, q, wr, wi), zzt, *ss = block_draws(rng, k, f)
+    z = np.zeros((k, f), dtype=complex)
+    y = np.zeros((k, f), dtype=complex)
+    z[:, 0], z[:, 1], z[:, 2] = np.sqrt(zz1), np.sqrt(zz2), np.sqrt(zzt)
+    y[:, 0], y[:, 1], y[:, 2] = np.sqrt(2.0 * yy1), p + 1j * q, wr + 1j * wi
+    if ss:
+        y[:, 3] = np.sqrt(2.0 * ss[0])
+    return gram_schmidt(z, y)
+
+
+def stream_pairs(seed, n, f):
+    """The n representative pairs of ``_nu0_samples(f, tau, n, seed)``,
+    block by block from one SFC64 stream."""
+    rng = sfc64(seed)
+    return np.concatenate([
+        representative_pairs(rng, min(_MC_BLOCK, n - lo), f) for lo in range(0, n, _MC_BLOCK)
+    ])
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return float(np.max(np.abs(
+        np.searchsorted(a, at, side="right") / len(a) - np.searchsorted(b, at, side="right") / len(b)
+    )))
+
+
+MC_PIN = "e8fc69ca371fc6e32ea267cdcd8a92ddd8983171df886f7a3ef34ea479c49d49"
 
 
 class TestMonteCarlo:
@@ -533,18 +576,62 @@ class TestMonteCarlo:
         exact = spectral_closed_form(model).nu0
         assert abs(mc.estimate - exact) <= 3 * mc.std_error
 
+    @pytest.mark.parametrize("f,tau", [(3, 1.0), (4, 1.2), (5, 1.3)])
+    def test_million_samples_match_closed_form(self, f, tau):
+        model = ManifoldModel.flag(f, tau)
+        mc = nu0_monte_carlo(model, 1_000_000, seed=1)
+        exact = spectral_closed_form(model).nu0
+        assert abs(mc.estimate - exact) <= 4 * mc.std_error
+
     def test_domain(self, flag32):
         with pytest.raises(ValueError):
             nu0_monte_carlo(flag32, 1, seed=0)
         with pytest.raises(ValueError):
             nu0_monte_carlo(ManifoldModel.sphere(1.5), 100, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, 100_000.0, 1, 0, -3, True, "10", None])
+    def test_sample_count_must_be_an_integer_of_at_least_two(self, flag32, n):
+        with pytest.raises(ValueError, match=r"n must be an integer >= 2 \(got n="):
+            nu0_monte_carlo(flag32, n, seed=0)
+
+    def test_numpy_integer_sample_count(self, flag32):
+        assert nu0_monte_carlo(flag32, np.int64(1000), seed=7) == nu0_monte_carlo(
+            flag32, 1000, seed=7
+        )
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_kernel_at_x0_invariances(self, f):
+        # the four maps the sampler's reduction rests on leave D(x0, y)
+        # unchanged on Haar pairs: phases of u, phases of v,
+        # diag(e^{ia}, e^{ib}) on coordinates 1 and 2, a unitary of the tail
+        model = ManifoldModel.flag(f, 1.3)
+        rng = np.random.default_rng(f)
+        ys = np.stack(_haar_flag_pairs(rng, 20, f), axis=1)
+        base = kernel_cross(model, X0(f), ys)[0]
+        phase = lambda: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20))[:, None]
+        moved = {name: ys.copy() for name in ("u", "v", "coords", "tail")}
+        moved["u"][:, 0] *= phase()
+        moved["v"][:, 1] *= phase()
+        moved["coords"][..., 0] *= phase()
+        moved["coords"][..., 1] *= phase()
+        tails = np.stack([random_unitary(rng, f - 2) for _ in ys])
+        moved["tail"][..., 2:] = np.einsum("pab,pkb->pka", tails, ys[..., 2:])
+        for name, y in moved.items():
+            assert not np.allclose(y, ys), name
+            got = kernel_cross(model, X0(f), y)[0]
+            assert np.max(np.abs(got - base)) <= 1e-12 * model.kernel_scale, name
+        # a unitary mixing coordinates 2 and 3 is not among them
+        mixed = ys.copy()
+        mixed[..., 1:3] = mixed[..., 1:3] @ random_unitary(rng, 2).T
+        assert np.max(np.abs(kernel_cross(model, X0(f), mixed)[0] - base)) > 1e-3 * model.kernel_scale
+
     @pytest.mark.parametrize("f", [3, 4])
     def test_matches_kernel_cross_reference(self, f):
-        # the same SFC64 block, evaluated by the batch kernel at x0 = (e1, e2)
+        # the same SFC64 block's representative pairs, evaluated by the batch
+        # kernel at x0 = (e1, e2)
         model = ManifoldModel.flag(f, 1.3)
         n, seed = 2000, 5
-        vals = kernel_cross(model, X0(f), block_pairs(sfc64(seed), n, f))[0]
+        vals = kernel_cross(model, X0(f), stream_pairs(seed, n, f))[0]
         mc = nu0_monte_carlo(model, n, seed)
         assert mc.estimate == pytest.approx(float(np.mean(vals)), rel=1e-12)
         assert mc.std_error == pytest.approx(
@@ -558,7 +645,7 @@ class TestMonteCarlo:
         n, seed = 2 * _MC_BLOCK + 17, 5
         rng = sfc64(seed)
         vals = np.concatenate([
-            kernel_cross(model, X0(f), block_pairs(rng, b, f))[0]
+            kernel_cross(model, X0(f), representative_pairs(rng, b, f))[0]
             for b in (_MC_BLOCK, _MC_BLOCK, 17)
         ])
         mc = nu0_monte_carlo(model, n, seed)
@@ -568,36 +655,57 @@ class TestMonteCarlo:
         )
 
     def test_one_draw_is_the_four_draw_stream(self):
-        # a block drawn into the reused flat buffer with out= reads Re u, Im u,
-        # Re v, Im v, each (f, k), from the stream in order; a short last
-        # block is a contiguous prefix of the buffer
+        # a block drawn into the reused flat buffer with out= reads its (3, k)
+        # exponentials, (4, k) normals and the two Gamma rows from the stream
+        # in order, as four calls with sizes do; a short last block is a
+        # contiguous prefix of the buffer
         a, b = sfc64(3), sfc64(3)
-        f, size = 3, 100
-        buf = np.empty(4 * f * size)
+        f, size = 4, 100
+        buf = np.empty(9 * size)
         for k in (size, size, 37):
-            block = buf[: 4 * f * k].reshape(4, f, k)
-            a.standard_normal(out=block)
-            assert np.array_equal(block, [b.standard_normal((f, k)) for _ in range(4)])
+            block = buf[: 9 * k].reshape(9, k)
+            a.standard_exponential(out=block[:3])
+            a.standard_normal(out=block[3:7])
+            a.standard_gamma(f - 2, out=block[7])
+            a.standard_gamma(f - 3, out=block[8])
+            assert np.array_equal(block, np.vstack(block_draws(b, k, f)))
 
-    @pytest.mark.parametrize("f", [3, 4])
+    @pytest.mark.parametrize("f", [3, 4, 5])
     def test_samples_match_dense_kernel(self, f):
-        # each sample, not only the mean: D(x0, y) on the Haar pairs of the
-        # stream, against conftest's dense-matrix kernel
+        # each sample, not only the mean: D(x0, y) on the representative
+        # pairs of the stream, against conftest's dense-matrix kernel
         model = ManifoldModel.flag(f, 1.3)
         n, seed = _MC_BLOCK + 500, 6
         got = _nu0_samples(f, 1.3, n, seed)
-        rng = sfc64(seed)
-        pairs = np.concatenate([block_pairs(rng, b, f) for b in (_MC_BLOCK, 500)])
-        want = np.array([dense_flag_kernel(1.3, X0(f)[0], y) for y in pairs])
+        want = np.array([dense_flag_kernel(1.3, X0(f)[0], y) for y in stream_pairs(seed, n, f)])
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * model.kernel_scale
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_law_matches_the_full_haar_sampler(self, f):
+        # the reduced draws against whole Haar pairs (4f normals each) through
+        # kernel_cross in blocks: a two-sample Kolmogorov-Smirnov test at
+        # level 1e-3
+        model = ManifoldModel.flag(f, 1.3)
+        n = 40_000
+        rng = np.random.default_rng(f)
+        full = np.concatenate([
+            kernel_cross(model, X0(f), np.stack(_haar_flag_pairs(rng, 4000, f), axis=1))[0]
+            for _ in range(n // 4000)
+        ])
+        reduced = _nu0_samples(f, 1.3, n, 11)
+        critical = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
+        assert ks_distance(reduced, full) < critical
+        # the test separates f from f + 1
+        assert ks_distance(_nu0_samples(f + 1, 1.3, n, 11), full) > critical
 
     def test_stream_pin(self):
         # sha256 of (estimate, std_error) at flag(3, 1.3), n = 1000, seed 7,
         # recorded when the samples became the f = 2 lift's eta . W eta on
-        # the SFC64 stream with (4, f, k) blocks, lifted 1024 columns at a
-        # time; a change of generator, layout or kernel evaluation must say
-        # so and record a new pin
+        # each sample's representative pair, drawn from the SFC64 stream as
+        # (3, k) exponentials, (4, k) normals and Gamma rows per block, lifted
+        # 1024 columns at a time; a change of generator, layout or kernel
+        # evaluation must say so and record a new pin
         mc = nu0_monte_carlo(ManifoldModel.flag(3, 1.3), 1000, seed=7)
         digest = hashlib.sha256(np.array([mc.estimate, mc.std_error]).tobytes()).hexdigest()
         assert digest == MC_PIN
