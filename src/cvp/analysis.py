@@ -26,11 +26,6 @@ import numpy as np
 
 from .manifold import (
     ManifoldModel,
-    _flag_coupling,
-    _flag_features,
-    _flag_lift,
-    _flag_xi,
-    _flag_xi_real,
     kernel_cross,
     kernel_matrix,
     lagrangian_matrix,
@@ -397,7 +392,6 @@ def load_packing(path) -> np.ndarray:
 
 
 _MC_BLOCK = 8192  # Haar samples per block of the flag Monte Carlo
-_MC_LIFT = 1024  # of them lifted at once
 
 
 @dataclass(frozen=True)
@@ -412,39 +406,46 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
 
     D is unitarily invariant, D(Ux, Uy) = D(x, y), so for independent Haar
     x and y, D(x, y) has the law of D(x0, y) at the fixed point
-    x0 = (e1, e2).  A Haar point (u, v) is Gram-Schmidt on two complex
-    Gaussian vectors z and y (``_haar_flag_pairs``).  D(x0, .) and the
-    Gaussian law are both unchanged by the phases of u and of v, by
+    x0 = (e1, e2).  A Haar point (u, v) is u uniform on the unit sphere of
+    C^f and, given u, v uniform on the unit sphere of u-perp.  D(x0, .) and
+    that law are both unchanged by the phases of u and of v, by
     diag(e^{ia}, e^{ib}) on coordinates 1 and 2 and by any unitary of the
     tail coordinates 3..f.  So each sample is the kernel at x0 on the
     representative pair
 
-        z = (|z_1|, |z_2|, |z_t|, 0, ...),   y = (|y_1|, y_2, w, s, 0, ...),
+        u = (|z_1|, |z_2|, |z_t|, 0, ...) / |z|,
+        v = (gamma_1 f_1 + gamma_2 f_2 + s e_4) / |g|,
 
-    drawn with its exact law: |z_1|^2, |z_2|^2 and |y_1|^2 / 2 standard
-    exponentials, |z_t|^2 a standard Gamma(f - 2), y_2 and
-    w = <z_t / |z_t|, y_t> complex normals a + ib (a, b standard normal),
-    and s^2 / 2 a standard Gamma(f - 3), absent at f = 3.  (A complex
-    normal's |.|^2 is twice an exponential; z's entries all drop that
-    factor, which Gram-Schmidt divides out.)  That is 8 draws per sample at
-    f = 3 and 9 at any f >= 4, where the whole pair takes 4f normals.
+    drawn with its exact law.  Here f_1, f_2 is the real orthonormal frame
+    of span(P e_1, P e_2), P = I - uu*: f_1 = P e_1 / r_1 with
+    r_1^2 = 1 - u_1^2, and f_2 the unit vector along
+    P e_2 - <f_1, P e_2> f_1; e_4 spans the rest of u-perp up to a tail
+    unitary.  |z_1|^2, |z_2|^2 and gamma_1^2 / 2 are standard
+    exponentials, |z_t|^2 a standard Gamma(f - 2), gamma_2 = a + ib a
+    complex normal (a, b standard normal), s^2 / 2 a standard
+    Gamma(f - 3), absent at f = 3, and |g|^2 = gamma_1^2 + |gamma_2|^2 + s^2.
+    v's phase makes gamma_1 real.  That is 6 draws per sample at f = 3 and
+    7 at any f >= 4, two of them normals.
 
-    Gram-Schmidt on the representative pair is a closed form, and X0 lives
-    in the top-left 2 x 2 block, so a sample is the f = 2 kernel between
-    diag(1+tau, 1-tau) and (u_1, u_2; v_1, v_2): eta . W eta in the f = 2
-    lift (``manifold._flag_lift``), W = C (xi0 (x) xi0) as a 4 x 4 matrix.
-    It agrees with the kernel at x0 on the representative pair to rounding,
-    not bit for bit.  The draws come from ``SFC64(seed)``, so the estimate
-    is deterministic per seed; the standard error comes from the sample
-    variance.
+    In the frame, v_1 = gamma_1 r_1 / |g| and
+    v_2 = (gamma_2 u_t - gamma_1 u_1 u_2) / (r_1 |g|), and X0 lives in the
+    top-left 2 x 2 block, so with A = 1 + tau, B = 1 - tau and
+    Y = A uu* + B vv* on coordinates 1 and 2 a sample is the closed form
+
+        D = (A Y_11 - B Y_22)^2 / 2 + 2 A B |Y_12|^2,
+
+    which agrees with the kernel at x0 on the representative pair to
+    rounding, not bit for bit.  The draws come from ``SFC64(seed)``, so the
+    estimate is deterministic per seed; the standard error comes from the
+    sample variance.
 
     The samples are drawn in blocks of ``_MC_BLOCK`` = 8192 (the last one
-    shorter) into a buffer allocated once per call.  A block of k samples
-    reads from the stream, in order: standard exponentials (3, k) for
-    |z_1|^2, |z_2|^2, |y_1|^2 / 2; standard normals (4, k) for Re y_2,
-    Im y_2, Re w, Im w; Gamma(f - 2) (k,) for |z_t|^2; and for f >= 4
-    Gamma(f - 3) (k,) for s^2 / 2.  The working set is one block and its
-    products plus 8 bytes per sample.
+    shorter) into a buffer allocated once per call, and evaluated in place.
+    A block of k samples reads from the stream, in order: standard
+    exponentials (3, k) for |z_1|^2, |z_2|^2, gamma_1^2 / 2; standard
+    normals (2, k) for Re gamma_2, Im gamma_2; Gamma(f - 2) (k,) for
+    |z_t|^2; and for f >= 4 Gamma(f - 3) (k,) for s^2 / 2.  The working set
+    is one block and four work rows plus 8 bytes per sample.
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
@@ -461,48 +462,87 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
 
 
 def _nu0_samples(f: int, tau: float, n: int, seed) -> np.ndarray:
-    """The n samples D(x0, y) of ``nu0_monte_carlo``, in stream order."""
-    pairs = _flag_lift(2, tau)  # W = C (xi0 (x) xi0) as a 4 x 4 matrix
-    W = _flag_features(_flag_coupling(2), _flag_xi(pairs, np.eye(2, dtype=complex))).reshape(4, 4)
+    """The n samples D(x0, y) of ``nu0_monte_carlo``, in stream order.
+
+    With zz = |z|^2, rr = zz r_1^2 = |z_2|^2 + |z_t|^2 (no cancellation as
+    u_1 -> 1), m = zz u_1 u_2 = |z_1 z_2| and w = zz r_1 |g| v_2 =
+    gamma_2 sqrt(|z_t|^2 zz) - gamma_1 m, the scaled block entries are
+
+        zz (A Y_11 - B Y_22) = A (A |z_1|^2 - B |z_2|^2)
+                               + (B / |g|^2) (A gamma_1^2 rr - B |w|^2 / rr),
+        zz Y_12 = A m + (B / |g|^2) gamma_1 conj(w),
+
+    and a sample is D = ((zz (A Y_11 - B Y_22))^2 / 2 + 2 A B |zz Y_12|^2) / zz^2.
+    """
+    A, B = 1.0 + tau, 1.0 - tau
     rng = np.random.Generator(np.random.SFC64(seed))
     size = min(n, _MC_BLOCK)
-    width = 8 if f == 3 else 9  # draws per sample
+    width = 6 if f == 3 else 7  # draws per sample
     # flat, so that the short last block is a contiguous prefix too
     draws = np.empty(width * size)
-    # the f = 2 real view Re u_1, Im u_1, Re u_2, Im u_2, then v, as rows; u is
-    # real, so the rows Im u_1 and Im u_2 stay 0
-    r = np.empty((8, size))
-    r[[1, 3]] = 0.0
+    work = np.empty(4 * size)
     vals = np.empty(n)
     for lo in range(0, n, _MC_BLOCK):
         k = min(_MC_BLOCK, n - lo)
         block = draws[: width * k].reshape(width, k)
         rng.standard_exponential(out=block[:3])
-        rng.standard_normal(out=block[3:7])
-        rng.standard_gamma(f - 2, out=block[7])
+        rng.standard_normal(out=block[3:5])
+        rng.standard_gamma(f - 2, out=block[5])
         if f > 3:
-            rng.standard_gamma(f - 3, out=block[8])
-        zz1, zz2, yy1, p, q, wr, wi, zzt = block[:8]  # |z_1|^2, ..., y_2 = p + iq
-        yy1 *= 2.0
-        yy = yy1 + p * p + q * q + wr * wr + wi * wi  # |y|^2
+            rng.standard_gamma(f - 3, out=block[6])
+        # |z_1|^2, |z_2|^2, gamma_1^2 / 2, gamma_2 = p + iq, |z_t|^2; a row is
+        # reused in place once its value is spent, and each comment names
+        # what a line leaves in its row
+        z1, z2, g1, p, q, zt = block[:6]
+        m, rr, zz, x = work[: 4 * k].reshape(4, k)
+        d = vals[lo : lo + k]
+        g1 *= 2.0  # g1: gamma_1^2
+        np.multiply(p, p, out=x)
+        np.multiply(q, q, out=m)
+        x += m
+        x += g1
         if f > 3:
-            yy += 2.0 * block[8]
-        zz = zz1 + zz2 + zzt  # |z|^2
-        z1, z2, zt, y1 = np.sqrt([zz1, zz2, zzt, yy1])
-        cr = (z1 * y1 + z2 * p + zt * wr) / zz  # c = <z, y> / |z|^2
-        ci = (z2 * q + zt * wi) / zz
-        nz = np.sqrt(zz)
-        nv = np.sqrt(yy - (cr * cr + ci * ci) * zz)  # |y - c z|
-        np.divide(z1, nz, out=r[0, :k])
-        np.divide(z2, nz, out=r[2, :k])
-        np.divide(y1 - cr * z1, nv, out=r[4, :k])
-        np.divide(-ci * z1, nv, out=r[5, :k])
-        np.divide(p - cr * z2, nv, out=r[6, :k])
-        np.divide(q - ci * z2, nv, out=r[7, :k])
-        # lifted in chunks: a whole block's pair products are 1 MB of fresh temporaries
-        for c in range(0, k, _MC_LIFT):
-            eta = _flag_xi_real(pairs, r[:, c : min(k, c + _MC_LIFT)])
-            np.einsum("ij,ij->i", eta @ W, eta, out=vals[lo + c : lo + min(k, c + _MC_LIFT)])
+            block[6] *= 2.0
+            x += block[6]  # x: |g|^2
+        np.add(z2, zt, out=rr)
+        np.add(rr, z1, out=zz)
+        np.multiply(z1, z2, out=m)
+        np.sqrt(m, out=m)  # m: |z_1 z_2| = zz u_1 u_2
+        z1 *= A * A
+        z2 *= A * B
+        z1 -= z2  # z1: A (A |z_1|^2 - B |z_2|^2)
+        zt *= zz
+        np.sqrt(zt, out=zt)  # zt: sqrt(|z_t|^2 zz)
+        np.multiply(zz, zz, out=d)  # d: zz^2
+        np.sqrt(g1, out=z2)  # z2: gamma_1
+        g1 *= rr
+        g1 *= A  # g1: A gamma_1^2 rr
+        p *= zt
+        q *= zt
+        np.multiply(z2, m, out=zt)
+        p -= zt  # p, q: w
+        np.multiply(p, p, out=zt)
+        np.multiply(q, q, out=zz)
+        zt += zz
+        zt /= rr
+        zt *= B
+        g1 -= zt  # g1: A gamma_1^2 rr - B |w|^2 / rr
+        np.divide(B, x, out=x)  # x: B / |g|^2
+        g1 *= x
+        z1 += g1  # z1: zz (A Y_11 - B Y_22)
+        z2 *= x
+        p *= z2
+        q *= z2  # q: -Im zz Y_12
+        m *= A
+        m += p  # m: Re zz Y_12
+        m *= m
+        q *= q
+        m += q
+        m *= 2.0 * A * B
+        z1 *= z1
+        z1 *= 0.5
+        z1 += m
+        np.divide(z1, d, out=d)
     return vals
 
 

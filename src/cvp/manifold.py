@@ -16,21 +16,25 @@ only through c = <x,y>,
 evaluated only by ``zonal_d``.  The circle is a great circle of the
 sphere: ``unit_vectors`` embeds its angles in R^2, so both spaces share
 every kernel routine and angles stay at the input/output boundary.  On
-the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated only as
+the flag manifold D(x, y) = Tr((xy)^2) - Tr(xy)^2 / 2, evaluated as
 (xi (x) xi) . C (eta (x) eta) in the real lift: xi are the coordinates of
 X = (1+tau) uu* + (1-tau) vv* in an orthonormal Hermitian basis
 (``_flag_lift``) and C a sparse coupling fixed by f (``_flag_coupling``).
-``kernel_cross``, the annealer (``optimize._Lift``), the merge distance
-(Tr(xy) = xi . eta) and the flag Monte Carlo all read it; the zonal D is
-likewise bilinear in x (x) x, x and 1.  The Lagrangian is the positive part
-L = max(0, D); the sign of D defines the causal relation of two points.
+``kernel_cross``, the annealer (``optimize._Lift``) and the merge distance
+(Tr(xy) = xi . eta) read it; only the flag Monte Carlo, whose first point
+is always x0 = (e1, e2), reads D off a 2 x 2 block in closed form.  The
+zonal D is likewise bilinear in x (x) x, x and 1.  The Lagrangian is the
+positive part L = max(0, D); the sign of D defines the causal relation of
+two points.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -51,8 +55,9 @@ class ManifoldModel:
     """A model space together with the coupling constant tau.
 
     ``kind`` is one of ``"circle"``, ``"sphere"``, ``"flag"``; ``f`` is the
-    complex dimension for the flag manifold and must be None otherwise.
-    tau must lie in [1, TAU_MAX].
+    complex dimension for the flag manifold, an integer (``operator.index``),
+    and must be None otherwise.  tau must be a real number, not a bool, in
+    [1, TAU_MAX]; it is stored as a float.
     """
 
     kind: str
@@ -63,13 +68,20 @@ class ManifoldModel:
         if self.kind not in ("circle", "sphere", "flag"):
             raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.kind == "flag":
-            if self.f is None or int(self.f) < 3:
-                raise ValueError("flag manifold requires f >= 3")
+            try:
+                f = index(self.f)
+            except TypeError:
+                f = None
+            if f is None or f < 3:
+                raise ValueError(f"flag manifold requires f >= 3, an integer (got f={self.f!r})")
             # tau = 1 is the degenerate boundary where the kernel operator
             # against the Haar measure is PSD; it stays constructible
-            object.__setattr__(self, "f", int(self.f))
+            object.__setattr__(self, "f", f)
         elif self.f is not None:
             raise ValueError(f"f is only meaningful for the flag manifold")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau must be a real number (got tau={self.tau!r})")
+        object.__setattr__(self, "tau", float(self.tau))
         if not 1 <= self.tau <= TAU_MAX:
             raise ValueError(
                 f"tau must lie in [1, {TAU_MAX:g}] (got {self.tau!r}): near it the "
@@ -78,15 +90,15 @@ class ManifoldModel:
 
     @classmethod
     def circle(cls, tau: float) -> "ManifoldModel":
-        return cls("circle", float(tau))
+        return cls("circle", tau)
 
     @classmethod
     def sphere(cls, tau: float) -> "ManifoldModel":
-        return cls("sphere", float(tau))
+        return cls("sphere", tau)
 
     @classmethod
     def flag(cls, f: int, tau: float) -> "ManifoldModel":
-        return cls("flag", float(tau), int(f))
+        return cls("flag", tau, f)
 
     @property
     def kernel_scale(self) -> float:

@@ -22,6 +22,7 @@ converging series in the zonal moments of the density.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,20 +220,35 @@ def measure_to_dict(model: ManifoldModel, m: WeightedMeasure) -> dict:
     return d
 
 
+def _require_numbers(values: list, key: str) -> None:
+    """Raise ValueError naming key unless every entry of values is a number:
+    a JSON bool, string or list is not."""
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, numbers.Real):
+            bad = next(x for x in values if type(x) is kind)
+            raise ValueError(f"{key} must hold JSON numbers only (got {bad!r})")
+
+
 def measure_from_dict(d: dict) -> tuple[ManifoldModel, WeightedMeasure]:
-    """Parse a measure document; a malformed one raises ValueError."""
+    """Parse a measure document; a malformed one raises ValueError.  tau,
+    the weights and the coordinates must be JSON numbers and f an integer."""
     kind = d.get("manifold") if isinstance(d, dict) else None
     keys = {"manifold", "tau", "points", "weights"} | ({"f"} if kind == "flag" else set())
     if not isinstance(d, dict) or set(d) != keys:
         raise ValueError(f"a measure document is a JSON object with the keys {sorted(keys)}")
     try:
+        _require_numbers(d["weights"], "weights")
         if kind == "flag":
             model = ManifoldModel.flag(d["f"], d["tau"])
+            _require_numbers(
+                [c for p in d["points"] for key in "uv" for pair in p[key] for c in pair], "points"
+            )
             points = np.array(
                 [[[complex(re, im) for re, im in p[key]] for key in "uv"] for p in d["points"]]
             )
         else:
-            model = ManifoldModel(kind, float(d["tau"]))
+            model = ManifoldModel(kind, d["tau"])
+            _require_numbers([c for p in d["points"] for c in p], "points")
             points = np.asarray(d["points"], dtype=float)
             width = 1 if kind == "circle" else 3
             if points.ndim != 2 or points.shape[1] != width:

@@ -520,26 +520,28 @@ def gram_schmidt(z, y):
 
 def block_draws(rng, k, f):
     """One Monte Carlo block's draws of k samples, in stream order: (3, k)
-    exponentials, (4, k) normals, Gamma(f - 2) and, for f >= 4,
+    exponentials, (2, k) normals, Gamma(f - 2) and, for f >= 4,
     Gamma(f - 3), each drawn by its own call."""
-    draws = [rng.standard_exponential((3, k)), rng.standard_normal((4, k)),
+    draws = [rng.standard_exponential((3, k)), rng.standard_normal((2, k)),
              rng.standard_gamma(f - 2, k)]
     return draws + [rng.standard_gamma(f - 3, k)] * (f > 3)
 
 
 def representative_pairs(rng, k, f):
-    """The k representative Haar pairs (k, 2, f) of one Monte Carlo block:
-    its draws read as z = (|z_1|, |z_2|, |z_t|, 0, ...) and
-    y = (|y_1|, y_2, w, s, 0, ...), then complex Gram-Schmidt, written out
-    here as an oracle."""
-    (zz1, zz2, yy1), (p, q, wr, wi), zzt, *ss = block_draws(rng, k, f)
-    z = np.zeros((k, f), dtype=complex)
-    y = np.zeros((k, f), dtype=complex)
-    z[:, 0], z[:, 1], z[:, 2] = np.sqrt(zz1), np.sqrt(zz2), np.sqrt(zzt)
-    y[:, 0], y[:, 1], y[:, 2] = np.sqrt(2.0 * yy1), p + 1j * q, wr + 1j * wi
+    """The k representative Haar pairs (k, 2, f) of one Monte Carlo block,
+    written out here as an oracle: u = (|z_1|, |z_2|, |z_t|, 0, ...) / |z|
+    and v = (gamma_1 f_1 + gamma_2 f_2 + s e_4) / |g|, where f_1, f_2 is
+    Gram-Schmidt on P e_1, P e_2 with P = I - uu*."""
+    (zz1, zz2, gg1), (p, q), zzt, *ss = block_draws(rng, k, f)
+    u = np.zeros((k, f), dtype=complex)
+    u[:, :3] = np.sqrt(np.stack([zz1, zz2, zzt], axis=1))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pe = np.eye(f)[:2] - u[:, :2, None].conj() * u[:, None, :]  # P e_1, P e_2 as rows
+    frame = gram_schmidt(pe[:, 0], pe[:, 1])
+    g = np.sqrt(2.0 * gg1)[:, None] * frame[:, 0] + (p + 1j * q)[:, None] * frame[:, 1]
     if ss:
-        y[:, 3] = np.sqrt(2.0 * ss[0])
-    return gram_schmidt(z, y)
+        g[:, 3] = np.sqrt(2.0 * ss[0])
+    return np.stack([u, g / np.linalg.norm(g, axis=1, keepdims=True)], axis=1)
 
 
 def stream_pairs(seed, n, f):
@@ -565,7 +567,7 @@ def ks_distance(a, b):
     )))
 
 
-MC_PIN = "e8fc69ca371fc6e32ea267cdcd8a92ddd8983171df886f7a3ef34ea479c49d49"
+MC_PIN = "53d5ea1293dd75585f8a24888e4133ae3e1141119d2c432ceea6d4ac1bb3ea8c"
 
 
 class TestMonteCarlo:
@@ -625,6 +627,21 @@ class TestMonteCarlo:
         mixed[..., 1:3] = mixed[..., 1:3] @ random_unitary(rng, 2).T
         assert np.max(np.abs(kernel_cross(model, X0(f), mixed)[0] - base)) > 1e-3 * model.kernel_scale
 
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_block_closed_form_is_the_kernel_at_x0(self, f):
+        # the sampler's closed form D = (A Y_11 - B Y_22)^2 / 2 + 2 A B |Y_12|^2,
+        # A = 1 + tau, B = 1 - tau, Y = A uu* + B vv* on coordinates 1 and 2,
+        # against the batch kernel at x0 on whole Haar pairs
+        model = ManifoldModel.flag(f, 1.3)
+        A, B = 1.0 + model.tau, 1.0 - model.tau
+        ys = np.stack(_haar_flag_pairs(np.random.default_rng(f), 20, f), axis=1)
+        u, v = ys[:, 0, :2], ys[:, 1, :2]
+        Y = A * u[:, :, None] * u[:, None, :].conj() + B * v[:, :, None] * v[:, None, :].conj()
+        y11, y22, y12 = Y[:, 0, 0].real, Y[:, 1, 1].real, Y[:, 0, 1]
+        closed = 0.5 * (A * y11 - B * y22) ** 2 + 2 * A * B * np.abs(y12) ** 2
+        want = kernel_cross(model, X0(f), ys)[0]
+        assert np.max(np.abs(closed - want)) <= 1e-12 * model.kernel_scale
+
     @pytest.mark.parametrize("f", [3, 4])
     def test_matches_kernel_cross_reference(self, f):
         # the same SFC64 block's representative pairs, evaluated by the batch
@@ -654,21 +671,23 @@ class TestMonteCarlo:
             float(np.std(vals, ddof=1) / math.sqrt(n)), rel=1e-12
         )
 
-    def test_one_draw_is_the_four_draw_stream(self):
+    def test_out_draws_are_the_sized_draw_stream(self):
         # a block drawn into the reused flat buffer with out= reads its (3, k)
-        # exponentials, (4, k) normals and the two Gamma rows from the stream
-        # in order, as four calls with sizes do; a short last block is a
-        # contiguous prefix of the buffer
-        a, b = sfc64(3), sfc64(3)
-        f, size = 4, 100
-        buf = np.empty(9 * size)
-        for k in (size, size, 37):
-            block = buf[: 9 * k].reshape(9, k)
-            a.standard_exponential(out=block[:3])
-            a.standard_normal(out=block[3:7])
-            a.standard_gamma(f - 2, out=block[7])
-            a.standard_gamma(f - 3, out=block[8])
-            assert np.array_equal(block, np.vstack(block_draws(b, k, f)))
+        # exponentials, (2, k) normals and its Gamma rows from the stream in
+        # order, as the calls with sizes do, at f = 3 (one Gamma row) and
+        # f = 4 (two); a short last block is a contiguous prefix of the buffer
+        for f in (3, 4):
+            a, b = sfc64(3), sfc64(3)
+            width, size = f + 3, 100
+            buf = np.empty(width * size)
+            for k in (size, size, 37):
+                block = buf[: width * k].reshape(width, k)
+                a.standard_exponential(out=block[:3])
+                a.standard_normal(out=block[3:5])
+                a.standard_gamma(f - 2, out=block[5])
+                if f > 3:
+                    a.standard_gamma(f - 3, out=block[6])
+                assert np.array_equal(block, np.vstack(block_draws(b, k, f)))
 
     @pytest.mark.parametrize("f", [3, 4, 5])
     def test_samples_match_dense_kernel(self, f):
@@ -701,11 +720,12 @@ class TestMonteCarlo:
 
     def test_stream_pin(self):
         # sha256 of (estimate, std_error) at flag(3, 1.3), n = 1000, seed 7,
-        # recorded when the samples became the f = 2 lift's eta . W eta on
-        # each sample's representative pair, drawn from the SFC64 stream as
-        # (3, k) exponentials, (4, k) normals and Gamma rows per block, lifted
-        # 1024 columns at a time; a change of generator, layout or kernel
-        # evaluation must say so and record a new pin
+        # recorded when each sample became the closed form
+        # (A Y_11 - B Y_22)^2 / 2 + 2 A B |Y_12|^2 on u and v drawn in a real
+        # frame of u-perp, read from the SFC64 stream as (3, k) exponentials,
+        # (2, k) normals and Gamma rows per block and evaluated in place; a
+        # change of generator, layout or kernel evaluation must say so and
+        # record a new pin
         mc = nu0_monte_carlo(ManifoldModel.flag(3, 1.3), 1000, seed=7)
         digest = hashlib.sha256(np.array([mc.estimate, mc.std_error]).tobytes()).hexdigest()
         assert digest == MC_PIN

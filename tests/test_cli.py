@@ -240,6 +240,34 @@ class TestCertify:
         assert "error:" in err
         assert "action" not in out
 
+    CIRCLE = {"manifold": "circle", "tau": 1.3, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}
+    FLAG_POINT = {"u": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                  "v": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}
+    FLAG = {"manifold": "flag", "tau": 2.0, "f": 3, "points": [FLAG_POINT], "weights": [1.0]}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**FLAG, "f": 3.5}, "got f=3.5"),
+        ({**FLAG, "f": "3"}, "got f='3'"),
+        ({**FLAG, "tau": True}, "got tau=True"),
+        ({**CIRCLE, "tau": True}, "got tau=True"),
+        ({**CIRCLE, "tau": "1.3"}, "got tau='1.3'"),
+        ({**FLAG, "weights": [True]}, "weights must hold JSON numbers only"),
+        ({**CIRCLE, "weights": [0.5, "0.5"]}, "weights must hold JSON numbers only"),
+        ({**CIRCLE, "points": [[0.0], ["1.0"]]}, "points must hold JSON numbers only"),
+        ({**CIRCLE, "points": [[0.0], [True]]}, "points must hold JSON numbers only"),
+        ({**FLAG, "points": [{**FLAG_POINT, "u": [[True, 0.0], [0.0, 0.0], [0.0, 0.0]]}]},
+         "points must hold JSON numbers only"),
+    ], ids=["flag_fractional_f", "flag_string_f", "flag_bool_tau", "circle_bool_tau",
+            "circle_string_tau", "flag_bool_weight", "circle_string_weight",
+            "circle_string_angle", "circle_bool_angle", "flag_bool_coordinate"])
+    def test_non_numeric_field_exit_2(self, capsys, tmp_path, doc, message):
+        # each of these documents used to be certified as a model or measure
+        # it does not state
+        mfile = tmp_path / "bad.json"
+        mfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "--measure", str(mfile))
+        assert_rejected(code, out, err, message)
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "certify", "--measure", "/nonexistent/m.json")
         assert code == 3

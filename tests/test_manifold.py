@@ -53,6 +53,28 @@ class TestModelValidation:
         diag = zonal_d(TAU_MAX, np.array([1.0]))[0]
         assert abs(diag - 8.0 * TAU_MAX**2) <= 1e-10 * 8.0 * TAU_MAX**2
 
+    @pytest.mark.parametrize("f", [3.5, 3.9, 3.0, "3", None, True])
+    def test_f_must_be_an_integer(self, f):
+        # int() used to turn 3.5 and 3.9 into f = 3
+        with pytest.raises(ValueError, match=r"requires f >= 3, an integer \(got f="):
+            ManifoldModel("flag", 2.0, f)
+        with pytest.raises(ValueError, match=r"requires f >= 3, an integer \(got f="):
+            ManifoldModel.flag(f, 2.0)
+
+    @pytest.mark.parametrize("tau", [True, False, "1.5", None, [1.5]])
+    @pytest.mark.parametrize("kind, f", [("circle", None), ("sphere", None), ("flag", 3)])
+    def test_tau_must_be_a_real_number(self, kind, f, tau):
+        # float() used to turn True into tau = 1
+        with pytest.raises(ValueError, match=r"tau must be a real number \(got tau="):
+            ManifoldModel(kind, tau, f)
+
+    def test_numpy_numbers_accepted(self):
+        model = ManifoldModel.flag(np.int64(4), np.float32(1.5))
+        assert (model.f, model.tau) == (4, 1.5)
+        assert type(model.f) is int and type(model.tau) is float
+        assert ManifoldModel.circle(2) == ManifoldModel("circle", 2.0)
+        assert type(ManifoldModel.sphere(np.float64(1.2)).tau) is float
+
     def test_f_rejected_off_flag(self):
         with pytest.raises(ValueError):
             ManifoldModel("sphere", 1.5, 3)

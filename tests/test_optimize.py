@@ -623,9 +623,9 @@ class TestBuildCounts:
             for _ in range(2):
                 meas = anneal(model, 4, light(model, steps_per_temp=2, restarts=1))
                 merge_clusters(model, meas, 0.5)
-        # kernel_cross at f = 3 and 4, the Monte Carlo's f = 2 lift
+        # kernel_cross at f = 3 and 4; the Monte Carlo's closed form builds none
         nu0_monte_carlo(ManifoldModel.flag(3, 1.5), 100, seed=0)
-        assert manifold._flag_coupling.cache_info().misses == 3
+        assert manifold._flag_coupling.cache_info().misses == 2
 
     def test_one_lift_per_anneal_call_in_a_scan(self, monkeypatch):
         # a cold run at each tau and a warm run from each neighbour, each

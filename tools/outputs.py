@@ -29,8 +29,9 @@ from pathlib import Path
 WORKLOADS = ("solve", "certify_bounds")
 
 
-def outputs(root: Path, seeds, names=WORKLOADS) -> dict:
-    """{"workload:seed:job": [exit code, stdout sha256]} for root's tree."""
+def load_tree(root: Path):
+    """Import root's ``cvp`` and perfbench's ``run`` and ``workloads`` into
+    this process, with CVP_THREADS=1 and no bytecode written."""
     os.environ["CVP_THREADS"] = "1"  # before numpy is first imported
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -41,6 +42,12 @@ def outputs(root: Path, seeds, names=WORKLOADS) -> dict:
 
     if Path(cvp.__file__).resolve().parent != root / "src" / "cvp":
         raise SystemExit(f"error: imported cvp from {cvp.__file__}, not from {root}")
+    return cvp, run, workloads
+
+
+def outputs(root: Path, seeds, names=WORKLOADS) -> dict:
+    """{"workload:seed:job": [exit code, stdout sha256]} for root's tree."""
+    cvp, run, workloads = load_tree(root)
     out = {}
     for name in names:
         for seed in seeds:
