@@ -20,12 +20,13 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from operator import index, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
 from .manifold import (
     ManifoldModel,
+    _integer_at_least,
     kernel_cross,
     kernel_matrix,
     lagrangian_matrix,
@@ -36,6 +37,10 @@ from .measure import WeightedMeasure, action, probe_grid, volume_action
 from .spectral import legendre_all, real_sphere_harmonics
 
 _FLAG_TEST_SEED = 20240  # fixed stream for the deterministic flag test grid
+_TEST_GRID = 2048  # points of the test grid every certificate checks ell and d on
+_EXACT_TOL = 1e-6  # certify's tolerance for exact constructions
+_ANNEALED_TOL = 1e-2  # certify's tolerance for annealed measures
+_HEAT_TIMES = (0.01, 2.0, 14)  # default heat-time grid: geomspace(t_min, t_max, count)
 
 
 class Classification(enum.Enum):
@@ -84,18 +89,16 @@ def _moment_residuals(model: ManifoldModel, m: WeightedMeasure) -> tuple[float, 
 def certify(
     model: ManifoldModel,
     m: WeightedMeasure,
-    test_grid_size: int = 2048,
-    tol: float = 1e-6,
+    tol: float = _EXACT_TOL,
 ) -> CertificateReport:
     """Euler-Lagrange residual, Gram eigenvalue and causal classification.
 
-    The classification uses the relative tolerance tol * 8 tau^2 on both
-    the pairwise-sign condition and the constancy of d over a deterministic
-    test grid; use ~1e-6 for exact constructions and ~1e-2 for annealed
-    measures.
+    ell and d are checked on the deterministic 2048-point test grid of
+    ``probe_grid``.  The classification uses the relative tolerance
+    tol * 8 tau^2 on both the pairwise-sign condition and the constancy of
+    d over that grid; use ~1e-6 for exact constructions and ~1e-2 for
+    annealed measures.
     """
-    if test_grid_size < 1:
-        raise ValueError("test_grid_size must be >= 1")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0 (got {tol!r})")
     scale = model.kernel_scale
@@ -105,7 +108,7 @@ def certify(
     S = float(w @ gmat @ w)
     ell_supp = gmat @ w
     supp = w > 0
-    grid = probe_grid(model, test_grid_size, _FLAG_TEST_SEED)
+    grid = probe_grid(model, _TEST_GRID, _FLAG_TEST_SEED)
     cross = kernel_cross(model, grid, m.points)
     ell_grid = np.maximum(0.0, cross) @ w
     d_grid = cross @ w
@@ -210,9 +213,7 @@ def antipodal_obstruction(model: ManifoldModel) -> bool:
 def flag_gt_threshold(f: int) -> float:
     """Coupling above which no generically timelike flag minimizer exists:
     tau* = sqrt((3f + 2 sqrt(3 (f^2 - 1))) / (2 + f))."""
-    f = int(f)
-    if f < 3:
-        raise ValueError("f must be >= 3")
+    f = _integer_at_least(f, "f", 3)
     return math.sqrt((3 * f + 2 * math.sqrt(3 * (f * f - 1))) / (2 + f))
 
 
@@ -344,10 +345,11 @@ def optimize_heat_params(model: ManifoldModel, t_grid) -> HeatKernelBound | None
 
 
 def _unit_rows(pts, what: str) -> np.ndarray:
-    """pts normalized, when each row is a 3-vector within 1e-6 of unit norm."""
+    """pts normalized, when there is at least one row and each row is a
+    3-vector within 1e-6 of unit norm."""
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{what} must be an array of unit 3-vectors")
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+        raise ValueError(f"{what} must be a non-empty array of unit 3-vectors")
     norms = np.linalg.norm(pts, axis=1)
     if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN norm fails here too
         raise ValueError(f"{what} points must be unit vectors within 1e-6")
@@ -382,8 +384,6 @@ def load_packing(path) -> np.ndarray:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad coordinate") from exc
             pts.append(vec)
-    if not pts:
-        raise ValueError(f"{path}: empty packing")
     return _unit_rows(pts, f"{path}:")
 
 
@@ -449,12 +449,7 @@ def nu0_monte_carlo(model: ManifoldModel, n: int, seed) -> MonteCarloEstimate:
     """
     if model.kind != "flag":
         raise ValueError("Monte Carlo nu0 is for the flag manifold")
-    try:
-        count = index(n)
-    except TypeError:
-        count = None
-    if count is None or count < 2:
-        raise ValueError(f"n must be an integer >= 2 (got n={n!r})")
+    count = _integer_at_least(n, "n", 2)
     vals = _nu0_samples(model.f, model.tau, count, seed)
     return MonteCarloEstimate(
         float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(count))
@@ -603,7 +598,7 @@ def bounds_report(
     if model.kind != "sphere":
         raise ValueError("bounds reports are formulated on the sphere")
     if t_grid is None:
-        t_grid = np.geomspace(0.01, 2.0, 14)
+        t_grid = np.geomspace(*_HEAT_TIMES)
     tammes = None
     for packing in packings:
         val = tammes_upper_bound(model, packing)

@@ -43,8 +43,8 @@ def _schedule_overrides(args) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
-def _certificate_payload(model, meas, tol, grid_size) -> dict:
-    report = analysis.certify(model, meas, test_grid_size=grid_size, tol=tol)
+def _certificate_payload(model, meas, tol) -> dict:
+    report = analysis.certify(model, meas, tol=tol)
     payload = report.to_dict()
     if model.kind != "flag":
         payload["antipodal_obstruction"] = analysis.antipodal_obstruction(model)
@@ -56,9 +56,9 @@ def cmd_minimize(args) -> int:
     model = ManifoldModel(args.manifold, args.tau, args.f)
     sched = AnnealSchedule.default(model, seed=args.seed, **_schedule_overrides(args))
     meas = optimize.anneal(model, args.m, sched)
-    merged = optimize.merge_clusters(model, meas, args.merge_radius).measure
+    merged = optimize.merge_clusters(model, meas, optimize._MERGE_RADIUS).measure
     measure_doc = measure_to_dict(model, merged)
-    cert_doc = _certificate_payload(model, merged, args.tol, args.test_grid)
+    cert_doc = _certificate_payload(model, merged, args.tol)
     if args.out_measure is not None:
         _write_or_print(_dump(measure_doc), args.out_measure)
     if args.out_certificate is not None:
@@ -69,7 +69,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_certify(args) -> int:
     model, meas = measure_mod.load_measure(args.measure)
-    payload = _certificate_payload(model, meas, args.tol, args.test_grid)
+    payload = _certificate_payload(model, meas, args.tol)
     _write_or_print(_dump(payload), args.output)
     return 0
 
@@ -145,7 +145,6 @@ def cmd_scan(args) -> int:
         args.m,
         f=args.f,
         seed=args.seed,
-        merge_radius=args.merge_radius,
         **_schedule_overrides(args),
     )
     buf = io.StringIO()
@@ -183,7 +182,7 @@ def cmd_exact(args) -> int:
         }
     if args.construction != "density":
         payload["measure"] = measure_to_dict(model, meas)
-        payload["certificate"] = _certificate_payload(model, meas, args.tol, args.test_grid)
+        payload["certificate"] = _certificate_payload(model, meas, args.tol)
     _write_or_print(_dump(payload), args.output)
     return 0
 
@@ -217,17 +216,15 @@ def _minimize_args(p):
     p.add_argument("--cooling", type=float, default=None)
     p.add_argument("--steps-per-temp", dest="steps_per_temp", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--merge-radius", dest="merge_radius", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-2, help="certification tolerance")
-    p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)
+    p.add_argument("--tol", type=float, default=analysis._ANNEALED_TOL,
+                   help="certification tolerance")
     p.add_argument("--out-measure", dest="out_measure", default=None)
     p.add_argument("--out-certificate", dest="out_certificate", default=None)
 
 
 def _certify_args(p):
     p.add_argument("--measure", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)
+    p.add_argument("--tol", type=float, default=analysis._EXACT_TOL)
     p.add_argument("--output", default=None)
 
 
@@ -236,9 +233,10 @@ def _bounds_args(p):
     p.add_argument("--packing", action="append", default=[],
                    help="packing file (repeatable)")
     p.add_argument("--measure", default=None, help="measure JSON for best_found")
-    p.add_argument("--t-min", dest="t_min", type=float, default=0.01)
-    p.add_argument("--t-max", dest="t_max", type=float, default=2.0)
-    p.add_argument("--t-count", dest="t_count", type=int, default=14)
+    t_min, t_max, t_count = analysis._HEAT_TIMES
+    p.add_argument("--t-min", dest="t_min", type=float, default=t_min)
+    p.add_argument("--t-max", dest="t_max", type=float, default=t_max)
+    p.add_argument("--t-count", dest="t_count", type=int, default=t_count)
     p.add_argument("--output", default=None)
 
 
@@ -253,7 +251,6 @@ def _scan_args(p):
     p.add_argument("--cooling", type=float, default=None)
     p.add_argument("--steps-per-temp", dest="steps_per_temp", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--merge-radius", dest="merge_radius", type=float, default=1e-3)
     p.add_argument("--output", default=None)
 
 
@@ -263,8 +260,7 @@ def _exact_args(p):
     p.add_argument("--m", type=int, default=4, help="uniform construction size")
     p.add_argument("--force", action="store_true",
                    help="build the chain below the theorem's tau_d hypothesis")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--test-grid", dest="test_grid", type=int, default=2048)
+    p.add_argument("--tol", type=float, default=analysis._EXACT_TOL)
     p.add_argument("--output", default=None)
 
 
@@ -318,8 +314,6 @@ def main(argv=None) -> int:
     chosen = tuple(c for c in _COMMANDS if argv and c[0] == argv[0])
     args = (_parser(chosen) if chosen else build_parser()).parse_args(argv)
     try:
-        if getattr(args, "test_grid", 1) < 1:
-            raise ValueError("--test-grid must be >= 1")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import TAU_MAX, ManifoldModel, flag_point, lagrangian, theta_max
+from .manifold import TAU_MAX, ManifoldModel, _integer_at_least, flag_point, lagrangian, theta_max
 from .measure import DensityMeasure, WeightedMeasure
 
 CIRCLE_TAU_D = math.sqrt(3.0 + math.sqrt(10.0))
@@ -53,9 +53,7 @@ def circle_m0(tau: float) -> int:
 
 def circle_tau_m(m: int) -> float:
     """Coupling sqrt(2 / (1 - cos(2 pi / m))) at which m0 jumps to m."""
-    m = int(m)
-    if m < 3:
-        raise ValueError("m must be >= 3")
+    m = _integer_at_least(m, "m", 3)
     return math.sqrt(2.0 / (1.0 - math.cos(2.0 * math.pi / m)))
 
 
@@ -157,9 +155,7 @@ def flag_negative_witness(f: int, tau: float, eps: float) -> FlagWitness:
     g = ((tau+1)^2 - eps (tau-1)^2)^2 / 2, which exceeds the diagonal
     8 tau^2 for small eps.
     """
-    f = int(f)
-    if f < 3:
-        raise ValueError("f must be >= 3")
+    f = _integer_at_least(f, "f", 3)
     if not 1 < tau <= TAU_MAX:
         raise ValueError(f"tau must lie in (1, {TAU_MAX:g}]")
     if not 0 < eps < 1:

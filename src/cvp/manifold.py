@@ -50,6 +50,18 @@ _FLAG_DRIFT = 1e-12
 TAU_MAX = 1e3
 
 
+def _integer_at_least(value, name: str, least: int) -> int:
+    """value as an int (``operator.index``, so 3.7 is never truncated to 3)
+    when it is an integer >= least; else a ValueError that names it."""
+    try:
+        count = index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"{name} must be an integer >= {least} (got {name}={value!r})")
+    return count
+
+
 @dataclass(frozen=True)
 class ManifoldModel:
     """A model space together with the coupling constant tau.

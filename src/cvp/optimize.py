@@ -63,8 +63,7 @@ _RESOLVE_EVERY = 50      # accepted moves between weight sub-solves
 _RESYNC_EVERY = 4096     # accepted moves between full recomputations
 _TIE_TOL = 1e-12
 _REDUCE_RTOL = 1e-6      # action rise a support reduction may cause, relative
-_SCAN_CERTIFY_TOL = 1e-2  # certify's tolerance and test grid for a scan row
-_SCAN_TEST_GRID = 1024
+_MERGE_RADIUS = 1e-3     # merge radius of `cvp minimize` and of every scan row
 # cap on a schedule's cooling steps (temperatures x steps x restarts); the
 # default schedule takes about 7e5
 MAX_ANNEAL_STEPS = 10**8
@@ -845,18 +844,18 @@ def tau_scan(
     cooling: float | None = None,
     steps_per_temp: int | None = None,
     restarts: int | None = None,
-    merge_radius: float = 1e-3,
 ) -> list[ScanRow]:
     """One ScanRow per tau, warm-started continuation in both directions.
 
     At every tau the best of {cold run, warm run from the neighbouring tau}
     is kept, so the kept measure is never above the cold run; ties in action
     prefer the smaller support.  The kept measure is support-reduced by
-    ``_reduce_support``, merged and certified into its row, so the row's
-    action may exceed the cold run's by up to 1e-6 S plus the bound that
-    ``merge_clusters`` reports; rows are certified at tolerance 1e-2 on a
-    1024-point test grid.  The anneals run ``AnnealSchedule.light`` with
-    the schedule options given; warm runs use one restart.
+    ``_reduce_support``, merged at radius 1e-3 and certified into its row,
+    so the row's action may exceed the cold run's by up to 1e-6 S plus the
+    bound that ``merge_clusters`` reports; rows are certified at the
+    annealed tolerance 1e-2 on the common 2048-point test grid.  The anneals
+    run ``AnnealSchedule.light`` with the schedule options given; warm runs
+    use one restart.
     """
     tau_grid = [float(t) for t in tau_grid]
     if sorted(tau_grid) != tau_grid:
@@ -886,9 +885,8 @@ def tau_scan(
     for tau in tau_grid:
         model = ManifoldModel(model_kind, tau, f)
         reduced = _reduce_support(model, best[tau])
-        merged = merge_clusters(model, reduced, merge_radius).measure
-        report = analysis.certify(model, merged, test_grid_size=_SCAN_TEST_GRID,
-                                  tol=_SCAN_CERTIFY_TOL)
+        merged = merge_clusters(model, reduced, _MERGE_RADIUS).measure
+        report = analysis.certify(model, merged, tol=analysis._ANNEALED_TOL)
         rows.append(ScanRow(tau=tau, m=m, action=report.action,
                             support_size_after_merge=merged.support_size,
                             classification=report.classification.value,

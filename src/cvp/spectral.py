@@ -1,4 +1,5 @@
-"""Legendre/Fourier helpers shared by the measure and analysis modules."""
+"""Legendre polynomials and band integrals, the Fibonacci sphere grid and
+the real spherical harmonics, shared by the measure and analysis modules."""
 
 from __future__ import annotations
 

@@ -75,10 +75,6 @@ def heat_kernel(t, theta):
 
 
 class TestCertify:
-    def test_empty_test_grid_rejected(self):
-        with pytest.raises(ValueError, match="test_grid_size must be >= 1"):
-            certify(ManifoldModel.sphere(1.2), octahedron(), test_grid_size=0)
-
     def test_octahedron_timelike_phase(self):
         model = ManifoldModel.sphere(1.2)
         rep = certify(model, octahedron())
@@ -111,7 +107,7 @@ class TestCertify:
 
     def test_flag_moments_omitted(self, flag32):
         pts = sample_uniform(flag32, 4, seed=1)
-        rep = certify(flag32, WeightedMeasure(pts, np.full(4, 0.25)), test_grid_size=128)
+        rep = certify(flag32, WeightedMeasure(pts, np.full(4, 0.25)))
         assert rep.moment_residuals == ()
 
 
@@ -196,6 +192,12 @@ class TestObstructions:
         assert t4 > t3
         with pytest.raises(ValueError):
             flag_gt_threshold(2)
+
+    @pytest.mark.parametrize("f", [3.9, 3.0, "3", None])
+    def test_flag_threshold_takes_integers_only(self, f):
+        # 3.9 once gave f = 3's threshold
+        with pytest.raises(ValueError, match=r"f must be an integer >= 3 \(got f="):
+            flag_gt_threshold(f)
 
 
 class TestHeatKernel:
@@ -463,7 +465,8 @@ class TestTammes:
         ([[1.0, 0.0]], "array of unit 3-vectors"),
         ([1.0, 0.0, 0.0], "array of unit 3-vectors"),
         ([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], "unit vectors within 1e-6"),
-    ], ids=["non-unit", "two-coordinates", "one-point-unstacked", "nan"])
+        (np.empty((0, 3)), "non-empty array of unit 3-vectors"),  # once divided by 0 points
+    ], ids=["non-unit", "two-coordinates", "one-point-unstacked", "nan", "empty"])
     def test_rejects_non_unit_points_and_wrong_shapes(self, packing, message):
         with pytest.raises(ValueError, match=message):
             tammes_upper_bound(ManifoldModel.sphere(1.4), packing)

@@ -1,14 +1,36 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from cvp import ManifoldModel, action, analysis, load_measure, measure_to_dict, optimize
+from cvp import (
+    ManifoldModel,
+    WeightedMeasure,
+    action,
+    analysis,
+    load_measure,
+    measure_to_dict,
+    optimize,
+)
 from cvp.cli import build_parser, main
 from cvp.exact import octahedron
 
 LIGHT = ["--cooling", "0.88", "--steps-per-temp", "30", "--restarts", "2"]
 QUICK = ["--restarts", "1", "--cooling", "0.5", "--steps-per-temp", "2"]
+
+# each command's options (a positional by its name), as `cvp <command> --help` lists them
+CLI_SURFACE = {
+    "minimize": ["--cooling", "--f", "--m", "--manifold", "--out-certificate", "--out-measure",
+                 "--restarts", "--seed", "--steps-per-temp", "--t-end", "--t-start", "--tau",
+                 "--tol"],
+    "certify": ["--measure", "--output", "--tol"],
+    "bounds": ["--measure", "--output", "--packing", "--t-count", "--t-max", "--t-min", "--tau"],
+    "scan": ["--cooling", "--f", "--m", "--manifold", "--output", "--restarts", "--seed",
+             "--steps-per-temp", "--tau-max", "--tau-min", "--tau-step"],
+    "exact": ["--force", "--m", "--output", "--tau", "--tol", "construction"],
+    "flag-check": ["--eps", "--f", "--output", "--tau"],
+}
 
 
 def run(capsys, *argv):
@@ -23,6 +45,20 @@ def assert_rejected(code, out, err, message):
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_cli_surface_is_pinned():
+    # a new option has to edit this pin, so the change that adds it shows it
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                     for opt in a.option_strings or [a.dest])
+        for name, p in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert list(surface) == list(CLI_SURFACE)  # the order --help lists them in
+    assert sum(map(len, surface.values())) == 44
 
 
 class TestBadInput:
@@ -81,14 +117,6 @@ class TestBadInput:
         code, out, err = run(capsys, *argv, *option)
         assert_rejected(code, out, err, "Metropolis steps")
 
-    @pytest.mark.parametrize("argv", [
-        ["minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3"],
-        ["exact", "chain", "--tau", "3"],
-    ], ids=["minimize", "exact"])
-    def test_empty_test_grid_exit_2(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--test-grid", "0")
-        assert_rejected(code, out, err, "--test-grid must be >= 1")
-
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize("command", ["minimize", "exact", "certify"])
     def test_tolerance_that_certifies_nothing_exit_2(self, capsys, tmp_path, command, tol):
@@ -103,14 +131,6 @@ class TestBadInput:
         }[command]
         code, out, err = run(capsys, *argv, "--tol", tol)
         assert_rejected(code, out, err, "tol must be finite and >= 0")
-
-    def test_nan_merge_radius_exit_2(self, capsys):
-        # a NaN radius merged nothing and exited 0
-        code, out, err = run(
-            capsys, "minimize", "--manifold", "circle", "--tau", "1.3", "--m", "3", *QUICK,
-            "--merge-radius", "nan",
-        )
-        assert_rejected(code, out, err, "radius must be >= 0")
 
     @pytest.mark.parametrize("command", ["minimize", "scan"])
     @pytest.mark.parametrize("model_args, message", [
@@ -195,6 +215,12 @@ class TestMinimize:
 
 
 class TestCertify:
+    @staticmethod
+    def certify_doc(capsys, tmp_path, doc):
+        mfile = tmp_path / "bad.json"
+        mfile.write_text(json.dumps(doc))
+        return run(capsys, "certify", "--measure", str(mfile))
+
     def test_round_trip(self, capsys, tmp_path):
         mfile = tmp_path / "m.json"
         run(
@@ -233,9 +259,7 @@ class TestCertify:
              "infinite_tau"],
     )
     def test_bad_measure_exit_2(self, capsys, tmp_path, doc):
-        mfile = tmp_path / "bad.json"
-        mfile.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "certify", "--measure", str(mfile))
+        code, out, err = self.certify_doc(capsys, tmp_path, doc)
         assert code == 2
         assert "error:" in err
         assert "action" not in out
@@ -263,10 +287,23 @@ class TestCertify:
     def test_non_numeric_field_exit_2(self, capsys, tmp_path, doc, message):
         # each of these documents used to be certified as a model or measure
         # it does not state
-        mfile = tmp_path / "bad.json"
-        mfile.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "certify", "--measure", str(mfile))
-        assert_rejected(code, out, err, message)
+        assert_rejected(*self.certify_doc(capsys, tmp_path, doc), message)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"manifold": "sphere", "tau": 1.2, "points": [[1.0, 0.0]], "weights": [1.0]},
+         "sphere points must be lists of 3 coordinates"),
+        ({"manifold": "sphere", "tau": 1.2, "points": [[1.0, 0.1, 0.0]], "weights": [1.0]},
+         "sphere points must be unit vectors (1e-12)"),
+        ({**FLAG, "points": [{"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.0, 0.0], [1.0, 0.0]]}]},
+         "flag points must have shape (n, 2, 3)"),
+        ({**FLAG, "points": [{**FLAG_POINT, "v": FLAG_POINT["u"]}]},
+         "flag points must be orthonormal pairs (1e-10)"),
+        ({**CIRCLE, "weights": [0.25, 0.25, 0.5]},
+         "weights must be 1-d and match the point count"),
+    ], ids=["sphere_two_coordinates", "sphere_off_unit", "flag_pair_too_short",
+            "flag_not_orthonormal", "more_weights_than_points"])
+    def test_invalid_points_or_weights_exit_2(self, capsys, tmp_path, doc, message):
+        assert_rejected(*self.certify_doc(capsys, tmp_path, doc), message)
 
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "certify", "--measure", "/nonexistent/m.json")
@@ -311,6 +348,33 @@ class TestBounds:
         p.write_text("nan 0 0\n1 0 0\n0 1 0\n")
         code, out, err = run(capsys, "bounds", "--tau", "1.5", "--packing", str(p))
         assert_rejected(code, out, err, "unit vectors within 1e-6")
+
+    def test_measure_gives_best_found(self, capsys, tmp_path):
+        mfile = tmp_path / "octahedron.json"
+        mfile.write_text(json.dumps(measure_to_dict(ManifoldModel.sphere(1.5), octahedron())))
+        code, out, _ = run(capsys, "bounds", "--tau", "1.5", "--measure", str(mfile),
+                           "--t-count", "3")
+        assert code == 0
+        assert json.loads(out)["best_found"] == action(*load_measure(mfile))
+
+    @pytest.mark.parametrize("model, meas", [
+        (ManifoldModel.circle(1.5), WeightedMeasure(np.array([0.0, np.pi]), np.full(2, 0.5))),
+        (ManifoldModel.sphere(1.4), octahedron()),
+    ], ids=["circle", "other_tau"])
+    def test_measure_of_another_model_exit_2(self, capsys, tmp_path, model, meas):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(measure_to_dict(model, meas)))
+        code, out, err = run(capsys, "bounds", "--tau", "1.5", "--measure", str(mfile))
+        assert_rejected(code, out, err, "--measure must hold a sphere measure at the same tau")
+
+    def test_no_valid_lower_bound_prints_null_gap(self, capsys):
+        # at tau = 2 nu0 is not a bound, and no pair of these heat times dominates
+        code, out, _ = run(capsys, "bounds", "--tau", "2.0", "--t-min", "1.5", "--t-max", "1.8",
+                           "--t-count", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["nu0"]["valid"] is False and doc["heat_kernel"] is None
+        assert '"sandwich_gap": null' in out
 
 
 class TestScan:

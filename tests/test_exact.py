@@ -59,6 +59,17 @@ class TestCircleCounts:
         with pytest.raises(ValueError):
             circle_tau_m(2)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: circle_tau_m(4.5), "m"),
+        (lambda: circle_tau_m(4.0), "m"),
+        (lambda: flag_negative_witness(3.7, 2.0, 0.01), "f"),
+        (lambda: flag_negative_witness("3", 2.0, 0.01), "f"),
+    ], ids=["tau_m_fractional", "tau_m_float", "witness_fractional", "witness_string"])
+    def test_counts_take_integers_only(self, call, name):
+        # circle_tau_m(4.5) once gave tau_4, and a 3.7 witness had f = 3 points
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= 3 \(got {name}="):
+            call()
+
     def test_m0_consistent_at_jumps(self):
         # exactly at tau_m the smallest admissible count is m itself
         for m in (4, 5, 6, 9):

@@ -304,8 +304,9 @@ class TestMergeClusters:
         assert abs(res.action_delta) <= res.action_delta_bound + 1e-12
 
     def test_negative_radius(self, circle13):
-        with pytest.raises(ValueError):
-            merge_clusters(circle13, circle_uniform(3), -1.0)
+        for radius in (-1.0, float("nan")):  # a NaN radius once merged nothing
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                merge_clusters(circle13, circle_uniform(3), radius)
 
 
 LIFT_MODELS = [ManifoldModel(kind, tau) for kind in ("circle", "sphere")
